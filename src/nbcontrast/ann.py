@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientNeighborsError
-from .graph_embed import EmbeddingTable
+from .graph_embed import EmbeddingTable, scores
 
 
 @dataclass(frozen=True)
@@ -34,37 +34,6 @@ class NeighborList:
         return [node for node, _ in self.entries]
 
 
-def _all_scores(t: EmbeddingTable, query: int) -> np.ndarray:
-    """Score every node against the query under the table's measure."""
-    q = t.values[query]
-    if t.measure == "dot":
-        return t.values @ q
-    norms = np.linalg.norm(t.values, axis=1)
-    qn = float(np.linalg.norm(q))
-    scores = np.zeros(t.rows, dtype=np.float64)
-    if qn == 0.0:
-        return scores
-    nonzero = norms > 0.0
-    scores[nonzero] = (t.values[nonzero] @ q) / (norms[nonzero] * qn)
-    return scores
-
-
-def cosine_scores(t: EmbeddingTable, query: int) -> list[tuple[int, float]]:
-    """Cosine score of every node against the query, self-match excluded.
-
-    Used by the similarity-threshold sampler, which is defined on cosine
-    regardless of the table's own measure.
-    """
-    q = t.values[query]
-    norms = np.linalg.norm(t.values, axis=1)
-    qn = float(np.linalg.norm(q))
-    scores = np.zeros(t.rows, dtype=np.float64)
-    if qn > 0.0:
-        nonzero = norms > 0.0
-        scores[nonzero] = (t.values[nonzero] @ q) / (norms[nonzero] * qn)
-    return [(i, float(scores[i])) for i in range(t.rows) if i != query]
-
-
 def top_k(
     t: EmbeddingTable,
     query: int,
@@ -77,16 +46,16 @@ def top_k(
     if not 0 <= query < t.rows:
         raise ValueError(f"query {query} out of range for {t.rows} nodes")
 
-    scores = _all_scores(t, query)
+    scored = scores(t, query)
     mask = np.ones(t.rows, dtype=bool)
     mask[query] = False
     for idx in exclude:
         mask[idx] = False
     candidates = np.flatnonzero(mask)
     # primary: score descending; secondary: node index ascending
-    order = np.lexsort((candidates, -scores[candidates]))
+    order = np.lexsort((candidates, -scored[candidates]))
     chosen = candidates[order[:k]]
-    entries = tuple((int(i), float(scores[i])) for i in chosen)
+    entries = tuple((int(i), float(scored[i])) for i in chosen)
     return NeighborList(query=query, entries=entries)
 
 

@@ -390,30 +390,48 @@ def save_encoder(p: EncoderParams, path: str | Path) -> None:
 
 
 def load_encoder(path: str | Path) -> EncoderParams:
-    """Read a checkpoint written by :func:`save_encoder`."""
+    """Read a checkpoint written by :func:`save_encoder`.
+
+    A size in the header that runs past the end of the file, trailing
+    bytes, a token that is not UTF-8 or an inconsistent vocabulary is a
+    :class:`DataError`.
+    """
     path = Path(path)
-    with path.open("rb") as fh:
-        if fh.read(4) != _CKPT_MAGIC:
-            raise DataError(f"{path}: not an encoder checkpoint")
-        vocab_size, hidden, _ = struct.unpack("<IIB", fh.read(9))
-        token_table = np.frombuffer(
-            fh.read(vocab_size * hidden * 4), dtype="<f4"
-        ).reshape(vocab_size, hidden)
-        (out_dim,) = struct.unpack("<I", fh.read(4))
-        projection = np.frombuffer(
-            fh.read(hidden * out_dim * 4), dtype="<f4"
-        ).reshape(hidden, out_dim)
-        bias = np.frombuffer(fh.read(out_dim * 4), dtype="<f4")
-        (n_tokens,) = struct.unpack("<I", fh.read(4))
-        if n_tokens != vocab_size:
-            raise DataError(f"{path}: vocab section length mismatch")
-        vocab: dict[str, int] = {}
+    raw = memoryview(path.read_bytes())
+    pos = 0
+
+    def read(size: int) -> memoryview:
+        nonlocal pos
+        if size > len(raw) - pos:
+            raise DataError(f"{path}: truncated encoder checkpoint")
+        pos += size
+        return raw[pos - size:pos]
+
+    def floats(count: int) -> np.ndarray:
+        return np.frombuffer(read(count * 4), dtype="<f4").astype(np.float64)
+
+    if read(4) != _CKPT_MAGIC:
+        raise DataError(f"{path}: not an encoder checkpoint")
+    vocab_size, hidden, _ = struct.unpack("<IIB", read(9))
+    token_table = floats(vocab_size * hidden).reshape(vocab_size, hidden)
+    (out_dim,) = struct.unpack("<I", read(4))
+    projection = floats(hidden * out_dim).reshape(hidden, out_dim)
+    bias = floats(out_dim)
+    (n_tokens,) = struct.unpack("<I", read(4))
+    if n_tokens != vocab_size:
+        raise DataError(f"{path}: vocab section length mismatch")
+    vocab: dict[str, int] = {}
+    try:
         for i in range(n_tokens):
-            (length,) = struct.unpack("<I", fh.read(4))
-            vocab[fh.read(length).decode("utf-8")] = i
-    return EncoderParams(
-        vocab=vocab,
-        token_table=token_table.astype(np.float64),
-        projection=projection.astype(np.float64),
-        projection_bias=bias.astype(np.float64),
-    )
+            (length,) = struct.unpack("<I", read(4))
+            vocab[str(read(length), "utf-8")] = i
+        if pos != len(raw):
+            raise DataError(f"{path}: trailing bytes after the vocab section")
+        return EncoderParams(
+            vocab=vocab,
+            token_table=token_table,
+            projection=projection,
+            projection_bias=bias,
+        )
+    except (UnicodeDecodeError, ValidationError) as exc:
+        raise DataError(f"{path}: bad vocab section: {exc}") from None

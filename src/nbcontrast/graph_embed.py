@@ -103,24 +103,40 @@ def init_embeddings(node_count: int, dim: int, seed: int) -> EmbeddingTable:
     return EmbeddingTable(values=values)
 
 
-def score_edge(t: EmbeddingTable, src: int, dst: int) -> float:
-    """Score one (src, dst) pair under the table's measure.
+def scores(
+    t: EmbeddingTable,
+    query: int,
+    cols: Sequence[int] | np.ndarray | None = None,
+    measure: str | None = None,
+) -> np.ndarray:
+    """Float64 scores of row ``query`` against rows ``cols`` (all rows if None).
 
-    Dot returns the inner product; cosine normalizes both rows and returns
-    0 when either row is the zero vector.
+    ``measure`` defaults to the table's own. Dot returns inner products;
+    cosine normalizes both rows and scores 0 where either is the zero
+    vector. Every table score outside the training gradient comes from
+    here. The BLAS product may round a pair's score differently in the
+    last bit depending on which other rows share the call.
     """
+    q = t.values[query]
+    values = t.values if cols is None else t.values[np.asarray(cols, dtype=np.int64)]
+    if (measure or t.measure) == "dot":
+        return values @ q
+    norms = np.linalg.norm(values, axis=1)
+    qn = float(np.linalg.norm(q))
+    out = np.zeros(values.shape[0], dtype=np.float64)
+    if qn == 0.0:
+        return out
+    nonzero = norms > 0.0
+    out[nonzero] = (values[nonzero] @ q) / (norms[nonzero] * qn)
+    return out
+
+
+def score_edge(t: EmbeddingTable, src: int, dst: int) -> float:
+    """Score one (src, dst) pair under the table's measure (see :func:`scores`)."""
     n = t.rows
     if not (0 <= src < n and 0 <= dst < n):
         raise ValueError(f"edge ({src}, {dst}) out of range for {n} nodes")
-    u = t.values[src]
-    v = t.values[dst]
-    if t.measure == "dot":
-        return float(u @ v)
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(u @ v) / (nu * nv)
+    return float(scores(t, src, [dst])[0])
 
 
 def _score_grads(
@@ -245,9 +261,14 @@ def pairwise_auc(pos_scores: Sequence[float], neg_scores: Sequence[float]) -> fl
     neg = np.asarray(neg_scores, dtype=np.float64)
     if pos.size == 0 or neg.size == 0:
         raise ValueError("pairwise_auc needs at least one score on each side")
-    wins = (pos[:, None] > neg[None, :]).sum()
-    ties = (pos[:, None] == neg[None, :]).sum()
-    return float((wins + 0.5 * ties) / (pos.size * neg.size))
+    # corrupted scores strictly below / equal to each positive, counted on
+    # the sorted corrupted scores; NaN neither wins nor ties (numpy sorts
+    # and searches NaN after +inf, so only NaN positives need dropping)
+    ranked = np.sort(neg, axis=None)
+    valid = pos[~np.isnan(pos)]
+    below = np.searchsorted(ranked, valid, side="left")
+    ties = np.searchsorted(ranked, valid, side="right") - below
+    return float((below.sum() + 0.5 * ties.sum()) / (pos.size * neg.size))
 
 
 def eval_link_prediction(
@@ -271,11 +292,14 @@ def eval_link_prediction(
         raise ValueError(f"negatives_per_edge must be >= 1: {negatives_per_edge}")
 
     n = t.rows
+    bad = np.flatnonzero(((holdout < 0) | (holdout >= n)).any(axis=1))
+    if bad.size:
+        src, dst = holdout[bad[0]]
+        raise ValueError(f"edge ({src}, {dst}) out of range for {n} nodes")
     ranks = np.empty(holdout.shape[0], dtype=np.int64)
-    pos_scores: list[float] = []
-    neg_scores: list[float] = []
+    pos_scores = np.empty(holdout.shape[0], dtype=np.float64)
+    neg_scores = np.empty((holdout.shape[0], negatives_per_edge), dtype=np.float64)
     for i, (src, dst) in enumerate(holdout):
-        src, dst = int(src), int(dst)
         rng = np.random.default_rng((seed, i))
         negs = np.empty(negatives_per_edge, dtype=np.int64)
         filled = 0
@@ -285,19 +309,12 @@ def eval_link_prediction(
             negs[filled:filled + draw.size] = draw
             filled += draw.size
 
-        s_pos = score_edge(t, src, dst)
-        s_negs = [score_edge(t, src, int(d)) for d in negs]
-        pos_scores.append(s_pos)
-        neg_scores.extend(s_negs)
-
+        s = scores(t, src, np.concatenate(([dst], negs)))
+        pos_scores[i], neg_scores[i] = s[0], s[1:]
         # candidates sorted by (score desc, index asc); rank of the true
         # destination = 1 + number of candidates strictly ahead of it
-        ahead = sum(
-            1
-            for cand, s in zip(negs, s_negs)
-            if s > s_pos or (s == s_pos and int(cand) < dst)
-        )
-        ranks[i] = 1 + ahead
+        ahead = (s[1:] > s[0]) | ((s[1:] == s[0]) & (negs < dst))
+        ranks[i] = 1 + int(ahead.sum())
 
     mrr = float(np.mean(1.0 / ranks))
     hits1 = float(np.mean(ranks <= 1))

@@ -18,10 +18,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ann import NeighborList, batch_neighbors, cosine_scores, range_by_rank
+from .ann import NeighborList, batch_neighbors, range_by_rank
 from .corpus import PaperId
 from .errors import DataError, InsufficientNeighborsError, ValidationError
-from .graph_embed import EmbeddingTable, score_edge
+from .graph_embed import EmbeddingTable, scores
 
 POS_STRATEGIES = ("knn", "sim")
 HARD_STRATEGIES = ("knn", "sim")
@@ -86,6 +86,14 @@ class SamplingConfig:
         """Ranks strictly between the positive and hard-negative bands."""
         return self.k_hard - self.c_hard - self.k_pos
 
+    def easy_filter_depth(self) -> int:
+        """Leading neighbors ``filtered_random`` excludes from easy negatives.
+
+        Both outer ranks count whatever the band strategies are, so a
+        ``sim``/``sim`` config still scans this deep to filter.
+        """
+        return max(self.k_pos, self.k_hard)
+
     def neighbor_depth(self) -> int:
         """How deep the shared neighbor list must reach."""
         depth = 0
@@ -94,7 +102,7 @@ class SamplingConfig:
         if self.hard_strategy == "knn":
             depth = max(depth, self.k_hard)
         if self.easy_strategy == "filtered_random":
-            depth = max(self.k_pos, self.k_hard)
+            depth = max(depth, self.easy_filter_depth())
         return depth
 
 
@@ -248,13 +256,10 @@ def sample_sorted_random(
         )
     rng = np.random.default_rng(seed)
     take = min(n_candidates, len(pool))
-    drawn = [pool[int(i)] for i in rng.choice(len(pool), size=take, replace=False)]
-    scored = [(i, score_edge(t, query, i)) for i in drawn]
-    if direction == "closest":
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    else:
-        scored.sort(key=lambda pair: (pair[1], pair[0]))
-    return [i for i, _ in scored[:c]]
+    drawn = np.asarray(pool)[rng.choice(len(pool), size=take, replace=False)]
+    scored = scores(t, query, drawn)
+    order = np.lexsort((drawn, -scored if direction == "closest" else scored))
+    return drawn[order[:c]].tolist()
 
 
 def _mine_one_query(
@@ -269,9 +274,13 @@ def _mine_one_query(
     sim_cache: list[tuple[int, float]] | None = None
 
     def sim_scores() -> list[tuple[int, float]]:
+        # (index, cosine score) of every node but the query: the threshold
+        # samplers are defined on cosine whatever the table's own measure
         nonlocal sim_cache
         if sim_cache is None:
-            sim_cache = cosine_scores(t, query.index)
+            others = np.delete(np.arange(t.rows), query.index)
+            cosine = scores(t, query.index, measure="cosine")
+            sim_cache = list(zip(others.tolist(), cosine[others].tolist()))
         return sim_cache
 
     if cfg.c_pos == 0:
@@ -302,7 +311,7 @@ def _mine_one_query(
             corpus_idx,
             cfg.c_easy,
             neighbors,
-            k_filter=max(cfg.k_pos, cfg.k_hard),
+            k_filter=cfg.easy_filter_depth(),
             seed=easy_seed,
             extra_exclude=taken,
         )
@@ -517,5 +526,8 @@ def load_triples(path: str | Path, cfg: SamplingConfig | None = None) -> TripleS
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 5:
                 raise DataError(f"{path}: line {lineno}: expected 5 columns")
-            triples.append(Triple(*row))
+            try:
+                triples.append(Triple(*row))
+            except ValidationError as exc:
+                raise DataError(f"{path}: line {lineno}: {exc}") from None
     return TripleSet(triples=tuple(triples), config_snapshot=cfg or SamplingConfig())

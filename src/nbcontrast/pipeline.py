@@ -492,18 +492,22 @@ def label_separation(
     labeled: evaluation.LabeledSet,
     id_to_row,
 ) -> tuple[float, float]:
-    """Mean pairwise L2 distance within and across label groups."""
+    """Mean pairwise L2 distance within and across label groups.
+
+    Each row is compared with the rows after it, so no n x n x d tensor is
+    built; the n(n-1)/2 pairwise distances are still held at once.
+    """
     ids = [pid for pid, _, _ in labeled.items if pid in id_to_row]
     labels = {pid: label for pid, label, _ in labeled.items}
     points = np.stack([vectors.values[id_to_row[pid]] for pid in ids])
-    diff = points[:, None, :] - points[None, :, :]
-    dists = np.sqrt((diff ** 2).sum(axis=2))
-    same = np.array(
-        [[labels[a] == labels[b] for b in ids] for a in ids], dtype=bool
-    )
-    upper = np.triu(np.ones_like(same), k=1).astype(bool)
-    intra = float(dists[same & upper].mean())
-    inter = float(dists[~same & upper].mean())
+    _, codes = np.unique([labels[pid] for pid in ids], return_inverse=True)
+    dists = np.concatenate([
+        np.sqrt(((points[i + 1:] - points[i]) ** 2).sum(axis=1))
+        for i in range(len(ids))
+    ])
+    same = np.concatenate([codes[i + 1:] == codes[i] for i in range(len(ids))])
+    intra = float(dists[same].mean())
+    inter = float(dists[~same].mean())
     return intra, inter
 
 

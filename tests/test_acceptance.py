@@ -88,9 +88,9 @@ def naive_full_sort(table, query, k):
     exclusion, sorting, and truncation logic under test is all
     reimplemented here.
     """
-    from nbcontrast.ann import _all_scores
+    from nbcontrast.graph_embed import scores as score_battery
 
-    scores = _all_scores(table, query)
+    scores = score_battery(table, query)
     scored = [(i, float(scores[i])) for i in range(table.rows) if i != query]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]

@@ -392,6 +392,43 @@ class TestCheckpoint:
         save_encoder(params, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_every_truncation_is_a_data_error(self, tmp_path):
+        vocab = build_vocab([Document(id="d", title="alpha beta", abstract="gamma")])
+        params = init_encoder(vocab, hidden_dim=3, out_dim=2, seed=1)
+        full = tmp_path / "enc.bin"
+        save_encoder(params, full)
+        raw = full.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for size in range(len(raw)):
+            cut.write_bytes(raw[:size])
+            with pytest.raises(DataError):
+                load_encoder(cut)
+
+    def test_header_sizes_past_the_end_rejected(self, tmp_path):
+        import struct
+        path = tmp_path / "enc.bin"
+        path.write_bytes(b"NBE1" + struct.pack("<IIB", 2**32 - 1, 2**32 - 1, 0))
+        with pytest.raises(DataError, match="truncated"):
+            load_encoder(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        vocab = build_vocab([Document(id="d", title="x y", abstract="")])
+        path = tmp_path / "enc.bin"
+        save_encoder(init_encoder(vocab, hidden_dim=2, out_dim=2, seed=0), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(DataError, match="trailing"):
+            load_encoder(path)
+
+    def test_vocab_without_unk_is_a_data_error(self, tmp_path):
+        vocab = build_vocab([Document(id="d", title="x y", abstract="")])
+        path = tmp_path / "enc.bin"
+        save_encoder(init_encoder(vocab, hidden_dim=2, out_dim=2, seed=0), path)
+        raw = path.read_bytes()
+        assert raw.count(UNK.encode()) == 1
+        path.write_bytes(raw.replace(UNK.encode(), b"[unk]"))
+        with pytest.raises(DataError, match="unk"):
+            load_encoder(path)
+
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "x.bin"
         path.write_bytes(b"JUNKJUNKJUNK")

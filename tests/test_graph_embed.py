@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbcontrast.corpus import CitationGraph, split_edges
 from nbcontrast.errors import ValidationError
@@ -14,6 +16,7 @@ from nbcontrast.graph_embed import (
     init_embeddings,
     pairwise_auc,
     score_edge,
+    scores,
     train_epoch,
     train_graph_embeddings,
 )
@@ -76,6 +79,36 @@ class TestScoreEdge:
         t = EmbeddingTable(values=np.ones((2, 2)))
         with pytest.raises(ValueError):
             score_edge(t, 0, 5)
+
+
+class TestScores:
+    @pytest.mark.parametrize("measure", ["dot", "cosine"])
+    def test_all_rows_and_selected_rows(self, measure):
+        values = np.array([[3.0, 4.0], [0.0, 0.0], [6.0, 8.0], [-4.0, 3.0]])
+        t = EmbeddingTable(values=values, measure=measure)
+        full = scores(t, 0)
+        expect = [25.0, 0.0, 50.0, 0.0] if measure == "dot" else [1.0, 0.0, 1.0, 0.0]
+        assert full.dtype == np.float64
+        assert full.tolist() == expect
+        assert scores(t, 0, [2, 2, 1]).tolist() == [expect[2], expect[2], expect[1]]
+        assert scores(t, 0, []).shape == (0,)
+
+    def test_measure_override(self):
+        t = EmbeddingTable(values=np.array([[3.0, 4.0], [6.0, 8.0]]), measure="dot")
+        assert scores(t, 0, [1], measure="cosine").tolist() == [1.0]
+        assert scores(t, 0, [1]).tolist() == [50.0]
+
+    def test_zero_query_scores_zero_under_cosine(self):
+        t = EmbeddingTable(values=np.array([[0.0, 0.0], [1.0, 2.0]]), measure="cosine")
+        assert scores(t, 0).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("measure", ["dot", "cosine"])
+    def test_score_edge_is_one_kernel_call(self, measure):
+        t = EmbeddingTable(
+            values=np.random.default_rng(8).normal(size=(6, 5)), measure=measure
+        )
+        for dst in range(6):
+            assert score_edge(t, 2, dst) == scores(t, 2, [dst])[0]
 
 
 class TestTrainEpoch:
@@ -202,6 +235,34 @@ class TestPairwiseAuc:
             assert abs(pairwise_auc(pos, neg) - wins / (len(pos) * len(neg))) < 1e-12
 
 
+def brute_force_auc(pos, neg):
+    wins = ties = 0
+    for p in pos:
+        for n in neg:
+            wins += p > n
+            ties += p == n
+    return (wins + 0.5 * ties) / (len(pos) * len(neg))
+
+
+# few distinct values force ties; NaN and both infinities are in the mix
+auc_scores = st.lists(
+    st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.25, 0.5, 2.0, np.inf, np.nan]),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestPairwiseAucProperty:
+    @given(pos=auc_scores, neg=auc_scores)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_brute_force_double_loop(self, pos, neg):
+        assert pairwise_auc(pos, neg) == brute_force_auc(pos, neg)
+
+    def test_all_nan_positive_wins_nothing(self):
+        assert pairwise_auc([np.nan], [0.0, np.nan]) == 0.0
+        assert pairwise_auc([1.0, np.nan], [0.0, np.nan]) == 0.25
+
+
 class TestEvalLinkPrediction:
     def test_perfect_model(self):
         # tiny source norms keep self-corruption scores below the true edge
@@ -243,6 +304,38 @@ class TestEvalLinkPrediction:
         table = init_embeddings(3, 2, seed=0)
         with pytest.raises(ValueError):
             eval_link_prediction(table, np.zeros((0, 2)), 5, seed=0)
+
+    @pytest.mark.parametrize("edge", [[0, 3], [3, 0], [-1, 1], [1, -1]])
+    def test_out_of_range_holdout_rejected(self, edge):
+        # a negative id must not wrap around to the last row
+        table = init_embeddings(3, 2, seed=0)
+        with pytest.raises(ValueError, match="out of range"):
+            eval_link_prediction(table, np.array([[0, 1], edge]), 5, seed=0)
+
+    @pytest.mark.parametrize("measure", ["dot", "cosine"])
+    def test_matches_per_pair_reference(self, measure):
+        table = EmbeddingTable(
+            values=np.random.default_rng(6).integers(-2, 3, size=(15, 3)).astype(float),
+            measure=measure,
+        )
+        holdout = np.array([[0, 1], [4, 9], [14, 2], [7, 7]])
+        got = eval_link_prediction(table, holdout, 6, seed=3)
+        ranks, pos, neg = [], [], []
+        for i, (src, dst) in enumerate(holdout.tolist()):
+            rng = np.random.default_rng((3, i))
+            negs = []
+            while len(negs) < 6:
+                negs += [d for d in rng.integers(0, 15, size=6 - len(negs)).tolist()
+                         if d != dst]
+            s_pos = score_edge(table, src, dst)
+            s_negs = [score_edge(table, src, d) for d in negs]
+            ranks.append(1 + sum(s > s_pos or (s == s_pos and d < dst)
+                                 for d, s in zip(negs, s_negs)))
+            pos.append(s_pos)
+            neg += s_negs
+        assert got.mrr == pytest.approx(np.mean([1.0 / r for r in ranks]))
+        assert got.hits_at_1 == np.mean([r <= 1 for r in ranks])
+        assert got.auc == brute_force_auc(pos, neg)
 
 
 class TestConfigValidation:

@@ -60,6 +60,15 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             SamplingConfig(easy_strategy="kmeans").validate()
 
+    @pytest.mark.parametrize("easy, depth", [("filtered_random", 4000), ("random", 0)])
+    def test_neighbor_depth_of_sim_bands(self, easy, depth):
+        # filtered_random excludes the first max(k_pos, k_hard) neighbors
+        # even when neither band reads the neighbor list
+        cfg = SamplingConfig(pos_strategy="sim", hard_strategy="sim",
+                             easy_strategy=easy)
+        assert cfg.easy_filter_depth() == 4000
+        assert cfg.neighbor_depth() == depth
+
     def test_sampling_margin_arithmetic(self):
         assert TUNED_CONFIG.sampling_margin() == 3973
         adjacent = SamplingConfig(k_pos=25, k_hard=27, c_hard=2)
@@ -472,6 +481,18 @@ class TestTripleFileRoundtrip:
         assert loaded.triples == ts.triples
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header == "query_id\tpositive_id\tnegative_id\tnegative_kind\tstrategy"
+
+    def test_repeated_ids_are_a_data_error(self, tmp_path):
+        from nbcontrast.errors import DataError
+        path = tmp_path / "triples.tsv"
+        path.write_text(
+            "query_id\tpositive_id\tnegative_id\tnegative_kind\tstrategy\n"
+            "a\tb\tc\thard\tknn\n"
+            "a\ta\tc\thard\tknn\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DataError, match="line 3"):
+            load_triples(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "triples.tsv"

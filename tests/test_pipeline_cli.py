@@ -3,10 +3,13 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from nbcontrast.cli import main
-from nbcontrast.pipeline import ARTIFACTS, load_config, run
+from nbcontrast.evaluation import LabeledSet
+from nbcontrast.graph_embed import EmbeddingTable
+from nbcontrast.pipeline import ARTIFACTS, label_separation, load_config, run
 
 
 def sha256(path):
@@ -131,6 +134,24 @@ class TestExitCodes:
         rc = main(["ingest", "--config", str(workdir / "config.ini")])
         assert rc == 3
 
+    def test_truncated_encoder_checkpoint_exits_3(self, workdir):
+        config = str(workdir / "config.ini")
+        assert main(["all", "--config", config]) == 0
+        ckpt = workdir / ARTIFACTS["encode-train"]
+        ckpt.write_bytes(ckpt.read_bytes()[:-1])
+        assert main(["eval", "--config", config]) == 3
+
+    def test_triple_with_repeated_ids_exits_3(self, workdir):
+        config = str(workdir / "config.ini")
+        for stage in ("fixture", "ingest", "graph-train", "mine"):
+            assert main([stage, "--config", config]) == 0
+        triples = workdir / ARTIFACTS["mine"]
+        header, first, *_ = triples.read_text(encoding="utf-8").splitlines()
+        query, _, negative, kind, strategy = first.split("\t")
+        repeated = "\t".join([query, query, negative, kind, strategy])
+        triples.write_text(f"{header}\n{repeated}\n", encoding="utf-8")
+        assert main(["encode-train", "--config", config]) == 3
+
     def test_unknown_stage_rejected_by_parser(self, workdir):
         with pytest.raises(SystemExit):
             main(["frobnicate", "--config", str(workdir / "config.ini")])
@@ -210,3 +231,24 @@ class TestFixtureBootstrap:
         cfg = load_config(workdir / "config.ini")
         with pytest.raises(ValidationError):
             run("bogus", cfg)
+
+
+class TestLabelSeparation:
+    def test_matches_full_distance_matrix(self):
+        rng = np.random.default_rng(12)
+        n, dim = 60, 7
+        vectors = EmbeddingTable(values=rng.normal(size=(n + 5, dim)))
+        id_to_row = {f"d{i}": i + 5 for i in range(n)}
+        labels = [f"L{int(rng.integers(0, 3))}" for _ in range(n)]
+        # one labelled id has no vector and is skipped
+        labeled = LabeledSet(
+            items=tuple((f"d{i}", labels[i], "train") for i in range(n))
+            + (("missing", "L0", "test"),)
+        )
+        points = vectors.values[5:]
+        diff = points[:, None, :] - points[None, :, :]
+        dists = np.sqrt((diff ** 2).sum(axis=2))
+        same = np.array([[a == b for b in labels] for a in labels])
+        upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+        expect = (float(dists[same & upper].mean()), float(dists[~same & upper].mean()))
+        assert label_separation(vectors, labeled, id_to_row) == expect

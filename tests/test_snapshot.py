@@ -56,3 +56,15 @@ def test_truncated_payload(tmp_path):
     path.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(DataError, match="payload"):
         read_snapshot(path)
+
+
+def test_every_truncation_is_a_data_error(tmp_path):
+    table = EmbeddingTable(values=np.arange(6.0).reshape(2, 3), measure="cosine")
+    full = tmp_path / "t.nbe"
+    write_snapshot(table, full)
+    raw = full.read_bytes()
+    cut = tmp_path / "cut.nbe"
+    for size in range(len(raw)):
+        cut.write_bytes(raw[:size])
+        with pytest.raises(DataError):
+            read_snapshot(cut)
