@@ -56,7 +56,6 @@ hidden_dim = 64
 out_dim = 32
 epochs = 2
 learning_rate = 0.1
-batch_size = 8
 effective_batch = 32
 slack = 1.0
 bias_only = false

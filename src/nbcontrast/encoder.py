@@ -4,7 +4,7 @@ A document is tokenized (lowercased title, a separator token, abstract),
 its token embedding rows are mean-pooled, and an affine projection maps
 the pooled vector to the output space. Training minimizes
 ``max(||q - p|| - ||q - n|| + slack, 0)`` over mined triples with
-minibatch SGD and gradient accumulation.
+minibatch SGD.
 
 A bias-only mode freezes everything except the projection bias. Because
 the loss depends only on differences of encoded vectors, the output bias
@@ -74,11 +74,10 @@ class EncoderParams:
 
 @dataclass
 class EncoderTrainConfig:
-    """Triplet training knobs; effective_batch controls accumulation."""
+    """Triplet training knobs; one SGD step per effective_batch triples."""
 
     epochs: int = 2
     learning_rate: float = 0.1
-    batch_size: int = 8
     effective_batch: int = 32
     slack: float = 1.0
     bias_only: bool = False
@@ -89,15 +88,12 @@ class EncoderTrainConfig:
             raise ValidationError(f"epochs must be >= 1: {self.epochs}")
         if self.learning_rate < 0:
             raise ValidationError(f"learning_rate must be >= 0: {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1: {self.batch_size}")
+        if self.effective_batch < 1:
+            raise ValidationError(
+                f"effective_batch must be >= 1: {self.effective_batch}"
+            )
         if self.slack < 0:
             raise ValidationError(f"slack must be >= 0: {self.slack}")
-        if self.effective_batch % self.batch_size != 0:
-            raise ValidationError(
-                f"effective_batch ({self.effective_batch}) must be a multiple "
-                f"of batch_size ({self.batch_size})"
-            )
 
 
 def tokenize(d: Document) -> list[str]:
@@ -148,9 +144,7 @@ def encode_tokens(tokens: Sequence[str], p: EncoderParams) -> np.ndarray:
     """Mean of token embedding rows, then the affine projection."""
     if not tokens:
         raise ValueError("cannot encode an empty token sequence")
-    ids = token_ids(tokens, p.vocab)
-    pooled = p.token_table[ids].mean(axis=0)
-    return pooled @ p.projection + p.projection_bias
+    return _forward(p, token_ids(tokens, p.vocab))[1]
 
 
 def encode(d: Document, p: EncoderParams) -> np.ndarray:
@@ -183,71 +177,56 @@ def triplet_loss(
     ))
 
 
-@dataclass
-class _Grads:
-    token_table: np.ndarray
-    projection: np.ndarray
-    projection_bias: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, p: EncoderParams) -> "_Grads":
-        return cls(
-            token_table=np.zeros_like(p.token_table),
-            projection=np.zeros_like(p.projection),
-            projection_bias=np.zeros_like(p.projection_bias),
-        )
-
-    def add(self, other: "_Grads") -> None:
-        self.token_table += other.token_table
-        self.projection += other.projection
-        self.projection_bias += other.projection_bias
-
-    def scale(self, factor: float) -> None:
-        self.token_table *= factor
-        self.projection *= factor
-        self.projection_bias *= factor
-
-
-def _pooled(tokens: Sequence[str], p: EncoderParams) -> tuple[np.ndarray, list[int]]:
-    ids = token_ids(tokens, p.vocab)
-    return p.token_table[ids].mean(axis=0), ids
+def _forward(p: EncoderParams, ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled token rows of ``ids`` and their affine projection."""
+    pooled = p.token_table[ids].mean(axis=0)
+    return pooled, pooled @ p.projection + p.projection_bias
 
 
 def _triple_loss_and_grads(
     p: EncoderParams,
-    docs: tuple[Document, Document, Document],
+    triple_ids: tuple[Sequence[int], Sequence[int], Sequence[int]],
     slack: float,
-) -> tuple[float, _Grads]:
-    """Loss of one triple and its full parameter gradient.
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Loss of one triple and its gradient on the rows it touches.
 
+    Takes the token ids of the query, positive and negative documents and
+    returns ``(loss, rows, row_grads, d_projection, d_bias)``: ``rows`` are
+    the distinct token rows, ``row_grads[i]`` the gradient of row
+    ``rows[i]``, summed in query, positive, negative token order.
     Subgradient 0 at the hinge boundary and at zero-distance kinks.
     """
-    token_lists = [tokenize(d) for d in docs]
-    pooled_ids = [_pooled(tokens, p) for tokens in token_lists]
-    encoded = [pool @ p.projection + p.projection_bias for pool, _ in pooled_ids]
-    eq, ep, en = encoded
+    forwards = [_forward(p, ids) for ids in triple_ids]
+    (_, eq), (_, ep), (_, en) = forwards
 
     d_qp = eq - ep
     d_qn = eq - en
     norm_qp = float(np.linalg.norm(d_qp))
     norm_qn = float(np.linalg.norm(d_qn))
     loss = norm_qp - norm_qn + slack
-    grads = _Grads.zeros_like(p)
+    d_projection = np.zeros_like(p.projection)
+    d_bias = np.zeros_like(p.projection_bias)
     if loss <= 0.0:
-        return 0.0, grads
+        no_rows = np.zeros(0, dtype=np.intp)
+        return 0.0, no_rows, np.zeros((0, p.hidden_dim)), d_projection, d_bias
 
     u_qp = d_qp / norm_qp if norm_qp > 0.0 else np.zeros_like(d_qp)
     u_qn = d_qn / norm_qn if norm_qn > 0.0 else np.zeros_like(d_qn)
     d_encoded = [u_qp - u_qn, -u_qp, u_qn]
 
-    for (pool, ids), d_out in zip(pooled_ids, d_encoded):
-        grads.projection_bias += d_out
-        grads.projection += np.outer(pool, d_out)
+    contributions = []
+    for (pool, _), ids, d_out in zip(forwards, triple_ids, d_encoded):
+        d_bias += d_out
+        d_projection += np.outer(pool, d_out)
         d_pool = p.projection @ d_out
-        contribution = d_pool / len(ids)
-        for row in ids:
-            grads.token_table[row] += contribution
-    return float(loss), grads
+        contributions.append(np.tile(d_pool / len(ids), len(ids)))
+    rows, slots = np.unique(np.concatenate(triple_ids), return_inverse=True)
+    row_grads = np.zeros((len(rows), p.hidden_dim))
+    # flat cell indices take numpy's fast 1-D ufunc.at path; each cell still
+    # sums its tokens in query, positive, negative order
+    cells = slots[:, None] * p.hidden_dim + np.arange(p.hidden_dim)
+    np.add.at(row_grads.reshape(-1), cells.reshape(-1), np.concatenate(contributions))
+    return float(loss), rows, row_grads, d_projection, d_bias
 
 
 def train(
@@ -258,16 +237,20 @@ def train(
 ) -> tuple[EncoderParams, list[float]]:
     """Minibatch SGD over the triple set; returns params and a loss trace.
 
-    Triples are reshuffled each epoch with a seed derived from
-    ``(cfg.seed, epoch)``. Gradients accumulate across batches until
-    ``effective_batch`` triples are seen, then one step applies their mean.
-    With ``bias_only`` the token table and projection stay untouched.
+    Each document is tokenized once. Triples are reshuffled each epoch
+    with a seed derived from ``(cfg.seed, epoch)``; every ``effective_batch``
+    triples, and the remainder at the end of the epoch, make one step that
+    applies their mean gradient. With ``bias_only`` the token table and
+    projection stay untouched.
     """
     cfg.validate()
+    ids: dict[str, list[int]] = {}
     for t in ts.triples:
         for pid in (t.query, t.positive, t.negative):
             if pid not in docs:
                 raise DataError(f"triple references missing document {pid!r}")
+            if pid not in ids:
+                ids[pid] = token_ids(tokenize(docs[pid]), p0.vocab)
 
     params = p0.copy()
     trace: list[float] = []
@@ -279,33 +262,26 @@ def train(
         rng = np.random.default_rng((cfg.seed, epoch))
         order = rng.permutation(n_triples)
         epoch_loss = 0.0
-        accum = _Grads.zeros_like(params)
-        accum_count = 0
-
-        def apply_step():
-            nonlocal accum, accum_count
-            if accum_count == 0:
-                return
-            accum.scale(cfg.learning_rate / accum_count)
-            params.projection_bias -= accum.projection_bias
-            if not cfg.bias_only:
-                params.token_table -= accum.token_table
-                params.projection -= accum.projection
-            accum = _Grads.zeros_like(params)
-            accum_count = 0
-
-        for start in range(0, n_triples, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
+        for start in range(0, n_triples, cfg.effective_batch):
+            batch = order[start:start + cfg.effective_batch]
+            d_table = np.zeros_like(params.token_table)
+            d_projection = np.zeros_like(params.projection)
+            d_bias = np.zeros_like(params.projection_bias)
             for idx in batch:
                 t = ts.triples[int(idx)]
-                triple_docs = (docs[t.query], docs[t.positive], docs[t.negative])
-                loss, grads = _triple_loss_and_grads(params, triple_docs, cfg.slack)
+                triple_ids = (ids[t.query], ids[t.positive], ids[t.negative])
+                loss, rows, row_grads, g_projection, g_bias = _triple_loss_and_grads(
+                    params, triple_ids, cfg.slack
+                )
                 epoch_loss += loss
-                accum.add(grads)
-                accum_count += 1
-            if accum_count >= cfg.effective_batch:
-                apply_step()
-        apply_step()
+                d_table[rows] += row_grads
+                d_projection += g_projection
+                d_bias += g_bias
+            factor = cfg.learning_rate / len(batch)
+            params.projection_bias -= d_bias * factor
+            if not cfg.bias_only:
+                params.token_table -= d_table * factor
+                params.projection -= d_projection * factor
         trace.append(epoch_loss / n_triples)
     return params, trace
 
@@ -322,28 +298,31 @@ def grad_check(
     The fixture must sit away from kinks: loss strictly positive and both
     pair distances nonzero, otherwise the fixture is rejected.
     """
-    token_lists = [tokenize(d) for d in docs]
+    triple_ids = tuple(token_ids(tokenize(d), p.vocab) for d in docs)
 
     def loss_at(params: EncoderParams) -> float:
-        vecs = [encode_tokens(tokens, params) for tokens in token_lists]
+        vecs = [_forward(params, ids)[1] for ids in triple_ids]
         return triplet_loss(vecs[0], vecs[1], vecs[2], slack)
 
-    base_loss = loss_at(p)
-    vecs = [encode_tokens(tokens, p) for tokens in token_lists]
-    if base_loss <= 0.0:
+    vecs = [_forward(p, ids)[1] for ids in triple_ids]
+    if triplet_loss(vecs[0], vecs[1], vecs[2], slack) <= 0.0:
         raise ValueError("rejected fixture: loss not strictly positive")
     if (np.linalg.norm(vecs[0] - vecs[1]) == 0.0
             or np.linalg.norm(vecs[0] - vecs[2]) == 0.0):
         raise ValueError("rejected fixture: zero pair distance (norm kink)")
 
-    _, grads = _triple_loss_and_grads(p, docs, slack)
+    _, rows, row_grads, d_projection, d_bias = _triple_loss_and_grads(
+        p, triple_ids, slack
+    )
     if bias_only:
-        arrays = [("projection_bias", grads.projection_bias)]
+        arrays = [("projection_bias", d_bias)]
     else:
+        d_table = np.zeros_like(p.token_table)
+        d_table[rows] = row_grads
         arrays = [
-            ("token_table", grads.token_table),
-            ("projection", grads.projection),
-            ("projection_bias", grads.projection_bias),
+            ("token_table", d_table),
+            ("projection", d_projection),
+            ("projection_bias", d_bias),
         ]
 
     work = p.copy()
@@ -369,14 +348,16 @@ def grad_check(
     return max_err
 
 
-_CKPT_MAGIC = b"NBE1"
+# distinct from the ``NBE1`` embedding snapshot, so neither loader
+# misreads the other's files
+CHECKPOINT_MAGIC = b"NBC1"
 
 
 def save_encoder(p: EncoderParams, path: str | Path) -> None:
-    """Binary checkpoint: NBE1 header, weights, then length-prefixed vocab."""
+    """Binary checkpoint: NBC1 header, weights, then length-prefixed vocab."""
     tokens = sorted(p.vocab, key=p.vocab.get)
     with Path(path).open("wb") as fh:
-        fh.write(_CKPT_MAGIC)
+        fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<IIB", len(tokens), p.hidden_dim, 0))
         fh.write(np.ascontiguousarray(p.token_table, dtype="<f4").tobytes())
         fh.write(struct.pack("<I", p.out_dim))
@@ -410,8 +391,9 @@ def load_encoder(path: str | Path) -> EncoderParams:
     def floats(count: int) -> np.ndarray:
         return np.frombuffer(read(count * 4), dtype="<f4").astype(np.float64)
 
-    if read(4) != _CKPT_MAGIC:
-        raise DataError(f"{path}: not an encoder checkpoint")
+    magic = bytes(read(4))
+    if magic != CHECKPOINT_MAGIC:
+        raise DataError(f"{path}: not an encoder checkpoint (magic {magic!r})")
     vocab_size, hidden, _ = struct.unpack("<IIB", read(9))
     token_table = floats(vocab_size * hidden).reshape(vocab_size, hidden)
     (out_dim,) = struct.unpack("<I", read(4))

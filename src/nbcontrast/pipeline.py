@@ -146,7 +146,6 @@ def load_config(
         encoder_cfg = encoder.EncoderTrainConfig(
             epochs=encoder_sec.getint("epochs", 2),
             learning_rate=encoder_sec.getfloat("learning_rate", 0.1),
-            batch_size=encoder_sec.getint("batch_size", 8),
             effective_batch=encoder_sec.getint("effective_batch", 32),
             slack=encoder_sec.getfloat("slack", 1.0),
             bias_only=encoder_sec.getboolean("bias_only", False),

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from nbcontrast import encoder
 from nbcontrast.corpus import Document
 from nbcontrast.encoder import (
+    CHECKPOINT_MAGIC,
     SEP,
     UNK,
     EncoderParams,
@@ -24,7 +26,9 @@ from nbcontrast.encoder import (
 )
 from nbcontrast.errors import DataError, ValidationError
 from nbcontrast.fixtures import FixtureConfig, two_topic_documents
-from nbcontrast.mining import SamplingConfig, oracle_triples
+from nbcontrast.graph_embed import EmbeddingTable
+from nbcontrast.mining import SamplingConfig, Triple, TripleSet, oracle_triples
+from nbcontrast.snapshot import read_snapshot, write_snapshot
 
 
 class TestTokenize:
@@ -146,6 +150,54 @@ def reference_loss(params_arrays, vocab, docs, slack):
     )
 
 
+def dense_reference_train(ts, docs, p0, cfg):
+    """Test-local trainer: a dense gradient table per triple, one step per
+    ``effective_batch`` triples applying their mean."""
+    table = p0.token_table.copy()
+    projection = p0.projection.copy()
+    bias = p0.projection_bias.copy()
+    trace = []
+    n_triples = len(ts.triples)
+    for epoch in range(cfg.epochs):
+        order = np.random.default_rng((cfg.seed, epoch)).permutation(n_triples)
+        epoch_loss = 0.0
+        for start in range(0, n_triples, cfg.effective_batch):
+            batch = order[start:start + cfg.effective_batch]
+            accum = [np.zeros_like(table), np.zeros_like(projection),
+                     np.zeros_like(bias)]
+            for idx in batch:
+                t = ts.triples[int(idx)]
+                id_lists = [token_ids(tokenize(docs[d]), p0.vocab)
+                            for d in (t.query, t.positive, t.negative)]
+                pools = [table[ids].mean(axis=0) for ids in id_lists]
+                eq, ep, en = (pool @ projection + bias for pool in pools)
+                norm_qp = float(np.linalg.norm(eq - ep))
+                norm_qn = float(np.linalg.norm(eq - en))
+                loss = norm_qp - norm_qn + cfg.slack
+                grads = [np.zeros_like(a) for a in accum]
+                if loss > 0.0:
+                    epoch_loss += loss
+                    u_qp = (eq - ep) / norm_qp if norm_qp > 0.0 else np.zeros_like(eq)
+                    u_qn = (eq - en) / norm_qn if norm_qn > 0.0 else np.zeros_like(eq)
+                    for pool, ids, d_out in zip(pools, id_lists,
+                                                [u_qp - u_qn, -u_qp, u_qn]):
+                        grads[2] += d_out
+                        grads[1] += np.outer(pool, d_out)
+                        contribution = (projection @ d_out) / len(ids)
+                        for row in ids:
+                            grads[0][row] += contribution
+                for a, g in zip(accum, grads):
+                    a += g
+            for a in accum:
+                a *= cfg.learning_rate / len(batch)
+            bias -= accum[2]
+            if not cfg.bias_only:
+                table -= accum[0]
+                projection -= accum[1]
+        trace.append(epoch_loss / n_triples)
+    return table, projection, bias, trace
+
+
 class TestTrain:
     def fixture(self):
         vocab = {UNK: 0, SEP: 1, "a": 2, "b": 3}
@@ -162,7 +214,6 @@ class TestTrain:
             "p": Document(id="p", title="b", abstract=""),
             "n": Document(id="n", title="a b", abstract=""),
         }
-        from nbcontrast.mining import Triple, TripleSet
         ts = TripleSet(
             triples=(Triple("q", "p", "n", "easy", "random"),),
             config_snapshot=SamplingConfig(),
@@ -171,7 +222,7 @@ class TestTrain:
 
     def test_zero_learning_rate_freezes_everything(self):
         params, docs, ts = self.fixture()
-        cfg = EncoderTrainConfig(epochs=3, learning_rate=0.0, batch_size=1,
+        cfg = EncoderTrainConfig(epochs=3, learning_rate=0.0,
                                  effective_batch=1, seed=0)
         out, trace = train(ts, docs, params, cfg)
         np.testing.assert_array_equal(out.token_table, params.token_table)
@@ -183,7 +234,7 @@ class TestTrain:
         params, docs, ts = self.fixture()
         lr = 0.05
         slack = 1.0
-        cfg = EncoderTrainConfig(epochs=1, learning_rate=lr, batch_size=1,
+        cfg = EncoderTrainConfig(epochs=1, learning_rate=lr,
                                  effective_batch=1, slack=slack, seed=0)
         triple_docs = (docs["q"], docs["p"], docs["n"])
 
@@ -224,7 +275,7 @@ class TestTrain:
 
     def test_bias_only_freezes_tables(self):
         params, docs, ts = self.fixture()
-        cfg = EncoderTrainConfig(epochs=2, learning_rate=0.1, batch_size=1,
+        cfg = EncoderTrainConfig(epochs=2, learning_rate=0.1,
                                  effective_batch=1, bias_only=True, seed=0)
         out, trace = train(ts, docs, params, cfg)
         np.testing.assert_array_equal(out.token_table, params.token_table)
@@ -240,13 +291,73 @@ class TestTrain:
     def test_missing_document_names_id(self):
         params, docs, ts = self.fixture()
         del docs["n"]
-        cfg = EncoderTrainConfig(batch_size=1, effective_batch=1)
+        cfg = EncoderTrainConfig(effective_batch=1)
         with pytest.raises(DataError, match="'n'"):
             train(ts, docs, params, cfg)
 
-    def test_effective_batch_multiple_enforced(self):
-        with pytest.raises(ValidationError):
-            EncoderTrainConfig(batch_size=8, effective_batch=20).validate()
+    def reference_fixture(self):
+        """Repeated words, an empty abstract and words outside the vocab."""
+        rng = np.random.default_rng(11)
+        words = [f"w{i}" for i in range(9)]
+        # w6, w7 and w8 are not in the vocab
+        vocab = build_vocab([Document(id="v", title=" ".join(words[:6]), abstract="")])
+        docs = {"e": Document(id="e", title="w1 w1 w7", abstract="")}
+        for i in range(10):
+            picks = rng.choice(words, size=7)
+            docs[f"d{i}"] = Document(id=f"d{i}", title=" ".join(picks[:3]),
+                                     abstract=" ".join(picks[3:]))
+        ids = sorted(docs)
+        triples = (Triple("e", "d0", "d1", "easy", "random"),) + tuple(
+            Triple(*(ids[j] for j in rng.choice(len(ids), size=3, replace=False)),
+                   "easy", "random")
+            for _ in range(10)
+        )
+        ts = TripleSet(triples=triples, config_snapshot=SamplingConfig())
+        return ts, docs, init_encoder(vocab, hidden_dim=6, out_dim=3, seed=4)
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"effective_batch": 1},
+        {"effective_batch": 11},
+        {"effective_batch": 64},
+        {"bias_only": True},
+        {"slack": 0.0},
+        {"learning_rate": 0.0},
+    ])
+    def test_matches_dense_reference(self, overrides):
+        ts, docs, p0 = self.reference_fixture()
+        # 11 triples in steps of 4 leave a remainder batch of 3
+        cfg = EncoderTrainConfig(**{"epochs": 3, "learning_rate": 0.3,
+                                    "effective_batch": 4, "slack": 1.0,
+                                    "seed": 2, **overrides})
+        out, trace = train(ts, docs, p0, cfg)
+        table, projection, bias, expect_trace = dense_reference_train(
+            ts, docs, p0, cfg
+        )
+        assert trace == expect_trace
+        np.testing.assert_array_equal(out.token_table, table)
+        np.testing.assert_array_equal(out.projection, projection)
+        np.testing.assert_array_equal(out.projection_bias, bias)
+        if not (cfg.bias_only or cfg.learning_rate == 0.0):
+            assert not np.array_equal(out.token_table, p0.token_table)
+
+    def test_tokenizes_each_document_once(self, monkeypatch):
+        ts, docs, p0 = self.reference_fixture()
+        calls = []
+
+        def counting_tokenize(doc):
+            calls.append(doc.id)
+            return tokenize(doc)
+
+        monkeypatch.setattr(encoder, "tokenize", counting_tokenize)
+        train(ts, docs, p0, EncoderTrainConfig(epochs=2, effective_batch=4))
+        used = {d for t in ts.triples for d in (t.query, t.positive, t.negative)}
+        assert sorted(calls) == sorted(used)
+
+    @pytest.mark.parametrize("effective_batch", [0, -8])
+    def test_effective_batch_below_one_rejected(self, effective_batch):
+        with pytest.raises(ValidationError, match="effective_batch"):
+            EncoderTrainConfig(effective_batch=effective_batch).validate()
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -255,7 +366,6 @@ class TestTrain:
                               abstract="y z")
             for i in range(12)
         }
-        from nbcontrast.mining import Triple, TripleSet
         ids = sorted(docs)
         triples = tuple(
             Triple(ids[i], ids[(i + 1) % 12], ids[(i + 5) % 12], "easy", "random")
@@ -264,7 +374,7 @@ class TestTrain:
         ts = TripleSet(triples=triples, config_snapshot=SamplingConfig())
         vocab = build_vocab(docs.values())
         p0 = init_encoder(vocab, hidden_dim=8, out_dim=4, seed=3)
-        cfg = EncoderTrainConfig(epochs=2, learning_rate=0.1, batch_size=4,
+        cfg = EncoderTrainConfig(epochs=2, learning_rate=0.1,
                                  effective_batch=8, seed=3)
         a, trace_a = train(ts, docs, p0, cfg)
         b, trace_b = train(ts, docs, p0, cfg)
@@ -351,7 +461,7 @@ class TestTopicSeparation:
         ts = oracle_triples(labels, per_label_cap=10_000, cfg=cfg)
         vocab = build_vocab(docs.values())
         p0 = init_encoder(vocab, hidden_dim=64, out_dim=32, seed=5)
-        tcfg = EncoderTrainConfig(epochs=2, learning_rate=0.1, batch_size=8,
+        tcfg = EncoderTrainConfig(epochs=2, learning_rate=0.1,
                                   effective_batch=32, seed=5)
         params, trace = train(ts, docs, p0, tcfg)
         assert trace[-1] < trace[0]
@@ -407,7 +517,9 @@ class TestCheckpoint:
     def test_header_sizes_past_the_end_rejected(self, tmp_path):
         import struct
         path = tmp_path / "enc.bin"
-        path.write_bytes(b"NBE1" + struct.pack("<IIB", 2**32 - 1, 2**32 - 1, 0))
+        path.write_bytes(
+            CHECKPOINT_MAGIC + struct.pack("<IIB", 2**32 - 1, 2**32 - 1, 0)
+        )
         with pytest.raises(DataError, match="truncated"):
             load_encoder(path)
 
@@ -434,3 +546,16 @@ class TestCheckpoint:
         path.write_bytes(b"JUNKJUNKJUNK")
         with pytest.raises(DataError):
             load_encoder(path)
+
+    def test_embedding_snapshot_is_not_a_checkpoint(self, tmp_path):
+        path = tmp_path / "graph_embeddings.nbe"
+        write_snapshot(EmbeddingTable(values=np.ones((4, 3))), path)
+        with pytest.raises(DataError, match="not an encoder checkpoint"):
+            load_encoder(path)
+
+    def test_checkpoint_is_not_an_embedding_snapshot(self, tmp_path):
+        vocab = build_vocab([Document(id="d", title="x y", abstract="")])
+        path = tmp_path / "encoder.bin"
+        save_encoder(init_encoder(vocab, hidden_dim=2, out_dim=2, seed=0), path)
+        with pytest.raises(DataError, match="magic"):
+            read_snapshot(path)

@@ -121,6 +121,13 @@ class TestExitCodes:
         assert rc == 2
         assert not (workdir / ARTIFACTS["mine"]).exists()
 
+    def test_effective_batch_zero_exits_2(self, workdir):
+        bad = MINIMAL_CONFIG.replace("[encoder]", "[encoder]\neffective_batch = 0")
+        config = workdir / "bad.ini"
+        config.write_text(bad, encoding="utf-8")
+        assert main(["encode-train", "--config", str(config)]) == 2
+        assert not (workdir / ARTIFACTS["encode-train"]).exists()
+
     def test_missing_upstream_exits_4(self, workdir):
         rc = main(["mine", "--config", str(workdir / "config.ini")])
         assert rc == 4
@@ -182,6 +189,13 @@ class TestConfigLoading:
         cfg = load_config(config, seed=42)
         assert cfg.seed == 42
         assert cfg.graph_cfg.seed == 42
+
+    def test_legacy_batch_size_is_ignored(self, tmp_path):
+        config = tmp_path / "c.ini"
+        config.write_text(
+            "[encoder]\nbatch_size = 8\neffective_batch = 20\n", encoding="utf-8"
+        )
+        assert load_config(config).encoder_cfg.effective_batch == 20
 
     def test_bad_value_is_validation_error(self, tmp_path):
         from nbcontrast.errors import ValidationError
