@@ -14,6 +14,7 @@ mode trains legally but cannot change the encoder.
 
 from __future__ import annotations
 
+import math
 import re
 import struct
 from dataclasses import dataclass
@@ -86,14 +87,16 @@ class EncoderTrainConfig:
     def validate(self) -> None:
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1: {self.epochs}")
-        if self.learning_rate < 0:
-            raise ValidationError(f"learning_rate must be >= 0: {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValidationError(
+                f"learning_rate must be finite and >= 0: {self.learning_rate}"
+            )
         if self.effective_batch < 1:
             raise ValidationError(
                 f"effective_batch must be >= 1: {self.effective_batch}"
             )
-        if self.slack < 0:
-            raise ValidationError(f"slack must be >= 0: {self.slack}")
+        if not (math.isfinite(self.slack) and self.slack >= 0):
+            raise ValidationError(f"slack must be finite and >= 0: {self.slack}")
 
 
 def tokenize(d: Document) -> list[str]:
@@ -187,6 +190,7 @@ def _triple_loss_and_grads(
     p: EncoderParams,
     triple_ids: tuple[Sequence[int], Sequence[int], Sequence[int]],
     slack: float,
+    bias_only: bool = False,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Loss of one triple and its gradient on the rows it touches.
 
@@ -194,7 +198,9 @@ def _triple_loss_and_grads(
     returns ``(loss, rows, row_grads, d_projection, d_bias)``: ``rows`` are
     the distinct token rows, ``row_grads[i]`` the gradient of row
     ``rows[i]``, summed in query, positive, negative token order.
-    Subgradient 0 at the hinge boundary and at zero-distance kinks.
+    Subgradient 0 at the hinge boundary and at zero-distance kinks. With
+    ``bias_only`` only the loss and ``d_bias`` are computed; no rows are
+    returned and ``d_projection`` stays zero.
     """
     forwards = [_forward(p, ids) for ids in triple_ids]
     (_, eq), (_, ep), (_, en) = forwards
@@ -206,17 +212,20 @@ def _triple_loss_and_grads(
     loss = norm_qp - norm_qn + slack
     d_projection = np.zeros_like(p.projection)
     d_bias = np.zeros_like(p.projection_bias)
+    no_rows = np.zeros(0, dtype=np.intp), np.zeros((0, p.hidden_dim))
     if loss <= 0.0:
-        no_rows = np.zeros(0, dtype=np.intp)
-        return 0.0, no_rows, np.zeros((0, p.hidden_dim)), d_projection, d_bias
+        return 0.0, *no_rows, d_projection, d_bias
 
     u_qp = d_qp / norm_qp if norm_qp > 0.0 else np.zeros_like(d_qp)
     u_qn = d_qn / norm_qn if norm_qn > 0.0 else np.zeros_like(d_qn)
     d_encoded = [u_qp - u_qn, -u_qp, u_qn]
+    for d_out in d_encoded:
+        d_bias += d_out
+    if bias_only:
+        return float(loss), *no_rows, d_projection, d_bias
 
     contributions = []
     for (pool, _), ids, d_out in zip(forwards, triple_ids, d_encoded):
-        d_bias += d_out
         d_projection += np.outer(pool, d_out)
         d_pool = p.projection @ d_out
         contributions.append(np.tile(d_pool / len(ids), len(ids)))
@@ -271,7 +280,7 @@ def train(
                 t = ts.triples[int(idx)]
                 triple_ids = (ids[t.query], ids[t.positive], ids[t.negative])
                 loss, rows, row_grads, g_projection, g_bias = _triple_loss_and_grads(
-                    params, triple_ids, cfg.slack
+                    params, triple_ids, cfg.slack, cfg.bias_only
                 )
                 epoch_loss += loss
                 d_table[rows] += row_grads
@@ -312,7 +321,7 @@ def grad_check(
         raise ValueError("rejected fixture: zero pair distance (norm kink)")
 
     _, rows, row_grads, d_projection, d_bias = _triple_loss_and_grads(
-        p, triple_ids, slack
+        p, triple_ids, slack, bias_only
     )
     if bias_only:
         arrays = [("projection_bias", d_bias)]

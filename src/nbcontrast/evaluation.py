@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, ValidationError
 from .graph_embed import EmbeddingTable
 
 logger = logging.getLogger(__name__)
@@ -64,6 +65,12 @@ class ProbeConfig:
     epochs: int = 300
     learning_rate: float = 0.5
     seed: int = 0
+
+    def validate(self) -> None:
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValidationError(
+                f"learning_rate must be finite and >= 0: {self.learning_rate}"
+            )
 
 
 def rank_by_l2(

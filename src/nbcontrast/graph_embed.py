@@ -2,12 +2,14 @@
 
 Each citation edge is a positive pair; corrupted pairs replace the
 destination with uniformly sampled nodes. The per-pair hinge is
-``max(0, m - score(edge) + score(corrupted))``, minimized by plain SGD.
+``max(0, m - score(edge) + score(corrupted))``, minimized by minibatch SGD
+with one step per ``EDGE_BATCH`` edges, as in PyTorch-BigGraph.
 Embeddings are held as float64 in memory; the snapshot file stores float32.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,6 +19,9 @@ from .corpus import CitationGraph
 from .errors import ValidationError
 
 MEASURES = ("dot", "cosine")
+
+# edges per SGD step of :func:`train_epoch`
+EDGE_BATCH = 64
 
 
 @dataclass
@@ -60,10 +65,12 @@ class GraphTrainConfig:
     def validate(self) -> None:
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1: {self.epochs}")
-        if self.margin <= 0:
-            raise ValidationError(f"margin must be > 0: {self.margin}")
-        if self.learning_rate <= 0:
-            raise ValidationError(f"learning_rate must be > 0: {self.learning_rate}")
+        if not (math.isfinite(self.margin) and self.margin > 0):
+            raise ValidationError(f"margin must be finite and > 0: {self.margin}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValidationError(
+                f"learning_rate must be finite and > 0: {self.learning_rate}"
+            )
         if self.negatives_per_edge < 1:
             raise ValidationError(
                 f"negatives_per_edge must be >= 1: {self.negatives_per_edge}"
@@ -139,57 +146,31 @@ def score_edge(t: EmbeddingTable, src: int, dst: int) -> float:
     return float(scores(t, src, [dst])[0])
 
 
-def _score_grads(
-    values: np.ndarray, src: int, dst: int, measure: str
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Score plus its gradients with respect to the two rows."""
+def _pair_grads(
+    values: np.ndarray, src: np.ndarray, dst: np.ndarray, measure: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scores of the row pairs ``(src, dst)`` and their gradients.
+
+    ``src`` and ``dst`` are index arrays that broadcast to one shape; returns
+    the scores in that shape and the gradients with respect to the src and
+    dst rows, each with a trailing ``dim`` axis. Under cosine, a pair with a
+    zero row scores 0 with subgradient 0.
+    """
+    src, dst = np.broadcast_arrays(src, dst)
     u = values[src]
     v = values[dst]
+    dots = np.einsum("...d,...d->...", u, v)
     if measure == "dot":
-        return float(u @ v), v.copy(), u.copy()
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        # subgradient 0 at the zero-vector singularity
-        return 0.0, np.zeros_like(u), np.zeros_like(v)
-    s = float(u @ v) / (nu * nv)
-    grad_u = v / (nu * nv) - s * u / (nu * nu)
-    grad_v = u / (nu * nv) - s * v / (nv * nv)
-    return s, grad_u, grad_v
-
-
-def hinge_loss_and_grads(
-    values: np.ndarray,
-    src: int,
-    dst: int,
-    neg_dst: int,
-    margin: float,
-    measure: str,
-) -> tuple[float, dict[int, np.ndarray]]:
-    """Hinge loss of one (edge, corrupted edge) pair and its row gradients.
-
-    Returns ``(loss, grads)`` where ``grads`` maps row index to the partial
-    derivative of the loss with respect to that row. Inactive hinges
-    (including the exact boundary) yield an empty gradient.
-    """
-    s_pos, gu_pos, gv_pos = _score_grads(values, src, dst, measure)
-    s_neg, gu_neg, gv_neg = _score_grads(values, src, neg_dst, measure)
-    loss = margin - s_pos + s_neg
-    if loss <= 0.0:
-        return 0.0, {}
-    grads: dict[int, np.ndarray] = {}
-
-    def accumulate(row: int, g: np.ndarray) -> None:
-        if row in grads:
-            grads[row] = grads[row] + g
-        else:
-            grads[row] = g
-
-    accumulate(src, -gu_pos)
-    accumulate(dst, -gv_pos)
-    accumulate(src, gu_neg)
-    accumulate(neg_dst, gv_neg)
-    return float(loss), grads
+        return dots, v, u
+    nu = np.linalg.norm(u, axis=-1, keepdims=True)
+    nv = np.linalg.norm(v, axis=-1, keepdims=True)
+    live = (nu > 0.0) & (nv > 0.0)
+    nu[~live] = 1.0
+    nv[~live] = 1.0
+    s = np.where(live, dots[..., None] / (nu * nv), 0.0)
+    grad_u = np.where(live, v / (nu * nv) - s * u / (nu * nu), 0.0)
+    grad_v = np.where(live, u / (nu * nv) - s * v / (nv * nv), 0.0)
+    return s[..., 0], grad_u, grad_v
 
 
 def train_epoch(
@@ -198,40 +179,48 @@ def train_epoch(
     cfg: GraphTrainConfig,
     epoch: int = 0,
 ) -> tuple[EmbeddingTable, float]:
-    """Run one SGD pass over every edge in a seeded shuffled order.
+    """Run one pass of minibatch SGD over every edge in a seeded shuffled order.
 
-    For each edge, ``negatives_per_edge`` corrupted destinations are drawn
-    uniformly over all nodes; the mean hinge gradient over those pairs is
-    applied as one SGD step. Returns the updated table and the mean
-    per-pair loss. The RNG stream is derived from ``(cfg.seed, epoch)`` so
-    consecutive epochs see fresh shuffles and negatives.
+    Each edge gets ``negatives_per_edge`` corrupted destinations drawn
+    uniformly over all nodes. Every ``EDGE_BATCH`` edges of the shuffled
+    order (the last batch may be shorter) make one SGD step: all of the
+    batch's (edge, corrupted edge) pairs are scored against the table as it
+    stood at the batch start, and the hinge gradients of the active pairs
+    (loss > 0) are summed and applied times
+    ``learning_rate / negatives_per_edge``. With ``EDGE_BATCH = 1`` this is
+    per-edge SGD. Returns the updated table and the mean per-pair loss. The
+    RNG stream is derived from ``(cfg.seed, epoch)`` so consecutive epochs
+    see fresh shuffles and negatives.
     """
     cfg.validate()
     if g.edge_count == 0:
         raise ValueError("cannot train on an empty graph")
     values = t.values.copy()
-    n = t.rows
+    cells = values.reshape(-1)
+    columns = np.arange(t.dim)
     rng = np.random.default_rng((cfg.seed, epoch))
     order = rng.permutation(g.edge_count)
-    negatives = rng.integers(0, n, size=(g.edge_count, cfg.negatives_per_edge))
+    negatives = rng.integers(0, t.rows, size=(g.edge_count, cfg.negatives_per_edge))
 
     total_loss = 0.0
-    step_scale = cfg.learning_rate / cfg.negatives_per_edge
-    for pos, edge_idx in enumerate(order):
-        src, dst = (int(x) for x in g.edges[edge_idx])
-        step: dict[int, np.ndarray] = {}
-        for neg in negatives[pos]:
-            loss, grads = hinge_loss_and_grads(
-                values, src, dst, int(neg), cfg.margin, t.measure
-            )
-            total_loss += loss
-            for row, grad in grads.items():
-                if row in step:
-                    step[row] = step[row] + grad
-                else:
-                    step[row] = grad
-        for row, grad in step.items():
-            values[row] -= step_scale * grad
+    step = -cfg.learning_rate / cfg.negatives_per_edge
+    for start in range(0, g.edge_count, EDGE_BATCH):
+        edges = g.edges[order[start:start + EDGE_BATCH]]
+        src, dst = edges[:, 0], edges[:, 1]
+        negs = negatives[start:start + EDGE_BATCH]
+        s_pos, g_src_pos, g_dst = _pair_grads(values, src, dst, t.measure)
+        s_neg, g_src_neg, g_negs = _pair_grads(values, src[:, None], negs, t.measure)
+        loss = cfg.margin - s_pos[:, None] + s_neg
+        active = loss > 0.0
+        total_loss += float(loss[active].sum())
+        # each active pair adds g_src_neg - g_src_pos to src, -g_dst to dst
+        # and g_negs to its corrupted destination
+        n_active = active.sum(axis=1)[:, None]
+        grad_src = (g_src_neg * active[..., None]).sum(axis=1) - n_active * g_src_pos
+        rows = np.concatenate((src, dst, negs[active]))
+        grads = np.concatenate((grad_src, -n_active * g_dst, g_negs[active]))
+        np.add.at(cells, (rows[:, None] * t.dim + columns).reshape(-1),
+                  (step * grads).reshape(-1))
 
     mean_loss = total_loss / (g.edge_count * cfg.negatives_per_edge)
     return EmbeddingTable(values=values, measure=t.measure), float(mean_loss)

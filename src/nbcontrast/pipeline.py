@@ -215,6 +215,7 @@ def validate_config(cfg: PipelineConfig) -> None:
     cfg.graph_cfg.validate()
     cfg.sampling_cfg.validate()
     cfg.encoder_cfg.validate()
+    cfg.probe_cfg.validate()
     if not 0.0 <= cfg.holdout_fraction < 1.0:
         raise ValidationError(
             f"holdout_fraction must be in [0, 1): {cfg.holdout_fraction}"

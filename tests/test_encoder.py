@@ -321,6 +321,8 @@ class TestTrain:
         {"effective_batch": 11},
         {"effective_batch": 64},
         {"bias_only": True},
+        {"bias_only": True, "effective_batch": 1},
+        {"bias_only": True, "slack": 0.0},
         {"slack": 0.0},
         {"learning_rate": 0.0},
     ])
@@ -358,6 +360,25 @@ class TestTrain:
     def test_effective_batch_below_one_rejected(self, effective_batch):
         with pytest.raises(ValidationError, match="effective_batch"):
             EncoderTrainConfig(effective_batch=effective_batch).validate()
+
+    @pytest.mark.parametrize("field", ["learning_rate", "slack"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            EncoderTrainConfig(**{field: value}).validate()
+
+    def test_bias_only_gradient_touches_no_rows(self):
+        ts, docs, p0 = self.reference_fixture()
+        t = ts.triples[0]
+        triple_ids = tuple(token_ids(tokenize(docs[d]), p0.vocab)
+                           for d in (t.query, t.positive, t.negative))
+        full = encoder._triple_loss_and_grads(p0, triple_ids, 1.0)
+        bias = encoder._triple_loss_and_grads(p0, triple_ids, 1.0, bias_only=True)
+        assert full[0] > 0.0 and full[1].size > 0 and full[3].any()
+        assert bias[0] == full[0]
+        assert bias[1].size == 0 and bias[2].size == 0
+        assert not bias[3].any()
+        np.testing.assert_array_equal(bias[4], full[4])
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)

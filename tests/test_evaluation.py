@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nbcontrast.errors import DataError
+from nbcontrast.errors import DataError, ValidationError
 from nbcontrast.evaluation import (
     LabeledSet,
     ProbeConfig,
@@ -272,6 +272,12 @@ class TestLinearProbe:
         id_to_row = {f"d{i}": i for i in range(4)}
         with pytest.raises(ValueError):
             linear_probe_f1(table, data, id_to_row)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -0.5])
+    def test_bad_learning_rate_rejected(self, rate):
+        with pytest.raises(ValidationError, match="learning_rate"):
+            ProbeConfig(learning_rate=rate).validate()
+        ProbeConfig().validate()
 
     def test_test_only_label_rejected(self):
         data = LabeledSet(items=(

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nbcontrast import graph_embed
 from nbcontrast.corpus import CitationGraph, split_edges
 from nbcontrast.errors import ValidationError
 from nbcontrast.fixtures import planted_partition_graph
 from nbcontrast.graph_embed import (
     EmbeddingTable,
     GraphTrainConfig,
+    _pair_grads,
     eval_link_prediction,
-    hinge_loss_and_grads,
     init_embeddings,
     pairwise_auc,
     score_edge,
@@ -192,10 +193,13 @@ class TestHingeGradients:
             hinge = margin - score_edge(table, s, d) + score_edge(table, s, neg)
             if abs(hinge) < 5e-2:
                 continue  # stay away from the kink
-            loss, grads = hinge_loss_and_grads(values, s, d, neg, margin, measure)
+            _, g_src, g_dst = _pair_grads(values, np.array([s, s]),
+                                          np.array([d, neg]), measure)
             analytic = np.zeros_like(values)
-            for row, grad in grads.items():
-                analytic[row] += grad
+            if hinge > 0.0:
+                analytic[s] += g_src[1] - g_src[0]
+                analytic[d] -= g_dst[0]
+                analytic[neg] += g_dst[1]
 
             eps = 1e-6
             for i in range(n):
@@ -218,6 +222,134 @@ class TestHingeGradients:
                     if denom > 1e-10:
                         assert abs(analytic[i, j] - fd) / denom < 1e-4
             checked += 1
+
+
+def reference_score_grads(values, src, dst, measure):
+    """Scalar score of one pair plus its gradients w.r.t. the two rows."""
+    u = values[src]
+    v = values[dst]
+    if measure == "dot":
+        return float(u @ v), v.copy(), u.copy()
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0, np.zeros_like(u), np.zeros_like(v)
+    s = float(u @ v) / (nu * nv)
+    return s, v / (nu * nv) - s * u / (nu * nu), u / (nu * nv) - s * v / (nv * nv)
+
+
+def reference_hinge(values, src, dst, neg_dst, margin, measure):
+    """Hinge loss of one (edge, corrupted edge) pair and its row gradients.
+
+    Returns ``(loss, grads)`` with ``grads`` mapping row index to the
+    gradient of the loss with respect to that row; an inactive hinge
+    (loss <= 0) has no gradient.
+    """
+    s_pos, gu_pos, gv_pos = reference_score_grads(values, src, dst, measure)
+    s_neg, gu_neg, gv_neg = reference_score_grads(values, src, neg_dst, measure)
+    loss = margin - s_pos + s_neg
+    if loss <= 0.0:
+        return 0.0, {}
+    grads = {}
+    for row, grad in ((src, -gu_pos), (dst, -gv_pos), (src, gu_neg), (neg_dst, gv_neg)):
+        grads[row] = grads[row] + grad if row in grads else grad
+    return float(loss), grads
+
+
+def reference_epoch(table, g, cfg, epoch, batch):
+    """Scalar-loop SGD epoch: one step per ``batch`` edges of the shuffled order.
+
+    Every pair of a batch is scored against the table at the batch start
+    and the summed gradients are applied at its end; ``batch = 1`` is
+    per-edge SGD.
+    """
+    values = table.values.copy()
+    rng = np.random.default_rng((cfg.seed, epoch))
+    order = rng.permutation(g.edge_count)
+    negatives = rng.integers(0, table.rows, size=(g.edge_count, cfg.negatives_per_edge))
+    total = 0.0
+    for start in range(0, g.edge_count, batch):
+        step = {}
+        for pos in range(start, min(start + batch, g.edge_count)):
+            src, dst = (int(x) for x in g.edges[order[pos]])
+            for neg in negatives[pos]:
+                loss, grads = reference_hinge(
+                    values, src, dst, int(neg), cfg.margin, table.measure
+                )
+                total += loss
+                for row, grad in grads.items():
+                    step[row] = step[row] + grad if row in step else grad
+        for row, grad in step.items():
+            values[row] -= cfg.learning_rate / cfg.negatives_per_edge * grad
+    return values, total / (g.edge_count * cfg.negatives_per_edge)
+
+
+def reference_case(measure, negatives_per_edge):
+    """150 edges over 16 nodes: two full 64-edge batches and one of 22.
+
+    With so few nodes the draws include negatives equal to the source or
+    the destination and negatives repeated within an edge. Under cosine,
+    node 3 is the zero vector.
+    """
+    rng = np.random.default_rng(21)
+    pairs = [(a, b) for a in range(16) for b in range(16) if a != b]
+    picked = rng.choice(len(pairs), size=150, replace=False)
+    g = CitationGraph(
+        ids=tuple(f"n{i}" for i in range(16)),
+        edges=np.array([pairs[i] for i in sorted(picked)], dtype=np.int64),
+    )
+    values = rng.normal(0.0, 0.5, size=(16, 4))
+    if measure == "cosine":
+        values[3] = 0.0
+    cfg = GraphTrainConfig(
+        epochs=3, margin=0.15, learning_rate=0.1,
+        negatives_per_edge=negatives_per_edge, dim=4, measure=measure, seed=4,
+    )
+    return EmbeddingTable(values=values, measure=measure), g, cfg
+
+
+class TestMinibatchTrainer:
+    """``train_epoch`` against scalar-loop reference trainers."""
+
+    cases = [("dot", 1), ("dot", 10), ("cosine", 1), ("cosine", 10)]
+
+    def run_both(self, measure, negatives_per_edge, batch):
+        table, g, cfg = reference_case(measure, negatives_per_edge)
+        expected = table.values
+        for epoch in range(cfg.epochs):
+            table, loss = train_epoch(table, g, cfg, epoch=epoch)
+            expected, expected_loss = reference_epoch(
+                EmbeddingTable(expected, measure), g, cfg, epoch, batch
+            )
+            np.testing.assert_allclose(table.values, expected, rtol=0, atol=1e-12)
+            assert abs(loss - expected_loss) < 1e-12
+        return table, loss
+
+    @pytest.mark.parametrize("measure, negatives_per_edge", cases)
+    def test_matches_batch_reference(self, measure, negatives_per_edge):
+        assert graph_embed.EDGE_BATCH == 64
+        table, loss = self.run_both(measure, negatives_per_edge, batch=64)
+        assert loss > 0.0
+        if measure == "cosine":
+            assert not table.values[3].any()
+
+    @pytest.mark.parametrize("measure, negatives_per_edge", cases)
+    def test_edge_batch_one_is_per_edge_sgd(self, monkeypatch, measure,
+                                            negatives_per_edge):
+        monkeypatch.setattr(graph_embed, "EDGE_BATCH", 1)
+        self.run_both(measure, negatives_per_edge, batch=1)
+
+    def test_case_covers_the_corner_draws(self):
+        table, g, cfg = reference_case("cosine", 10)
+        assert g.edge_count % graph_embed.EDGE_BATCH != 0
+        for epoch in range(cfg.epochs):
+            rng = np.random.default_rng((cfg.seed, epoch))
+            edges = g.edges[rng.permutation(g.edge_count)]
+            negs = rng.integers(0, table.rows, size=(g.edge_count, 10))
+            assert (negs == edges[:, :1]).any()
+            assert (negs == edges[:, 1:]).any()
+            assert any(len(set(row)) < 10 for row in negs.tolist())
+            assert (edges == 3).any() and (negs == 3).any()
 
 
 class TestPairwiseAuc:
@@ -343,7 +475,11 @@ class TestConfigValidation:
         for bad in (
             dict(epochs=0),
             dict(margin=0.0),
+            dict(margin=float("nan")),
+            dict(margin=float("inf")),
             dict(learning_rate=0.0),
+            dict(learning_rate=float("nan")),
+            dict(learning_rate=float("inf")),
             dict(negatives_per_edge=0),
             dict(dim=0),
             dict(measure="euclid"),

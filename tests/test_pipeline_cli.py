@@ -128,6 +128,21 @@ class TestExitCodes:
         assert main(["encode-train", "--config", str(config)]) == 2
         assert not (workdir / ARTIFACTS["encode-train"]).exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("graph", "margin", "nan"),
+        ("graph", "learning_rate", "nan"),
+        ("graph", "learning_rate", "inf"),
+        ("encoder", "learning_rate", "nan"),
+        ("encoder", "slack", "nan"),
+        ("probe", "learning_rate", "nan"),
+    ])
+    def test_non_finite_hyperparameter_exits_2(self, workdir, section, key, value):
+        bad = MINIMAL_CONFIG.replace(f"[{section}]", f"[{section}]\n{key} = {value}")
+        config = workdir / "bad.ini"
+        config.write_text(bad, encoding="utf-8")
+        assert main(["all", "--config", str(config)]) == 2
+        assert sorted(p.name for p in workdir.iterdir()) == ["bad.ini", "config.ini"]
+
     def test_missing_upstream_exits_4(self, workdir):
         rc = main(["mine", "--config", str(workdir / "config.ini")])
         assert rc == 4
