@@ -3,6 +3,12 @@
 No approximate index: a flat scan keeps neighbor ranks exactly
 reproducible. Scores are compared as float64 and ties break toward the
 smaller node index, so rank bands are stable across platforms.
+
+Each query is one GEMV over the table (``graph_embed.scores``). As in a
+FAISS flat index (Johnson et al. 2017, arXiv:1702.08734), selection is a
+partial partition to depth k followed by an exact sort of the survivors
+only: every candidate tied with the k-th score survives, so the result is
+the full sort's first k, tie order included. NaN scores rank last.
 """
 
 from __future__ import annotations
@@ -16,22 +22,29 @@ from .errors import InsufficientNeighborsError
 from .graph_embed import EmbeddingTable, scores
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeighborList:
     """Neighbors of one query, strictly ordered by (score desc, node asc).
 
-    The query itself is never present; ``entries[i]`` is the (i+1)-th
-    nearest neighbor.
+    ``ids`` (int64) and ``scores`` (float64) are aligned arrays; the query
+    itself is never present, and ``ids[i]`` is the (i+1)-th nearest
+    neighbor.
     """
 
     query: int
-    entries: tuple[tuple[int, float], ...]
+    ids: np.ndarray
+    scores: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ids)
+
+    @property
+    def entries(self) -> tuple[tuple[int, float], ...]:
+        """``(node, score)`` pairs in rank order."""
+        return tuple(zip(self.ids.tolist(), self.scores.tolist()))
 
     def nodes(self) -> list[int]:
-        return [node for node, _ in self.entries]
+        return self.ids.tolist()
 
 
 def top_k(
@@ -45,18 +58,30 @@ def top_k(
         raise ValueError(f"k must be >= 1: {k}")
     if not 0 <= query < t.rows:
         raise ValueError(f"query {query} out of range for {t.rows} nodes")
+    dropped = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
+    outside = dropped[(dropped < 0) | (dropped >= t.rows)]
+    if outside.size:
+        raise ValueError(f"exclude id {outside.min()} out of range for {t.rows} nodes")
 
     scored = scores(t, query)
     mask = np.ones(t.rows, dtype=bool)
     mask[query] = False
-    for idx in exclude:
-        mask[idx] = False
+    mask[dropped] = False
     candidates = np.flatnonzero(mask)
+    key = -scored[candidates]
+    if k < len(candidates):
+        kth = key[np.argpartition(key, k - 1)[k - 1]]
+        if not np.isnan(kth):
+            # every candidate tied with the k-th key survives the cut
+            survive = key <= kth
+            candidates, key = candidates[survive], key[survive]
     # primary: score descending; secondary: node index ascending
-    order = np.lexsort((candidates, -scored[candidates]))
-    chosen = candidates[order[:k]]
-    entries = tuple((int(i), float(scored[i])) for i in chosen)
-    return NeighborList(query=query, entries=entries)
+    chosen = candidates[np.lexsort((candidates, key))[:k]]
+    ids = chosen.astype(np.int64, copy=False)
+    found = scored[chosen]
+    ids.flags.writeable = False
+    found.flags.writeable = False
+    return NeighborList(query=query, ids=ids, scores=found)
 
 
 def range_by_rank(n: NeighborList, k: int, c: int) -> list[int]:
@@ -71,7 +96,7 @@ def range_by_rank(n: NeighborList, k: int, c: int) -> list[int]:
         raise ValueError(f"k must be >= c: k={k}, c={c}")
     if len(n) < k:
         raise InsufficientNeighborsError(query=n.query, k=k, available=len(n))
-    return [node for node, _ in n.entries[k - c:k]]
+    return n.ids[k - c:k].tolist()
 
 
 def batch_neighbors(

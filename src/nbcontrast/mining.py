@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -55,6 +56,10 @@ class SamplingConfig:
     def validate(self) -> None:
         if min(self.c_pos, self.c_hard, self.c_easy) < 0:
             raise ValidationError("sample counts must be >= 0")
+        if not (math.isfinite(self.t_pos) and math.isfinite(self.t_neg)):
+            raise ValidationError(
+                f"t_pos and t_neg must be finite: {self.t_pos}, {self.t_neg}"
+            )
         if self.pos_strategy not in POS_STRATEGIES:
             raise ValidationError(f"pos_strategy must be in {POS_STRATEGIES}")
         if self.hard_strategy not in HARD_STRATEGIES:
@@ -198,25 +203,35 @@ def sample_by_similarity(
     return [i for i, _ in qualified[:c]]
 
 
+def _without(
+    corpus: Sequence[int] | np.ndarray,
+    exclude: set[int] | frozenset[int] | np.ndarray,
+) -> np.ndarray:
+    """Corpus ids not in ``exclude``, in corpus order with repeats kept."""
+    corpus = np.asarray(corpus, dtype=np.int64)
+    if isinstance(exclude, (set, frozenset)):
+        exclude = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
+    return corpus[~np.isin(corpus, exclude)]
+
+
 def sample_random(
-    corpus: Sequence[int],
+    corpus: Sequence[int] | np.ndarray,
     c: int,
-    exclude: set[int] | frozenset[int],
+    exclude: set[int] | frozenset[int] | np.ndarray,
     seed: int,
 ) -> list[int]:
     """Seeded uniform sample without replacement from corpus minus exclude."""
-    candidates = [i for i in corpus if i not in exclude]
+    candidates = _without(corpus, exclude)
     if len(candidates) < c:
         raise MiningFailure(
             f"random sampler needs {c} candidates, {len(candidates)} available"
         )
     rng = np.random.default_rng(seed)
-    picked = rng.choice(len(candidates), size=c, replace=False)
-    return [candidates[int(i)] for i in picked]
+    return candidates[rng.choice(len(candidates), size=c, replace=False)].tolist()
 
 
 def sample_filtered_random(
-    corpus: Sequence[int],
+    corpus: Sequence[int] | np.ndarray,
     c: int,
     n: NeighborList,
     k_filter: int,
@@ -224,16 +239,14 @@ def sample_filtered_random(
     extra_exclude: set[int] | frozenset[int] = frozenset(),
 ) -> list[int]:
     """Random sample excluding the query's first ``k_filter`` neighbors."""
-    exclude = {node for node, _ in n.entries[:k_filter]}
-    exclude.add(n.query)
-    exclude.update(extra_exclude)
-    return sample_random(corpus, c, exclude, seed)
+    exclude = np.array([n.query, *extra_exclude], dtype=np.int64)
+    return sample_random(corpus, c, np.concatenate([n.ids[:k_filter], exclude]), seed)
 
 
 def sample_sorted_random(
     t: EmbeddingTable,
     query: int,
-    corpus: Sequence[int],
+    corpus: Sequence[int] | np.ndarray,
     n_candidates: int,
     c: int,
     direction: str,
@@ -249,14 +262,14 @@ def sample_sorted_random(
         raise ValueError(f"direction must be 'closest' or 'furthest': {direction!r}")
     if n_candidates < c:
         raise ValueError(f"n_candidates must be >= c: {n_candidates} < {c}")
-    pool = [i for i in corpus if i != query and i not in exclude]
+    pool = _without(corpus, np.array([query, *exclude], dtype=np.int64))
     if len(pool) < c:
         raise MiningFailure(
             f"sorted-random sampler needs {c} candidates, {len(pool)} available"
         )
     rng = np.random.default_rng(seed)
     take = min(n_candidates, len(pool))
-    drawn = np.asarray(pool)[rng.choice(len(pool), size=take, replace=False)]
+    drawn = pool[rng.choice(len(pool), size=take, replace=False)]
     scored = scores(t, query, drawn)
     order = np.lexsort((drawn, -scored if direction == "closest" else scored))
     return drawn[order[:c]].tolist()
@@ -265,7 +278,7 @@ def sample_sorted_random(
 def _mine_one_query(
     query: PaperId,
     t: EmbeddingTable,
-    corpus_idx: list[int],
+    corpus_idx: np.ndarray,
     ext_of: Mapping[int, str],
     neighbors: NeighborList | None,
     cfg: SamplingConfig,
@@ -373,7 +386,7 @@ def mine_triples(
     for q in queries:
         ext_of.setdefault(q.index, q.external_id)
 
-    corpus_idx = [p.index for p in corpus]
+    corpus_idx = np.array([p.index for p in corpus], dtype=np.int64)
     depth = cfg.neighbor_depth()
 
     triples: list[Triple] = []

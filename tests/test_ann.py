@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbcontrast.ann import NeighborList, batch_neighbors, range_by_rank, top_k
 from nbcontrast.errors import InsufficientNeighborsError
-from nbcontrast.graph_embed import EmbeddingTable, score_edge
+from nbcontrast.graph_embed import EmbeddingTable, score_edge, scores
 
 
 def naive_top_k(table, query, k, exclude=frozenset()):
@@ -17,6 +19,75 @@ def naive_top_k(table, query, k, exclude=frozenset()):
         scored.append((i, score_edge(table, query, i)))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]
+
+
+def full_sort_top_k(table, query, k, exclude=frozenset()):
+    """The scan before partial selection: lexsort every candidate."""
+    scored = scores(table, query)
+    mask = np.ones(table.rows, dtype=bool)
+    mask[query] = False
+    for idx in exclude:
+        mask[idx] = False
+    candidates = np.flatnonzero(mask)
+    order = np.lexsort((candidates, -scored[candidates]))
+    chosen = candidates[order[:k]]
+    return chosen, scored[chosen]
+
+
+# few distinct cells force exact score ties across the k-th boundary;
+# -0.0 yields signed-zero scores and NaN rows yield NaN scores
+CELLS = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+
+
+@st.composite
+def scans(draw):
+    n = draw(st.integers(1, 30))
+    dim = draw(st.integers(1, 3))
+    rows = st.lists(CELLS, min_size=dim, max_size=dim)
+    values = np.array(draw(st.lists(rows, min_size=n, max_size=n)))
+    values[sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))] = np.nan
+    table = EmbeddingTable(values, draw(st.sampled_from(["dot", "cosine"])))
+    query = draw(st.integers(0, n - 1))
+    k = draw(st.integers(1, n + 1))
+    exclude = draw(st.frozensets(st.integers(0, n - 1)))
+    return table, query, k, exclude
+
+
+class TestPartialSelection:
+    @given(scan=scans())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_full_sort(self, scan):
+        table, query, k, exclude = scan
+        ids, found = full_sort_top_k(table, query, k, exclude)
+        got = top_k(table, query, k, exclude)
+        assert got.ids.tolist() == ids.tolist()
+        assert got.scores.tobytes() == found.tobytes()
+
+    def test_ties_across_the_boundary_keep_index_order(self):
+        # nodes 1..6 tie; k=3 cuts through the tie, nodes 7 and 8 lose
+        values = np.array([[1.0]] + [[0.5]] * 6 + [[0.1], [0.2]])
+        nl = top_k(EmbeddingTable(values), 0, 3)
+        assert nl.nodes() == [1, 2, 3]
+
+    def test_nan_scores_rank_last(self):
+        values = np.array([[1.0], [np.nan], [0.5], [np.nan], [0.2]])
+        nl = top_k(EmbeddingTable(values), 0, 4)
+        assert nl.nodes() == [2, 4, 1, 3]
+
+    def test_arrays_are_typed_and_read_only(self):
+        nl = top_k(EmbeddingTable(np.eye(4)), 0, 3)
+        assert nl.ids.dtype == np.int64
+        assert nl.scores.dtype == np.float64
+        with pytest.raises(ValueError):
+            nl.ids[0] = 9
+        assert nl.entries == tuple(zip(nl.nodes(), nl.scores.tolist()))
+
+    @pytest.mark.parametrize("bad", [-1, 4, 100])
+    def test_out_of_range_exclude_rejected(self, bad):
+        # a negative id would wrap to the last row, one past the end would
+        # raise a bare IndexError
+        with pytest.raises(ValueError, match=f"exclude id {bad} out of range"):
+            top_k(EmbeddingTable(np.eye(4)), 0, 3, exclude={1, bad})
 
 
 class TestTopK:
@@ -86,9 +157,8 @@ class TestTopK:
 
 def fake_neighbors(count):
     """Neighbor list where rank r holds node r with score 1/r."""
-    return NeighborList(
-        query=0, entries=tuple((r, 1.0 / r) for r in range(1, count + 1))
-    )
+    ranks = np.arange(1, count + 1)
+    return NeighborList(query=0, ids=ranks, scores=1.0 / ranks)
 
 
 class TestRangeByRank:

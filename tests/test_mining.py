@@ -6,7 +6,8 @@ import pytest
 from nbcontrast.ann import NeighborList, batch_neighbors
 from nbcontrast.corpus import PaperId
 from nbcontrast.errors import ValidationError
-from nbcontrast.graph_embed import EmbeddingTable, init_embeddings, score_edge
+from nbcontrast import mining
+from nbcontrast.graph_embed import EmbeddingTable, init_embeddings, score_edge, scores
 from nbcontrast.mining import (
     MiningFailure,
     SamplingConfig,
@@ -34,9 +35,8 @@ DESK_CONFIG = SamplingConfig(
 
 def fake_neighbors(count, query=0):
     """Rank r holds node r with score 1/r (query node is 0)."""
-    return NeighborList(
-        query=query, entries=tuple((r, 1.0 / r) for r in range(1, count + 1))
-    )
+    ranks = np.arange(1, count + 1)
+    return NeighborList(query=query, ids=ranks, scores=1.0 / ranks)
 
 
 class TestConfigValidation:
@@ -68,6 +68,13 @@ class TestConfigValidation:
                              easy_strategy=easy)
         assert cfg.easy_filter_depth() == 4000
         assert cfg.neighbor_depth() == depth
+
+    @pytest.mark.parametrize("key", ["t_pos", "t_neg"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_rejected(self, key, value):
+        cfg = SamplingConfig(pos_strategy="sim", hard_strategy="sim", **{key: value})
+        with pytest.raises(ValidationError, match="finite"):
+            cfg.validate()
 
     def test_sampling_margin_arithmetic(self):
         assert TUNED_CONFIG.sampling_margin() == 3973
@@ -229,6 +236,112 @@ class TestSampleSortedRandom:
         with pytest.raises(MiningFailure):
             sample_sorted_random(table, 0, [0, 1], n_candidates=3, c=3,
                                  direction="closest", seed=0)
+
+
+def reference_sample_random(corpus, c, exclude, seed):
+    """List-based sampler the numpy candidate path must reproduce."""
+    candidates = [i for i in corpus if i not in exclude]
+    if len(candidates) < c:
+        raise MiningFailure("too few candidates")
+    rng = np.random.default_rng(seed)
+    picked = rng.choice(len(candidates), size=c, replace=False)
+    return [candidates[int(i)] for i in picked]
+
+
+def reference_sample_filtered_random(corpus, c, n, k_filter, seed,
+                                     extra_exclude=frozenset()):
+    exclude = {node for node, _ in n.entries[:k_filter]}
+    exclude.add(n.query)
+    exclude.update(extra_exclude)
+    return reference_sample_random(corpus, c, exclude, seed)
+
+
+def reference_sample_sorted_random(t, query, corpus, n_candidates, c, direction,
+                                   seed, exclude=frozenset()):
+    pool = [i for i in corpus if i != query and i not in exclude]
+    if len(pool) < c:
+        raise MiningFailure("too few candidates")
+    rng = np.random.default_rng(seed)
+    take = min(n_candidates, len(pool))
+    drawn = np.asarray(pool)[rng.choice(len(pool), size=take, replace=False)]
+    scored = scores(t, query, drawn)
+    order = np.lexsort((drawn, -scored if direction == "closest" else scored))
+    return drawn[order[:c]].tolist()
+
+
+def reference_batch_neighbors(t, queries, k_max):
+    """Full-lexsort neighbor lists."""
+    result = []
+    for query in queries:
+        scored = scores(t, query)
+        others = np.delete(np.arange(t.rows), query)
+        chosen = others[np.lexsort((others, -scored[others]))[:k_max]]
+        result.append(NeighborList(query=query, ids=chosen, scores=scored[chosen]))
+    return result
+
+
+def outcome(sampler, *args, **kwargs):
+    try:
+        return sampler(*args, **kwargs)
+    except MiningFailure:
+        return "failure"
+
+
+class TestSamplersMatchListReference:
+    """Picks equal the list-based samplers' on awkward corpora."""
+
+    def corpora(self, seed):
+        rng = np.random.default_rng(seed)
+        for trial in range(40):
+            n = int(rng.integers(1, 60))
+            # repeated corpus entries, and exclude ids outside the corpus
+            corpus = rng.integers(0, n, size=int(rng.integers(0, 2 * n))).tolist()
+            outside = rng.integers(-3, n + 3, size=int(rng.integers(0, n)))
+            exclude = set(outside.tolist())
+            c = int(rng.integers(0, 6))
+            yield trial, n, corpus, exclude, c
+
+    def test_sample_random(self):
+        for trial, _, corpus, exclude, c in self.corpora(1):
+            for pool in (corpus, np.asarray(corpus, dtype=np.int64)):
+                assert outcome(sample_random, pool, c, exclude, trial) == outcome(
+                    reference_sample_random, corpus, c, exclude, trial
+                )
+
+    def test_sample_filtered_random(self):
+        for trial, n, corpus, exclude, c in self.corpora(2):
+            nl = reference_batch_neighbors(init_embeddings(n, 3, trial), [0], n)[0]
+            k_filter = trial % (n + 2)
+            assert outcome(
+                sample_filtered_random, corpus, c, nl, k_filter, trial, exclude
+            ) == outcome(
+                reference_sample_filtered_random, corpus, c, nl, k_filter, trial,
+                exclude,
+            )
+
+    @pytest.mark.parametrize("direction", ["closest", "furthest"])
+    def test_sample_sorted_random(self, direction):
+        for trial, n, corpus, exclude, c in self.corpora(3):
+            table = EmbeddingTable(
+                np.random.default_rng(trial).integers(-1, 2, size=(n, 2)).astype(float)
+            )
+            query, n_candidates = trial % n, c + trial % 4
+            args = (table, query, corpus, n_candidates, c, direction, trial, exclude)
+            assert outcome(sample_sorted_random, *args) == outcome(
+                reference_sample_sorted_random, *args
+            )
+
+    @pytest.mark.parametrize("easy", ["filtered_random", "random", "sorted_random"])
+    def test_mine_triples(self, monkeypatch, easy):
+        table, papers = desk_papers(3000, seed=4)
+        cfg = SamplingConfig(k_pos=25, k_hard=1000, c_pos=5, c_hard=2, c_easy=3,
+                             easy_strategy=easy, seed=11)
+        got = mine_triples(papers[::50], table, papers, cfg)
+        assert len(got) == 60 * 5
+        for name in ("sample_random", "sample_filtered_random",
+                     "sample_sorted_random", "batch_neighbors"):
+            monkeypatch.setattr(mining, name, globals()["reference_" + name])
+        assert mine_triples(papers[::50], table, papers, cfg) == got
 
 
 def desk_papers(n=100, seed=0):

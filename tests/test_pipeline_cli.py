@@ -121,6 +121,17 @@ class TestExitCodes:
         assert rc == 2
         assert not (workdir / ARTIFACTS["mine"]).exists()
 
+    def test_non_finite_threshold_exits_2(self, workdir):
+        config = str(workdir / "config.ini")
+        for stage in ("fixture", "ingest", "graph-train"):
+            assert main([stage, "--config", config]) == 0
+        bad = MINIMAL_CONFIG.replace(
+            "[sampling]", "[sampling]\npos_strategy = sim\nt_pos = nan"
+        )
+        (workdir / "bad.ini").write_text(bad, encoding="utf-8")
+        assert main(["mine", "--config", str(workdir / "bad.ini")]) == 2
+        assert not (workdir / ARTIFACTS["mine"]).exists()
+
     def test_effective_batch_zero_exits_2(self, workdir):
         bad = MINIMAL_CONFIG.replace("[encoder]", "[encoder]\neffective_batch = 0")
         config = workdir / "bad.ini"
