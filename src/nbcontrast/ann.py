@@ -5,10 +5,11 @@ reproducible. Scores are compared as float64 and ties break toward the
 smaller node index, so rank bands are stable across platforms.
 
 Each query is one GEMV over the table (``graph_embed.scores``). As in a
-FAISS flat index (Johnson et al. 2017, arXiv:1702.08734), selection is a
-partial partition to depth k followed by an exact sort of the survivors
-only: every candidate tied with the k-th score survives, so the result is
-the full sort's first k, tie order included. NaN scores rank last.
+FAISS flat index (Johnson et al. 2017, arXiv:1702.08734), :func:`smallest_k`
+partitions to depth k and sorts only the survivors (every candidate at
+least as good as the k-th), so it returns the full sort's first k, tie
+order included; NaN ranks last. The threshold and sorted-random samplers
+in ``mining`` share it.
 """
 
 from __future__ import annotations
@@ -47,6 +48,17 @@ class NeighborList:
         return self.ids.tolist()
 
 
+def smallest_k(key: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k smallest keys, ties toward the smaller id, NaN last."""
+    if k < len(key):
+        kth = key[np.argpartition(key, k - 1)[k - 1]]
+        if not np.isnan(kth):
+            # every key tied with the k-th survives the cut
+            survivors = np.flatnonzero(key <= kth)
+            return survivors[np.lexsort((ids[survivors], key[survivors]))[:k]]
+    return np.lexsort((ids, key))[:k]
+
+
 def top_k(
     t: EmbeddingTable,
     query: int,
@@ -68,15 +80,7 @@ def top_k(
     mask[query] = False
     mask[dropped] = False
     candidates = np.flatnonzero(mask)
-    key = -scored[candidates]
-    if k < len(candidates):
-        kth = key[np.argpartition(key, k - 1)[k - 1]]
-        if not np.isnan(kth):
-            # every candidate tied with the k-th key survives the cut
-            survive = key <= kth
-            candidates, key = candidates[survive], key[survive]
-    # primary: score descending; secondary: node index ascending
-    chosen = candidates[np.lexsort((candidates, key))[:k]]
+    chosen = candidates[smallest_k(-scored[candidates], candidates, k)]
     ids = chosen.astype(np.int64, copy=False)
     found = scored[chosen]
     ids.flags.writeable = False

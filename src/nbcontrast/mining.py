@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ann import NeighborList, batch_neighbors, range_by_rank
+from .ann import NeighborList, batch_neighbors, range_by_rank, smallest_k
 from .corpus import PaperId
 from .errors import DataError, InsufficientNeighborsError, ValidationError
 from .graph_embed import EmbeddingTable, scores
@@ -66,6 +66,11 @@ class SamplingConfig:
             raise ValidationError(f"hard_strategy must be in {HARD_STRATEGIES}")
         if self.easy_strategy not in EASY_STRATEGIES:
             raise ValidationError(f"easy_strategy must be in {EASY_STRATEGIES}")
+        if min(self.k_pos, self.k_hard) < 1:
+            # filtered_random scans max(k_pos, k_hard) deep whatever the bands
+            raise ValidationError(
+                f"k_pos and k_hard must be >= 1: k_pos={self.k_pos}, k_hard={self.k_hard}"
+            )
         if self.pos_strategy == "knn" and self.k_pos < self.c_pos:
             raise ValidationError(
                 f"k_pos must be >= c_pos: k_pos={self.k_pos}, c_pos={self.c_pos}"
@@ -86,6 +91,14 @@ class SamplingConfig:
             )
         if self.sorted_random_candidates < 1:
             raise ValidationError("sorted_random_candidates must be >= 1")
+        if (
+            self.easy_strategy == "sorted_random"
+            and self.sorted_random_candidates < self.c_easy
+        ):
+            raise ValidationError(
+                "sorted_random_candidates must be >= c_easy: "
+                f"{self.sorted_random_candidates} < {self.c_easy}"
+            )
 
     def sampling_margin(self) -> int:
         """Ranks strictly between the positive and hard-negative bands."""
@@ -180,9 +193,9 @@ def sample_hard_negatives_knn(n: NeighborList, cfg: SamplingConfig) -> list[int]
 
 
 def sample_by_similarity(
-    scores: Sequence[tuple[int, float]], c: int, t: float, mode: str
+    ids: np.ndarray, scores: np.ndarray, c: int, t: float, mode: str
 ) -> list[int]:
-    """Threshold sampler over (index, cosine score) candidates.
+    """Threshold sampler over aligned candidate ``ids`` and cosine ``scores``.
 
     ``above`` keeps candidates scoring strictly above ``t`` (positives),
     ``below`` those strictly below (negatives); either way the c highest
@@ -191,16 +204,17 @@ def sample_by_similarity(
     """
     if c < 1:
         raise ValueError(f"c must be >= 1: {c}")
+    ids, scores = np.asarray(ids, dtype=np.int64), np.asarray(scores, dtype=np.float64)
     if mode == "above":
-        qualified = [(i, s) for i, s in scores if s > t]
+        qualified = scores > t
     elif mode == "below":
-        qualified = [(i, s) for i, s in scores if s < t]
+        qualified = scores < t
     else:
         raise ValueError(f"mode must be 'above' or 'below': {mode!r}")
-    if not qualified:
+    if not qualified.any():
         raise MiningFailure(f"no candidates {mode} threshold {t}")
-    qualified.sort(key=lambda pair: (-pair[1], pair[0]))
-    return [i for i, _ in qualified[:c]]
+    ids, scores = ids[qualified], scores[qualified]
+    return ids[smallest_k(-scores, ids, c)].tolist()
 
 
 def _without(
@@ -271,8 +285,8 @@ def sample_sorted_random(
     take = min(n_candidates, len(pool))
     drawn = pool[rng.choice(len(pool), size=take, replace=False)]
     scored = scores(t, query, drawn)
-    order = np.lexsort((drawn, -scored if direction == "closest" else scored))
-    return drawn[order[:c]].tolist()
+    key = -scored if direction == "closest" else scored
+    return drawn[smallest_k(key, drawn, c)].tolist()
 
 
 def _mine_one_query(
@@ -284,17 +298,11 @@ def _mine_one_query(
     cfg: SamplingConfig,
 ) -> tuple[list[Triple], bool]:
     """Sample one query's triples; returns (triples, was_partial)."""
-    sim_cache: list[tuple[int, float]] | None = None
-
-    def sim_scores() -> list[tuple[int, float]]:
-        # (index, cosine score) of every node but the query: the threshold
-        # samplers are defined on cosine whatever the table's own measure
-        nonlocal sim_cache
-        if sim_cache is None:
-            others = np.delete(np.arange(t.rows), query.index)
-            cosine = scores(t, query.index, measure="cosine")
-            sim_cache = list(zip(others.tolist(), cosine[others].tolist()))
-        return sim_cache
+    if "sim" in (cfg.pos_strategy, cfg.hard_strategy):
+        # every node but the query: the threshold samplers are defined on
+        # cosine whatever the table's own measure
+        others = np.delete(np.arange(t.rows), query.index)
+        cosine = scores(t, query.index, measure="cosine")[others]
 
     if cfg.c_pos == 0:
         positives: list[int] = []
@@ -302,7 +310,7 @@ def _mine_one_query(
         assert neighbors is not None
         positives = sample_positives_knn(neighbors, cfg)
     else:
-        positives = sample_by_similarity(sim_scores(), cfg.c_pos, cfg.t_pos, "above")
+        positives = sample_by_similarity(others, cosine, cfg.c_pos, cfg.t_pos, "above")
 
     if cfg.c_hard == 0:
         hard: list[int] = []
@@ -310,7 +318,7 @@ def _mine_one_query(
         assert neighbors is not None
         hard = sample_hard_negatives_knn(neighbors, cfg)
     else:
-        hard = sample_by_similarity(sim_scores(), cfg.c_hard, cfg.t_neg, "below")
+        hard = sample_by_similarity(others, cosine, cfg.c_hard, cfg.t_neg, "below")
 
     taken = {query.index, *positives, *hard}
     easy_seed = derive_seed(cfg.seed, "easy", query.external_id)

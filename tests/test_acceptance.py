@@ -178,7 +178,7 @@ def test_criterion_4_documented_band_examples():
     ok = band == [7, 8, 9]  # the 8th, 9th, and 10th nearest neighbors
 
     sim = sample_by_similarity(
-        [(1, 0.8), (2, 0.7), (3, 0.1)], c=2, t=0.5, mode="above"
+        [1, 2, 3], [0.8, 0.7, 0.1], c=2, t=0.5, mode="above"
     )
     ok = ok and sim == [1, 2]
     report(4, "kNN band (c'=3, k=10) -> ranks 8..10; "

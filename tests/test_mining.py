@@ -111,46 +111,45 @@ class TestBandSamplers:
 class TestSampleBySimilarity:
     # candidate scores exclude the query's self-match
     def test_above_threshold_worked_example(self):
-        scores = [(1, 0.8), (2, 0.7), (3, 0.1)]
-        assert sample_by_similarity(scores, c=2, t=0.5, mode="above") == [1, 2]
+        ids, scores = [1, 2, 3], [0.8, 0.7, 0.1]
+        assert sample_by_similarity(ids, scores, c=2, t=0.5, mode="above") == [1, 2]
 
     def test_below_threshold_single(self):
-        scores = [(1, 0.8), (2, 0.7), (3, 0.1)]
-        assert sample_by_similarity(scores, c=1, t=0.5, mode="below") == [3]
+        ids, scores = [1, 2, 3], [0.8, 0.7, 0.1]
+        assert sample_by_similarity(ids, scores, c=1, t=0.5, mode="below") == [3]
 
     def test_below_threshold_takes_hardest(self):
-        scores = [(1, 0.4), (2, 0.3), (3, 0.2)]
+        ids, scores = [1, 2, 3], [0.4, 0.3, 0.2]
         # brute-force oracle: filter then sort by score descending
         qualified = sorted(
-            [(i, s) for i, s in scores if s < 0.5], key=lambda p: (-p[1], p[0])
+            [(i, s) for i, s in zip(ids, scores) if s < 0.5],
+            key=lambda p: (-p[1], p[0]),
         )
         expect = [i for i, _ in qualified[:2]]
-        assert sample_by_similarity(scores, c=2, t=0.5, mode="below") == expect == [1, 2]
+        got = sample_by_similarity(ids, scores, c=2, t=0.5, mode="below")
+        assert got == expect == [1, 2]
 
     def test_partial_result_when_candidates_run_out(self):
-        scores = [(1, 0.9), (2, 0.1)]
-        assert sample_by_similarity(scores, c=3, t=0.5, mode="above") == [1]
+        assert sample_by_similarity([1, 2], [0.9, 0.1], c=3, t=0.5, mode="above") == [1]
 
     def test_zero_qualifiers_fails(self):
         with pytest.raises(MiningFailure):
-            sample_by_similarity([(1, 0.2)], c=1, t=0.5, mode="above")
+            sample_by_similarity([1], [0.2], c=1, t=0.5, mode="above")
 
     def test_threshold_is_strict_and_monotone(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
-            scores = [(i, float(s)) for i, s in
-                      enumerate(rng.uniform(-1, 1, size=12))]
+            scores = rng.uniform(-1, 1, size=12)
             t = float(rng.uniform(-0.5, 0.5))
             for mode, cmp in (("above", lambda s: s > t), ("below", lambda s: s < t)):
-                if not any(cmp(s) for _, s in scores):
+                if not any(cmp(s) for s in scores):
                     continue
-                got = sample_by_similarity(scores, c=5, t=t, mode=mode)
-                by_id = dict(scores)
-                assert all(cmp(by_id[i]) for i in got)
+                got = sample_by_similarity(np.arange(12), scores, c=5, t=t, mode=mode)
+                assert all(cmp(scores[i]) for i in got)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
-            sample_by_similarity([(1, 0.5)], c=1, t=0.0, mode="sideways")
+            sample_by_similarity([1], [0.5], c=1, t=0.0, mode="sideways")
 
 
 class TestSampleRandom:
@@ -269,6 +268,22 @@ def reference_sample_sorted_random(t, query, corpus, n_candidates, c, direction,
     return drawn[order[:c]].tolist()
 
 
+def reference_sample_by_similarity(scores, c, t, mode):
+    """Tuple-list threshold sampler over (index, score) pairs."""
+    if c < 1:
+        raise ValueError(f"c must be >= 1: {c}")
+    if mode == "above":
+        qualified = [(i, s) for i, s in scores if s > t]
+    elif mode == "below":
+        qualified = [(i, s) for i, s in scores if s < t]
+    else:
+        raise ValueError(f"mode must be 'above' or 'below': {mode!r}")
+    if not qualified:
+        raise MiningFailure(f"no candidates {mode} threshold {t}")
+    qualified.sort(key=lambda pair: (-pair[1], pair[0]))
+    return [i for i, _ in qualified[:c]]
+
+
 def reference_batch_neighbors(t, queries, k_max):
     """Full-lexsort neighbor lists."""
     result = []
@@ -319,11 +334,27 @@ class TestSamplersMatchListReference:
                 exclude,
             )
 
+    @pytest.mark.parametrize("mode", ["above", "below"])
+    def test_sample_by_similarity(self, mode):
+        # repeated ids and scores, -0.0 beside 0.0, and NaN candidates
+        values = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, np.nan])
+        for trial, _, corpus, _, c in self.corpora(4):
+            rng = np.random.default_rng(trial)
+            scores = rng.choice(values, size=len(corpus))
+            t = float(rng.choice([-0.5, -0.0, 0.0, 0.5]))
+            pairs = list(zip(corpus, scores.tolist()))
+            assert outcome(
+                sample_by_similarity, corpus, scores, c + 1, t, mode
+            ) == outcome(reference_sample_by_similarity, pairs, c + 1, t, mode)
+
     @pytest.mark.parametrize("direction", ["closest", "furthest"])
     def test_sample_sorted_random(self, direction):
+        # integer-valued rows tie often; -0.0 entries and NaN rows ride along
+        values = np.array([-1.0, -0.0, 0.0, 1.0, np.nan])
         for trial, n, corpus, exclude, c in self.corpora(3):
+            rng = np.random.default_rng(trial)
             table = EmbeddingTable(
-                np.random.default_rng(trial).integers(-1, 2, size=(n, 2)).astype(float)
+                rng.choice(values, size=(n, 2), p=[0.3, 0.15, 0.15, 0.3, 0.1])
             )
             query, n_candidates = trial % n, c + trial % 4
             args = (table, query, corpus, n_candidates, c, direction, trial, exclude)
@@ -331,16 +362,29 @@ class TestSamplersMatchListReference:
                 reference_sample_sorted_random, *args
             )
 
-    @pytest.mark.parametrize("easy", ["filtered_random", "random", "sorted_random"])
-    def test_mine_triples(self, monkeypatch, easy):
+    @pytest.mark.parametrize("pos, hard, easy", [
+        *(pytest.param("knn", "knn", easy, id=easy)
+          for easy in ("filtered_random", "random", "sorted_random")),
+        ("sim", "sim", "random"),
+        ("knn", "sim", "sorted_random"),
+        ("sim", "knn", "filtered_random"),
+    ])
+    def test_mine_triples(self, monkeypatch, pos, hard, easy):
         table, papers = desk_papers(3000, seed=4)
         cfg = SamplingConfig(k_pos=25, k_hard=1000, c_pos=5, c_hard=2, c_easy=3,
+                             pos_strategy=pos, hard_strategy=hard,
                              easy_strategy=easy, seed=11)
         got = mine_triples(papers[::50], table, papers, cfg)
         assert len(got) == 60 * 5
         for name in ("sample_random", "sample_filtered_random",
                      "sample_sorted_random", "batch_neighbors"):
             monkeypatch.setattr(mining, name, globals()["reference_" + name])
+        monkeypatch.setattr(
+            mining, "sample_by_similarity",
+            lambda ids, scores, c, t, mode: reference_sample_by_similarity(
+                list(zip(ids.tolist(), scores.tolist())), c, t, mode
+            ),
+        )
         assert mine_triples(papers[::50], table, papers, cfg) == got
 
 

@@ -1,5 +1,6 @@
 """Pipeline stages, CLI exit codes, artifact determinism, provenance."""
 
+import configparser
 import hashlib
 import json
 
@@ -130,6 +131,28 @@ class TestExitCodes:
         )
         (workdir / "bad.ini").write_text(bad, encoding="utf-8")
         assert main(["mine", "--config", str(workdir / "bad.ini")]) == 2
+        assert not (workdir / ARTIFACTS["mine"]).exists()
+
+    @pytest.mark.parametrize("sampling", [
+        # sim bands read no neighbor list, so a negative k scanned nothing
+        {"pos_strategy": "sim", "hard_strategy": "sim", "t_pos": "-1.0",
+         "t_neg": "2.0", "k_pos": "-5", "k_hard": "-5"},
+        {"c_pos": "0", "c_hard": "0", "k_pos": "0", "k_hard": "0"},
+        {"easy_strategy": "sorted_random", "sorted_random_candidates": "1"},
+    ])
+    def test_unsatisfiable_sampling_exits_2(self, workdir, capsys, sampling):
+        config = str(workdir / "config.ini")
+        for stage in ("fixture", "ingest", "graph-train"):
+            assert main([stage, "--config", config]) == 0
+        capsys.readouterr()
+        bad = configparser.ConfigParser()
+        bad.read_string(MINIMAL_CONFIG)
+        bad["sampling"].update(sampling)
+        with (workdir / "bad.ini").open("w", encoding="utf-8") as fh:
+            bad.write(fh)
+        assert main(["mine", "--config", str(workdir / "bad.ini")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and err.count("\n") == 1
         assert not (workdir / ARTIFACTS["mine"]).exists()
 
     def test_effective_batch_zero_exits_2(self, workdir):
