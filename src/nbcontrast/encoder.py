@@ -14,12 +14,13 @@ mode trains legally but cannot change the encoder.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -147,7 +148,7 @@ def encode_tokens(tokens: Sequence[str], p: EncoderParams) -> np.ndarray:
     """Mean of token embedding rows, then the affine projection."""
     if not tokens:
         raise ValueError("cannot encode an empty token sequence")
-    return _forward(p, token_ids(tokens, p.vocab))[1]
+    return _encode_rows(p, *_token_rows([tokens], p.vocab))[0]
 
 
 def encode(d: Document, p: EncoderParams) -> np.ndarray:
@@ -159,9 +160,9 @@ def encode_corpus(
     docs: Sequence[Document], p: EncoderParams
 ) -> tuple[EmbeddingTable, dict[str, int]]:
     """Encode documents into a table plus an id-to-row mapping."""
-    vectors = np.stack([encode(d, p) for d in docs])
+    offsets, flat = _token_rows(map(tokenize, docs), p.vocab)
     id_to_row = {d.id: i for i, d in enumerate(docs)}
-    return EmbeddingTable(values=vectors, measure="dot"), id_to_row
+    return EmbeddingTable(values=_encode_rows(p, offsets, flat), measure="dot"), id_to_row
 
 
 def triplet_loss(
@@ -180,62 +181,94 @@ def triplet_loss(
     ))
 
 
-def _forward(p: EncoderParams, ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled token rows of ``ids`` and their affine projection."""
-    pooled = p.token_table[ids].mean(axis=0)
-    return pooled, pooled @ p.projection + p.projection_bias
+# Cells (documents x distinct tokens) of one token count matrix: documents
+# are pooled, and batches differentiated, in chunks that stay within it.
+CELL_CAP = 1 << 18
 
 
-def _triple_loss_and_grads(
-    p: EncoderParams,
-    triple_ids: tuple[Sequence[int], Sequence[int], Sequence[int]],
-    slack: float,
-    bias_only: bool = False,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Loss of one triple and its gradient on the rows it touches.
+def _token_rows(
+    token_lists: Iterable[Sequence[str]], vocab: Mapping[str, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tokenized documents as CSR arrays: offsets (one more than documents)
+    and their flat vocab ids, with no id list held per document."""
+    lengths: list[int] = []
 
-    Takes the token ids of the query, positive and negative documents and
-    returns ``(loss, rows, row_grads, d_projection, d_bias)``: ``rows`` are
-    the distinct token rows, ``row_grads[i]`` the gradient of row
-    ``rows[i]``, summed in query, positive, negative token order.
-    Subgradient 0 at the hinge boundary and at zero-distance kinks. With
-    ``bias_only`` only the loss and ``d_bias`` are computed; no rows are
-    returned and ``d_projection`` stays zero.
-    """
-    forwards = [_forward(p, ids) for ids in triple_ids]
-    (_, eq), (_, ep), (_, en) = forwards
+    def doc_ids(tokens: Sequence[str]) -> list[int]:
+        lengths.append(len(tokens))
+        return token_ids(tokens, vocab)
 
-    d_qp = eq - ep
-    d_qn = eq - en
-    norm_qp = float(np.linalg.norm(d_qp))
-    norm_qn = float(np.linalg.norm(d_qn))
-    loss = norm_qp - norm_qn + slack
+    ids = itertools.chain.from_iterable(map(doc_ids, token_lists))
+    flat = np.fromiter(ids, dtype=np.intp)
+    return np.cumsum([0, *lengths]), flat
+
+
+def _pool_chunks(
+    p: EncoderParams, offsets: np.ndarray, flat: np.ndarray, items: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Mean-pool ``items`` (rows of CSR documents, read column by column) a
+    chunk at a time, yielding each chunk's distinct token ids, its count
+    matrix ``C`` (a row per document, a column per token, counts over the
+    document's length) and ``C @ token_table[tokens]``. A chunk of ``k``
+    items has ``r = k * width`` rows and at most ``min(vocab, r * max_tokens)``
+    columns; it takes as many items as fit in CELL_CAP, and at least one."""
+    width = items.shape[1]
+    max_tokens = int((offsets[items + 1] - offsets[items]).max())
+    step = max(1, CELL_CAP // (width * len(p.vocab)),
+               math.isqrt(CELL_CAP // max_tokens) // width)
+    for start in range(0, len(items), step):
+        docs = items[start:start + step].T.reshape(-1)
+        starts = offsets[docs]
+        lengths = offsets[docs + 1] - starts
+        row = np.repeat(np.arange(len(docs)), lengths)
+        # each token's position in ``flat``: its rank in ``row`` order,
+        # shifted from its run's start there to its document's start
+        shift = starts - np.cumsum(lengths) + lengths
+        pos = np.arange(row.size) + np.repeat(shift, lengths)
+        tokens, col = np.unique(flat[pos], return_inverse=True)
+        counts = np.bincount(row * len(tokens) + col, minlength=len(docs) * len(tokens))
+        c = counts.reshape(len(docs), len(tokens)) / lengths[:, None]
+        yield tokens, c, c @ p.token_table[tokens]
+
+
+def _encode_rows(p: EncoderParams, offsets: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Encoded vectors of every CSR document."""
+    out = np.empty((len(offsets) - 1, p.out_dim))
+    start = 0
+    for *_, pooled in _pool_chunks(p, offsets, flat, np.arange(len(out))[:, None]):
+        out[start:start + len(pooled)] = pooled @ p.projection + p.projection_bias
+        start += len(pooled)
+    return out
+
+
+def _batch_loss_and_grads(
+    p: EncoderParams, offsets: np.ndarray, flat: np.ndarray, triples: np.ndarray,
+    slack: float, bias_only: bool = False,
+) -> tuple[float, list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
+    """Summed hinge loss of ``(query, positive, negative)`` CSR document rows
+    and its gradient ``(row_grads, d_projection, d_bias)``, one forward and
+    one backward per chunk. ``row_grads`` holds each chunk's distinct token
+    rows and their gradient; with ``bias_only`` it is empty and
+    ``d_projection`` zero. Subgradient 0 at the hinge boundary and at
+    zero-distance kinks."""
+    loss = 0.0
+    row_grads = []
     d_projection = np.zeros_like(p.projection)
     d_bias = np.zeros_like(p.projection_bias)
-    no_rows = np.zeros(0, dtype=np.intp), np.zeros((0, p.hidden_dim))
-    if loss <= 0.0:
-        return 0.0, *no_rows, d_projection, d_bias
-
-    u_qp = d_qp / norm_qp if norm_qp > 0.0 else np.zeros_like(d_qp)
-    u_qn = d_qn / norm_qn if norm_qn > 0.0 else np.zeros_like(d_qn)
-    d_encoded = [u_qp - u_qn, -u_qp, u_qn]
-    for d_out in d_encoded:
-        d_bias += d_out
-    if bias_only:
-        return float(loss), *no_rows, d_projection, d_bias
-
-    contributions = []
-    for (pool, _), ids, d_out in zip(forwards, triple_ids, d_encoded):
-        d_projection += np.outer(pool, d_out)
-        d_pool = p.projection @ d_out
-        contributions.append(np.tile(d_pool / len(ids), len(ids)))
-    rows, slots = np.unique(np.concatenate(triple_ids), return_inverse=True)
-    row_grads = np.zeros((len(rows), p.hidden_dim))
-    # flat cell indices take numpy's fast 1-D ufunc.at path; each cell still
-    # sums its tokens in query, positive, negative order
-    cells = slots[:, None] * p.hidden_dim + np.arange(p.hidden_dim)
-    np.add.at(row_grads.reshape(-1), cells.reshape(-1), np.concatenate(contributions))
-    return float(loss), rows, row_grads, d_projection, d_bias
+    for tokens, c, pooled in _pool_chunks(p, offsets, flat, triples):
+        eq, ep, en = np.split(pooled @ p.projection + p.projection_bias, 3)
+        diffs = np.stack([eq - ep, eq - en])
+        norms = np.linalg.norm(diffs, axis=2)
+        hinge = norms[0] - norms[1] + slack
+        active = hinge > 0.0
+        loss += float(hinge[active].sum())
+        u_qp, u_qn = np.divide(diffs, norms[..., None], out=np.zeros_like(diffs),
+                               where=(active & (norms > 0.0))[..., None])
+        d_out = np.concatenate([u_qp - u_qn, -u_qp, u_qn])
+        d_bias += d_out.sum(axis=0)
+        if not bias_only:
+            d_projection += pooled.T @ d_out
+            row_grads.append((tokens, c.T @ (d_out @ p.projection.T)))
+    return loss, row_grads, d_projection, d_bias
 
 
 def train(
@@ -249,47 +282,39 @@ def train(
     Each document is tokenized once. Triples are reshuffled each epoch
     with a seed derived from ``(cfg.seed, epoch)``; every ``effective_batch``
     triples, and the remainder at the end of the epoch, make one step that
-    applies their mean gradient. With ``bias_only`` the token table and
-    projection stay untouched.
+    applies their mean gradient to the rows they touch. With ``bias_only``
+    the token table and projection stay untouched.
     """
     cfg.validate()
-    ids: dict[str, list[int]] = {}
+    n_triples = len(ts.triples)
+    if n_triples == 0:
+        raise ValueError("cannot train on an empty triple set")
+    doc_row: dict[str, int] = {}
     for t in ts.triples:
         for pid in (t.query, t.positive, t.negative):
             if pid not in docs:
                 raise DataError(f"triple references missing document {pid!r}")
-            if pid not in ids:
-                ids[pid] = token_ids(tokenize(docs[pid]), p0.vocab)
+            doc_row.setdefault(pid, len(doc_row))
+    offsets, flat = _token_rows((tokenize(docs[pid]) for pid in doc_row), p0.vocab)
+    triples = np.array([[doc_row[t.query], doc_row[t.positive], doc_row[t.negative]]
+                        for t in ts.triples], dtype=np.intp)
 
     params = p0.copy()
     trace: list[float] = []
-    n_triples = len(ts.triples)
-    if n_triples == 0:
-        raise ValueError("cannot train on an empty triple set")
-
     for epoch in range(cfg.epochs):
-        rng = np.random.default_rng((cfg.seed, epoch))
-        order = rng.permutation(n_triples)
+        order = np.random.default_rng((cfg.seed, epoch)).permutation(n_triples)
         epoch_loss = 0.0
         for start in range(0, n_triples, cfg.effective_batch):
-            batch = order[start:start + cfg.effective_batch]
-            d_table = np.zeros_like(params.token_table)
-            d_projection = np.zeros_like(params.projection)
-            d_bias = np.zeros_like(params.projection_bias)
-            for idx in batch:
-                t = ts.triples[int(idx)]
-                triple_ids = (ids[t.query], ids[t.positive], ids[t.negative])
-                loss, rows, row_grads, g_projection, g_bias = _triple_loss_and_grads(
-                    params, triple_ids, cfg.slack, cfg.bias_only
-                )
-                epoch_loss += loss
-                d_table[rows] += row_grads
-                d_projection += g_projection
-                d_bias += g_bias
+            batch = triples[order[start:start + cfg.effective_batch]]
+            loss, row_grads, d_projection, d_bias = _batch_loss_and_grads(
+                params, offsets, flat, batch, cfg.slack, cfg.bias_only
+            )
+            epoch_loss += loss
             factor = cfg.learning_rate / len(batch)
             params.projection_bias -= d_bias * factor
             if not cfg.bias_only:
-                params.token_table -= d_table * factor
+                for rows, grads in row_grads:
+                    params.token_table[rows] -= grads * factor
                 params.projection -= d_projection * factor
         trace.append(epoch_loss / n_triples)
     return params, trace
@@ -304,49 +329,43 @@ def grad_check(
 ) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
+    The analytic gradient is the training batch gradient of one triple.
     The fixture must sit away from kinks: loss strictly positive and both
     pair distances nonzero, otherwise the fixture is rejected.
     """
-    triple_ids = tuple(token_ids(tokenize(d), p.vocab) for d in docs)
+    offsets, flat = _token_rows(map(tokenize, docs), p.vocab)
 
     def loss_at(params: EncoderParams) -> float:
-        vecs = [_forward(params, ids)[1] for ids in triple_ids]
-        return triplet_loss(vecs[0], vecs[1], vecs[2], slack)
+        return triplet_loss(*_encode_rows(params, offsets, flat), slack)
 
-    vecs = [_forward(p, ids)[1] for ids in triple_ids]
-    if triplet_loss(vecs[0], vecs[1], vecs[2], slack) <= 0.0:
+    q, pos, neg = _encode_rows(p, offsets, flat)
+    if triplet_loss(q, pos, neg, slack) <= 0.0:
         raise ValueError("rejected fixture: loss not strictly positive")
-    if (np.linalg.norm(vecs[0] - vecs[1]) == 0.0
-            or np.linalg.norm(vecs[0] - vecs[2]) == 0.0):
+    if np.linalg.norm(q - pos) == 0.0 or np.linalg.norm(q - neg) == 0.0:
         raise ValueError("rejected fixture: zero pair distance (norm kink)")
 
-    _, rows, row_grads, d_projection, d_bias = _triple_loss_and_grads(
-        p, triple_ids, slack, bias_only
+    _, row_grads, d_projection, d_bias = _batch_loss_and_grads(
+        p, offsets, flat, np.array([[0, 1, 2]]), slack, bias_only
     )
-    if bias_only:
-        arrays = [("projection_bias", d_bias)]
-    else:
-        d_table = np.zeros_like(p.token_table)
-        d_table[rows] = row_grads
-        arrays = [
-            ("token_table", d_table),
-            ("projection", d_projection),
-            ("projection_bias", d_bias),
-        ]
+    d_table = np.zeros_like(p.token_table)
+    for rows, grads in row_grads:
+        d_table[rows] += grads
+    analytic = {"projection_bias": d_bias}
+    if not bias_only:
+        analytic.update(token_table=d_table, projection=d_projection)
 
     work = p.copy()
     max_err = 0.0
-    for name, analytic in arrays:
-        target = getattr(work, name)
-        flat = target.reshape(-1)
-        analytic_flat = np.asarray(analytic).reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + eps
+    for name, grad in analytic.items():
+        values = getattr(work, name).reshape(-1)
+        analytic_flat = grad.reshape(-1)
+        for i in range(values.size):
+            original = values[i]
+            values[i] = original + eps
             up = loss_at(work)
-            flat[i] = original - eps
+            values[i] = original - eps
             down = loss_at(work)
-            flat[i] = original
+            values[i] = original
             fd = (up - down) / (2.0 * eps)
             denom = max(abs(analytic_flat[i]), abs(fd))
             # central differences carry ~|loss| * 1e-16 / eps of roundoff, so

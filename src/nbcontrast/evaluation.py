@@ -309,6 +309,8 @@ def load_ranking_task(path: str | Path) -> RankingTask:
                 raise DataError(f"{path}: line {lineno}: missing field {exc}") from None
     if not queries:
         raise DataError(f"{path}: empty ranking task")
+    if not any(q.relevant for q in queries):
+        raise DataError(f"{path}: no query has a relevant candidate")
     return RankingTask(queries=tuple(queries))
 
 
@@ -343,6 +345,8 @@ def load_labeled_set(path: str | Path) -> LabeledSet:
         raise DataError(f"{path}: empty labeled set")
     ls = LabeledSet(items=tuple(items))
     ls.validate()
+    if len({label for _, label in ls.split("train")}) < 2:
+        raise DataError(f"{path}: the train split needs at least 2 labels")
     return ls
 
 

@@ -398,6 +398,8 @@ def run_encode_train(cfg: PipelineConfig) -> Path:
     triples_path = _require(cfg.workdir / ARTIFACTS["mine"], "triple file")
     docs_path = _require(cfg.documents_path, "document file")
     triples = mining.load_triples(triples_path, cfg.sampling_cfg)
+    if not triples.triples:
+        raise DataError(f"{triples_path}: no triples to train on")
     docs = corpus.load_documents(docs_path)
 
     vocab = encoder.build_vocab(docs.values())
@@ -425,6 +427,18 @@ def run_eval(cfg: PipelineConfig) -> Path:
     """Encode documents and score every configured evaluation task."""
     ckpt_path = _require(cfg.workdir / ARTIFACTS["encode-train"], "encoder checkpoint")
     docs_path = _require(cfg.documents_path, "document file")
+    inputs = [ckpt_path, docs_path]
+    # task files are read before any vector is written, so a bad one
+    # leaves no artifact behind
+    if cfg.ranking_task_path:
+        task_path = _require(cfg.ranking_task_path, "ranking task file")
+        inputs.append(task_path)
+        task = evaluation.load_ranking_task(task_path)
+    if cfg.labels_path:
+        labels_path = _require(cfg.labels_path, "labeled set file")
+        inputs.append(labels_path)
+        labeled = evaluation.load_labeled_set(labels_path)
+
     params = encoder.load_encoder(ckpt_path)
     docs = corpus.load_documents(docs_path)
     doc_list = list(docs.values())
@@ -433,12 +447,7 @@ def run_eval(cfg: PipelineConfig) -> Path:
     snapshot.write_snapshot(vectors, vectors_path)
 
     metrics: dict[str, float] = {}
-    inputs = [ckpt_path, docs_path]
-
     if cfg.ranking_task_path:
-        task_path = _require(cfg.ranking_task_path, "ranking task file")
-        inputs.append(task_path)
-        task = evaluation.load_ranking_task(task_path)
         ranked = evaluation.rank_by_l2(vectors, task, id_to_row)
         relevant = [q.relevant for q in task.queries]
         name = task_path.stem
@@ -449,9 +458,6 @@ def run_eval(cfg: PipelineConfig) -> Path:
         metrics[f"ranking.{name}.p_at_1"] = evaluation.precision_at_1(ranked, relevant)
 
     if cfg.labels_path:
-        labels_path = _require(cfg.labels_path, "labeled set file")
-        inputs.append(labels_path)
-        labeled = evaluation.load_labeled_set(labels_path)
         name = labels_path.stem
         metrics[f"classification.{name}.f1"] = evaluation.linear_probe_f1(
             vectors, labeled, id_to_row, cfg.probe_cfg

@@ -98,6 +98,62 @@ class TestEncode:
             )
 
 
+def counting(pool_chunks, sizes):
+    """``pool_chunks`` that also appends each chunk's document count to ``sizes``."""
+    def wrapped(*args):
+        for tokens, c, pooled in pool_chunks(*args):
+            sizes.append(len(c))
+            yield tokens, c, pooled
+    return wrapped
+
+
+def mean_pool_reference(docs, p):
+    """Test-local encoder: one document at a time, mean of its rows."""
+    return np.stack([
+        p.token_table[token_ids(tokenize(d), p.vocab)].mean(axis=0) @ p.projection
+        + p.projection_bias
+        for d in docs
+    ])
+
+
+class TestEncodeCorpus:
+    def corpus(self):
+        """Documents of 2 to 24 tokens, ids out of sorted order, some OOV words."""
+        rng = np.random.default_rng(8)
+        words = [f"w{i}" for i in range(40)]
+        vocab = build_vocab([Document(id="v", title=" ".join(words[:30]), abstract="")])
+        docs = []
+        for i in rng.permutation(25):
+            picks = rng.choice(words, size=int(rng.integers(1, 24)))
+            docs.append(Document(id=f"d{i}", title=" ".join(picks[:2]),
+                                 abstract=" ".join(picks[2:])))
+        return docs, init_encoder(vocab, hidden_dim=5, out_dim=3, seed=1)
+
+    @pytest.mark.parametrize("cap, block", [
+        (None, 25),       # the default cap holds the corpus in one block
+        (32 * 7, 7),      # 7 docs by the vocab's 32 columns
+        (32, 1),          # a block holds one document
+        (1, 1),           # one document alone passes the cap
+    ])
+    def test_matches_per_document_reference(self, monkeypatch, cap, block):
+        docs, p = self.corpus()
+        if cap is not None:
+            monkeypatch.setattr(encoder, "CELL_CAP", cap)
+        sizes = []
+        monkeypatch.setattr(encoder, "_pool_chunks",
+                            counting(encoder._pool_chunks, sizes))
+        table, id_to_row = encode_corpus(docs, p)
+        assert sizes == [block] * (25 // block) + [25 % block] * (25 % block > 0)
+        # rows follow the input order, not the ids' sorted order
+        assert id_to_row == {d.id: i for i, d in enumerate(docs)}
+        np.testing.assert_allclose(
+            table.values, mean_pool_reference(docs, p), rtol=0, atol=1e-12
+        )
+        for i in (0, 13, 24):
+            np.testing.assert_allclose(encode(docs[i], p), table.values[i],
+                                       rtol=0, atol=1e-12)
+
+
 class TestTripletLoss:
     def test_satisfied_margin_is_zero(self):
         q = np.array([0.0, 0.0])
@@ -288,6 +344,29 @@ class TestTrain:
         assert out.projection_bias.size == out.out_dim
         assert len(set(trace)) == 1
 
+    def test_hinge_boundary_takes_no_step(self):
+        # q pools to (0, 0), p to (1, 0) and n to (0, 1), all exactly: with
+        # no slack the hinge sits at 0, where the subgradient is 0, although
+        # the gradient on either side of it is not
+        params = EncoderParams(
+            vocab={UNK: 0, SEP: 1, "a": 2, "b": 3, "c": 4},
+            token_table=np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 0.0],
+                                  [0.0, 2.0], [0.0, 0.0]]),
+            projection=np.eye(2),
+            projection_bias=np.zeros(2),
+        )
+        docs = {pid: Document(id=pid, title=word, abstract="")
+                for pid, word in (("q", "c"), ("p", "a"), ("n", "b"))}
+        ts = TripleSet(triples=(Triple("q", "p", "n", "easy", "random"),),
+                       config_snapshot=SamplingConfig())
+        cfg = EncoderTrainConfig(epochs=1, learning_rate=0.5, effective_batch=1,
+                                 slack=0.0, seed=0)
+        out, trace = train(ts, docs, params, cfg)
+        assert trace == [0.0]
+        np.testing.assert_array_equal(out.token_table, params.token_table)
+        np.testing.assert_array_equal(out.projection, params.projection)
+        np.testing.assert_array_equal(out.projection_bias, params.projection_bias)
+
     def test_missing_document_names_id(self):
         params, docs, ts = self.fixture()
         del docs["n"]
@@ -336,10 +415,11 @@ class TestTrain:
         table, projection, bias, expect_trace = dense_reference_train(
             ts, docs, p0, cfg
         )
-        assert trace == expect_trace
-        np.testing.assert_array_equal(out.token_table, table)
-        np.testing.assert_array_equal(out.projection, projection)
-        np.testing.assert_array_equal(out.projection_bias, bias)
+        # batched GEMMs sum in another order than the per-triple reference
+        np.testing.assert_allclose(trace, expect_trace, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(out.token_table, table, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.projection, projection, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.projection_bias, bias, rtol=0, atol=1e-12)
         if not (cfg.bias_only or cfg.learning_rate == 0.0):
             assert not np.array_equal(out.token_table, p0.token_table)
 
@@ -367,18 +447,62 @@ class TestTrain:
         with pytest.raises(ValidationError, match=field):
             EncoderTrainConfig(**{field: value}).validate()
 
-    def test_bias_only_gradient_touches_no_rows(self):
+    def batch_inputs(self):
+        """CSR token rows of the reference fixture and its triples as rows."""
         ts, docs, p0 = self.reference_fixture()
-        t = ts.triples[0]
-        triple_ids = tuple(token_ids(tokenize(docs[d]), p0.vocab)
-                           for d in (t.query, t.positive, t.negative))
-        full = encoder._triple_loss_and_grads(p0, triple_ids, 1.0)
-        bias = encoder._triple_loss_and_grads(p0, triple_ids, 1.0, bias_only=True)
-        assert full[0] > 0.0 and full[1].size > 0 and full[3].any()
+        ids = sorted(docs)
+        offsets, flat = encoder._token_rows([tokenize(docs[d]) for d in ids], p0.vocab)
+        triples = np.array([[ids.index(d) for d in (t.query, t.positive, t.negative)]
+                            for t in ts.triples])
+        return p0, offsets, flat, triples
+
+    def test_bias_only_gradient_touches_no_rows(self):
+        p0, offsets, flat, triples = self.batch_inputs()
+        full = encoder._batch_loss_and_grads(p0, offsets, flat, triples, 1.0)
+        bias = encoder._batch_loss_and_grads(p0, offsets, flat, triples, 1.0,
+                                             bias_only=True)
+        assert full[0] > 0.0 and full[1] and full[2].any()
         assert bias[0] == full[0]
-        assert bias[1].size == 0 and bias[2].size == 0
-        assert not bias[3].any()
-        np.testing.assert_array_equal(bias[4], full[4])
+        assert bias[1] == [] and not bias[2].any()
+        np.testing.assert_array_equal(bias[3], full[3])
+
+    def test_batch_over_the_cap_is_chunked_into_one_step(self, monkeypatch):
+        p0, offsets, flat, triples = self.batch_inputs()
+        whole = encoder._batch_loss_and_grads(p0, offsets, flat, triples, 1.0)
+        pools = []
+        monkeypatch.setattr(encoder, "_pool_chunks",
+                            counting(encoder._pool_chunks, pools))
+        # 2 triples per chunk: 6 rows by at most the vocab's 8 columns
+        monkeypatch.setattr(encoder, "CELL_CAP", 6 * 8)
+        chunked = encoder._batch_loss_and_grads(p0, offsets, flat, triples, 1.0)
+        assert pools == [6] * 5 + [3]
+        assert len(whole[1]) == 1 and len(chunked[1]) == 6
+        assert chunked[0] == pytest.approx(whole[0], rel=1e-12, abs=0)
+
+        def summed(row_grads):
+            d_table = np.zeros_like(p0.token_table)
+            for rows, grads in row_grads:
+                d_table[rows] += grads
+            return d_table
+
+        np.testing.assert_allclose(summed(chunked[1]), summed(whole[1]),
+                                   rtol=0, atol=1e-12)
+        for got, expect in zip(chunked[2:], whole[2:]):
+            np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+
+        ts, docs, _ = self.reference_fixture()
+        cfg = EncoderTrainConfig(epochs=1, learning_rate=0.3,
+                                 effective_batch=len(ts.triples), seed=2)
+        pools.clear()
+        out, trace = train(ts, docs, p0, cfg)
+        assert pools == [6] * 5 + [3]
+        table, projection, bias, expect_trace = dense_reference_train(
+            ts, docs, p0, cfg
+        )
+        np.testing.assert_allclose(trace, expect_trace, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(out.token_table, table, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.projection, projection, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.projection_bias, bias, rtol=0, atol=1e-12)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)

@@ -208,6 +208,45 @@ class TestExitCodes:
         triples.write_text(f"{header}\n{repeated}\n", encoding="utf-8")
         assert main(["encode-train", "--config", config]) == 3
 
+    def test_zero_triples_exit_3_and_write_no_checkpoint(self, workdir, capsys):
+        # a positive threshold above every score mines no triple at all
+        empty = MINIMAL_CONFIG.replace(
+            "[sampling]", "[sampling]\npos_strategy = sim\nt_pos = 2.0"
+        )
+        config = workdir / "empty.ini"
+        config.write_text(empty, encoding="utf-8")
+        for stage in ("fixture", "ingest", "graph-train", "mine"):
+            assert main([stage, "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert main(["encode-train", "--config", str(config)]) == 3
+        assert ARTIFACTS["mine"] in capsys.readouterr().err
+        assert not (workdir / ARTIFACTS["encode-train"]).exists()
+
+    @pytest.mark.parametrize("name, lines", [
+        ("labels.jsonl", [
+            {"id": "n00000", "label": "x", "split": "train"},
+            {"id": "n00001", "label": "x", "split": "train"},
+            {"id": "n00002", "label": "x", "split": "test"},
+        ]),
+        ("ranking.jsonl", [
+            {"query": "n00000", "candidates": ["n00001", "n00002"], "relevant": []},
+            {"query": "n00003", "candidates": ["n00004"], "relevant": []},
+        ]),
+    ])
+    def test_unusable_eval_input_exits_3(self, workdir, capsys, name, lines):
+        config = str(workdir / "config.ini")
+        for stage in ("fixture", "ingest", "graph-train", "mine", "encode-train"):
+            assert main([stage, "--config", config]) == 0
+        (workdir / name).write_text(
+            "".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8"
+        )
+        capsys.readouterr()
+        assert main(["eval", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and name in err
+        assert not (workdir / ARTIFACTS["eval"]).exists()
+        assert not (workdir / "doc_vectors.nbe").exists()
+
     def test_unknown_stage_rejected_by_parser(self, workdir):
         with pytest.raises(SystemExit):
             main(["frobnicate", "--config", str(workdir / "config.ini")])
