@@ -11,7 +11,7 @@ import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -83,23 +83,17 @@ class CitationGraph:
         return [PaperId(ext, i) for i, ext in enumerate(self.ids)]
 
 
-def _dedup_edges(edges: Iterable[tuple[int, int]]) -> tuple[np.ndarray, int, int]:
-    """Drop self-loops and exact duplicates, preserving first-seen order."""
-    seen: set[tuple[int, int]] = set()
-    kept: list[tuple[int, int]] = []
-    self_loops = 0
-    duplicates = 0
-    for src, dst in edges:
-        if src == dst:
-            self_loops += 1
-            continue
-        if (src, dst) in seen:
-            duplicates += 1
-            continue
-        seen.add((src, dst))
-        kept.append((src, dst))
-    arr = np.asarray(kept, dtype=np.int64).reshape(-1, 2)
-    return arr, duplicates, self_loops
+def _dedup_edges(edges: np.ndarray, n: int) -> tuple[np.ndarray, int, int]:
+    """Drop self-loops and exact duplicates, preserving first-seen order.
+
+    Rows index ``n`` nodes, so ``src * n + dst`` keys each edge uniquely.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    loops = edges[:, 0] == edges[:, 1]
+    edges = edges[~loops]
+    _, first = np.unique(edges[:, 0] * n + edges[:, 1], return_index=True)
+    kept = edges[np.sort(first)]
+    return kept, len(edges) - len(kept), int(loops.sum())
 
 
 def ingest_edges(path: str | Path) -> CitationGraph:
@@ -109,16 +103,8 @@ def ingest_edges(path: str | Path) -> CitationGraph:
     self-loops are dropped and counted; counts land in ``graph.stats``.
     """
     path = Path(path)
-    ids: list[str] = []
     index: dict[str, int] = {}
-    raw_edges: list[tuple[int, int]] = []
-
-    def intern(ext: str) -> int:
-        if ext not in index:
-            index[ext] = len(ids)
-            ids.append(ext)
-        return index[ext]
-
+    flat: list[int] = []
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -129,19 +115,20 @@ def ingest_edges(path: str | Path) -> CitationGraph:
                 raise DataError(
                     f"{path}: line {lineno}: expected 'src<TAB>dst', got {line!r}"
                 )
-            raw_edges.append((intern(parts[0]), intern(parts[1])))
+            flat.append(index.setdefault(parts[0], len(index)))
+            flat.append(index.setdefault(parts[1], len(index)))
 
-    if not ids:
+    if not index:
         raise DataError(f"{path}: empty edge file")
 
-    edges, duplicates, self_loops = _dedup_edges(raw_edges)
+    edges, duplicates, self_loops = _dedup_edges(np.array(flat), len(index))
     if duplicates or self_loops:
         logger.warning(
             "%s: dropped %d duplicate edges and %d self-loops",
             path, duplicates, self_loops,
         )
     stats = {"duplicate_edges_dropped": duplicates, "self_loops_dropped": self_loops}
-    return CitationGraph(ids=tuple(ids), edges=edges, directed=True, stats=stats)
+    return CitationGraph(ids=tuple(index), edges=edges, directed=True, stats=stats)
 
 
 def filter_nodes(g: CitationGraph, exclude: set[str]) -> CitationGraph:
@@ -150,22 +137,14 @@ def filter_nodes(g: CitationGraph, exclude: set[str]) -> CitationGraph:
     Surviving nodes keep their external IDs and their relative order.
     Unknown excluded IDs are ignored and counted.
     """
-    known = set(g.ids)
-    unknown = len(exclude - known)
+    unknown = len(exclude - set(g.ids))
     if unknown:
         logger.warning("filter_nodes: %d excluded ids not in graph", unknown)
 
-    drop = {g.id_to_index[e] for e in exclude if e in known}
-    keep_ids = tuple(ext for i, ext in enumerate(g.ids) if i not in drop)
-    remap = {old: new for new, old in
-             enumerate(i for i in range(g.node_count) if i not in drop)}
-
-    kept_edges = [
-        (remap[s], remap[d])
-        for s, d in g.edges
-        if s not in drop and d not in drop
-    ]
-    edges = np.asarray(kept_edges, dtype=np.int64).reshape(-1, 2)
+    keep = np.array([ext not in exclude for ext in g.ids], dtype=bool)
+    remap = np.cumsum(keep, dtype=np.int64) - 1
+    edges = remap[g.edges[keep[g.edges].all(axis=1)]]
+    keep_ids = tuple(ext for ext, kept in zip(g.ids, keep) if kept)
     stats = {
         "nodes_removed": g.node_count - len(keep_ids),
         "edges_removed": g.edge_count - edges.shape[0],
@@ -179,8 +158,8 @@ def to_undirected(g: CitationGraph) -> CitationGraph:
 
     Idempotent; the reversed copies are deduplicated against existing edges.
     """
-    augmented = list(map(tuple, g.edges)) + [(int(d), int(s)) for s, d in g.edges]
-    edges, _, _ = _dedup_edges(augmented)
+    both = np.concatenate([g.edges, g.edges[:, ::-1]])
+    edges, _, _ = _dedup_edges(both, g.node_count)
     return CitationGraph(ids=g.ids, edges=edges, directed=False)
 
 
@@ -214,11 +193,12 @@ def split_edges(
     return train, holdout
 
 
-def load_documents(path: str | Path) -> dict[str, Document]:
-    """Read a JSON-lines document file with ``id``, ``title``, ``abstract``."""
-    path = Path(path)
-    docs: dict[str, Document] = {}
-    with path.open("r", encoding="utf-8") as fh:
+def read_jsonl(path: str | Path, fields: Sequence[str]) -> Iterator[tuple[int, dict]]:
+    """Yield ``(lineno, record)`` for each non-blank line of a JSON-lines file.
+
+    Every record must be a JSON object holding every key in ``fields``.
+    """
+    with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -227,15 +207,35 @@ def load_documents(path: str | Path) -> dict[str, Document]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
-            for key in ("id", "title"):
+            if not isinstance(record, dict):
+                raise DataError(
+                    f"{path}: line {lineno}: expected a JSON object, "
+                    f"got {type(record).__name__}"
+                )
+            for key in fields:
                 if key not in record:
                     raise DataError(f"{path}: line {lineno}: missing field {key!r}")
-            doc = Document(
-                id=str(record["id"]),
-                title=str(record["title"]),
-                abstract=str(record.get("abstract", "")),
-            )
-            docs[doc.id] = doc
+            yield lineno, record
+
+
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """Write one key-sorted JSON object per line."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def load_documents(path: str | Path) -> dict[str, Document]:
+    """Read a JSON-lines document file with ``id``, ``title``, ``abstract``."""
+    path = Path(path)
+    docs: dict[str, Document] = {}
+    for _, record in read_jsonl(path, ("id", "title")):
+        doc = Document(
+            id=str(record["id"]),
+            title=str(record["title"]),
+            abstract=str(record.get("abstract", "")),
+        )
+        docs[doc.id] = doc
     if not docs:
         raise DataError(f"{path}: empty document file")
     return docs
@@ -243,25 +243,22 @@ def load_documents(path: str | Path) -> dict[str, Document]:
 
 def save_documents(docs: Sequence[Document], path: str | Path) -> None:
     """Write documents as JSON-lines, one object per line."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(json.dumps(
-                {"id": doc.id, "title": doc.title, "abstract": doc.abstract},
-                sort_keys=True,
-            ))
-            fh.write("\n")
+    write_jsonl(path, (
+        {"id": doc.id, "title": doc.title, "abstract": doc.abstract} for doc in docs
+    ))
 
 
 def save_graph(g: CitationGraph, path: str | Path) -> None:
     """Serialize a graph (ids, edges, direction flag, counters) as JSON."""
     payload = {
         "ids": list(g.ids),
-        "edges": [[int(s), int(d)] for s, d in g.edges],
+        "edges": g.edges.tolist(),
         "directed": g.directed,
         "stats": dict(g.stats) if g.stats else {},
     }
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+    Path(path).write_text(
+        json.dumps(payload, sort_keys=True, separators=(",", ":")), encoding="utf-8"
+    )
 
 
 def load_graph(path: str | Path) -> CitationGraph:
@@ -271,7 +268,18 @@ def load_graph(path: str | Path) -> CitationGraph:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not a graph snapshot: {exc}") from None
-    edges = np.asarray(payload["edges"], dtype=np.int64).reshape(-1, 2)
+    keys = {"ids", "edges", "directed"}
+    if not isinstance(payload, dict) or not keys <= payload.keys():
+        raise DataError(f"{path}: not a graph snapshot: needs keys {sorted(keys)}")
+    try:
+        edges = np.array(payload["edges"], dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        edges = None
+    if edges is None or (edges.size and edges.shape[1:] != (2,)):
+        raise DataError(f"{path}: edges must be a list of [src, dst] pairs")
+    n = len(payload["ids"])
+    if edges.size and (edges.min() < 0 or edges.max() >= n):
+        raise DataError(f"{path}: edge ids must lie in [0, {n})")
     return CitationGraph(
         ids=tuple(payload["ids"]),
         edges=edges,

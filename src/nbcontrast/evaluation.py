@@ -8,7 +8,6 @@ regression trained by plain gradient descent on frozen vectors.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -17,6 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .corpus import read_jsonl, write_jsonl
 from .errors import DataError, ValidationError
 from .graph_embed import EmbeddingTable
 
@@ -290,23 +290,15 @@ def load_ranking_task(path: str | Path) -> RankingTask:
     """Read a JSON-lines ranking task (query, candidates, relevant)."""
     path = Path(path)
     queries: list[RankingQuery] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
-            try:
-                queries.append(RankingQuery(
-                    query=str(record["query"]),
-                    candidates=tuple(str(c) for c in record["candidates"]),
-                    relevant=frozenset(str(r) for r in record["relevant"]),
-                ))
-            except KeyError as exc:
-                raise DataError(f"{path}: line {lineno}: missing field {exc}") from None
+    for lineno, record in read_jsonl(path, ("query", "candidates", "relevant")):
+        for key in ("candidates", "relevant"):
+            if not isinstance(record[key], list):
+                raise DataError(f"{path}: line {lineno}: {key!r} must be a list")
+        queries.append(RankingQuery(
+            query=str(record["query"]),
+            candidates=tuple(str(c) for c in record["candidates"]),
+            relevant=frozenset(str(r) for r in record["relevant"]),
+        ))
     if not queries:
         raise DataError(f"{path}: empty ranking task")
     if not any(q.relevant for q in queries):
@@ -315,45 +307,33 @@ def load_ranking_task(path: str | Path) -> RankingTask:
 
 
 def save_ranking_task(task: RankingTask, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for q in task.queries:
-            fh.write(json.dumps({
-                "query": q.query,
-                "candidates": list(q.candidates),
-                "relevant": sorted(q.relevant),
-            }, sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path, (
+        {"query": q.query, "candidates": list(q.candidates),
+         "relevant": sorted(q.relevant)}
+        for q in task.queries
+    ))
 
 
 def load_labeled_set(path: str | Path) -> LabeledSet:
     """Read a JSON-lines labeled set (id, label, split)."""
     path = Path(path)
-    items: list[tuple[str, str, str]] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                items.append(
-                    (str(record["id"]), str(record["label"]), str(record["split"]))
-                )
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from None
+    items = tuple(
+        (str(record["id"]), str(record["label"]), str(record["split"]))
+        for _, record in read_jsonl(path, ("id", "label", "split"))
+    )
     if not items:
         raise DataError(f"{path}: empty labeled set")
-    ls = LabeledSet(items=tuple(items))
-    ls.validate()
+    ls = LabeledSet(items=items)
+    try:
+        ls.validate()
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     if len({label for _, label in ls.split("train")}) < 2:
         raise DataError(f"{path}: the train split needs at least 2 labels")
     return ls
 
 
 def save_labeled_set(ls: LabeledSet, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for pid, label, split in ls.items:
-            fh.write(json.dumps(
-                {"id": pid, "label": label, "split": split}, sort_keys=True
-            ))
-            fh.write("\n")
+    write_jsonl(path, (
+        {"id": pid, "label": label, "split": split} for pid, label, split in ls.items
+    ))

@@ -48,16 +48,18 @@ def planted_partition_graph(
         raise ValueError(f"need nodes >= blocks >= 1: nodes={nodes}, blocks={blocks}")
     rng = np.random.default_rng(seed)
     block_of = [i * blocks // nodes for i in range(nodes)]
-    edges = []
+    block = np.asarray(block_of)
+    # one draw per pair (i, j > i) in row order, the stream of a per-pair loop
+    pairs = []
     for i in range(nodes):
-        for j in range(i + 1, nodes):
-            p = p_in if block_of[i] == block_of[j] else p_out
-            if rng.random() < p:
-                edges.append((i, j))
-                edges.append((j, i))
+        j = np.arange(i + 1, nodes)
+        p = np.where(block[j] == block[i], p_in, p_out)
+        hit = j[rng.random(nodes - i - 1) < p]
+        pairs.append(np.stack([np.full_like(hit, i), hit], axis=1))
+    forward = np.concatenate(pairs)
     graph = CitationGraph(
         ids=tuple(_node_id(i) for i in range(nodes)),
-        edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+        edges=np.stack([forward, forward[:, ::-1]], axis=1).reshape(-1, 2),
         directed=False,
     )
     return graph, block_of

@@ -250,16 +250,19 @@ def _write_provenance(
         "inputs": {p.name: _sha256_file(p) for p in inputs},
         "outputs": {p.name: _sha256_file(p) for p in outputs},
     }
-    sidecar = cfg.workdir / f"{stage}.prov.json"
-    sidecar.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(cfg.workdir / f"{stage}.prov.json", payload)
 
 
 def _require(path: Path | None, what: str) -> Path:
     if path is None or not path.is_file():
         raise DependencyError(f"missing {what}: {path}")
     return path
+
+
+def _read_ids(path: Path) -> set[str]:
+    """The stripped non-blank lines of a one-id-per-line file."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return {line.strip() for line in lines if line.strip()}
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -303,16 +306,14 @@ def run_ingest(cfg: PipelineConfig) -> Path:
             print(f"ingest: {key} = {value}")
     if cfg.exclude_ids_path:
         exclude_file = _require(cfg.exclude_ids_path, "exclusion id file")
-        exclude = {
-            line.strip()
-            for line in exclude_file.read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        }
-        graph = corpus.filter_nodes(graph, exclude)
+        graph = corpus.filter_nodes(graph, _read_ids(exclude_file))
         for key, value in sorted((graph.stats or {}).items()):
             print(f"ingest: {key} = {value}")
     if cfg.undirected:
         graph = corpus.to_undirected(graph)
+    if not graph.edge_count:
+        raise DataError(f"{edges}: no edge left after dropping self-loops, "
+                        "duplicates and excluded ids")
     out = cfg.workdir / ARTIFACTS["ingest"]
     cfg.workdir.mkdir(parents=True, exist_ok=True)
     corpus.save_graph(graph, out)
@@ -325,9 +326,14 @@ def run_graph_train(cfg: PipelineConfig) -> Path:
     """Train node embeddings and report link prediction on held-out edges."""
     graph_path = _require(cfg.workdir / ARTIFACTS["ingest"], "graph snapshot")
     graph = corpus.load_graph(graph_path)
-    train_graph, holdout = corpus.split_edges(
-        graph, cfg.holdout_fraction, cfg.graph_cfg.seed
-    )
+    if not graph.edge_count:
+        raise DataError(f"{graph_path}: graph has no edges to train on")
+    try:
+        train_graph, holdout = corpus.split_edges(
+            graph, cfg.holdout_fraction, cfg.graph_cfg.seed
+        )
+    except ValueError as exc:
+        raise DataError(f"{graph_path}: {exc}") from None
     table, losses = graph_embed.train_graph_embeddings(train_graph, cfg.graph_cfg)
 
     metrics = {}
@@ -474,11 +480,7 @@ def run_eval(cfg: PipelineConfig) -> Path:
         for split, p in sorted(cfg.overlap_paths.items()):
             id_file = _require(p, f"overlap id file for split {split!r}")
             inputs.append(id_file)
-            eval_ids[split] = {
-                line.strip()
-                for line in id_file.read_text(encoding="utf-8").splitlines()
-                if line.strip()
-            }
+            eval_ids[split] = _read_ids(id_file)
         report = evaluation.overlap_report(train_ids, eval_ids)
         for key, value in report.as_dict().items():
             metrics[f"leakage.{key}"] = value

@@ -1,5 +1,6 @@
 """Ranking metrics vs definitional oracles, probe, leakage report."""
 
+import json
 import math
 
 import numpy as np
@@ -332,3 +333,42 @@ class TestTaskFiles:
         path = tmp_path / "labels.jsonl"
         save_labeled_set(data, path)
         assert load_labeled_set(path) == data
+
+    @pytest.mark.parametrize("items, message", [
+        ((("d0", "x", "train"), ("d1", "y", "train")), "no test items"),
+        ((("d0", "x", "train"), ("d1", "y", "train"), ("d2", "z", "test")),
+         "only in the test split"),
+    ])
+    def test_labeled_set_errors_name_file(self, tmp_path, items, message):
+        path = tmp_path / "labels.jsonl"
+        save_labeled_set(LabeledSet(items=items), path)
+        with pytest.raises(DataError, match=f"labels.jsonl: .*{message}"):
+            load_labeled_set(path)
+
+    def test_writer_bytes_match_reference_writers(self, tmp_path):
+        task = RankingTask(queries=(
+            RankingQuery(query="q\u00e9", candidates=("b", "a", "c"),
+                         relevant=frozenset({"c", "a"})),
+            RankingQuery(query="q2", candidates=("z",), relevant=frozenset()),
+        ))
+        data = LabeledSet(items=(("d0", "x", "train"), ("d1", "y\u00e9", "test")))
+        save_ranking_task(task, tmp_path / "task.jsonl")
+        save_labeled_set(data, tmp_path / "labels.jsonl")
+        with (tmp_path / "task.ref").open("w", encoding="utf-8") as fh:
+            for q in task.queries:
+                fh.write(json.dumps({
+                    "query": q.query,
+                    "candidates": list(q.candidates),
+                    "relevant": sorted(q.relevant),
+                }, sort_keys=True))
+                fh.write("\n")
+        with (tmp_path / "labels.ref").open("w", encoding="utf-8") as fh:
+            for pid, label, split in data.items:
+                fh.write(json.dumps(
+                    {"id": pid, "label": label, "split": split}, sort_keys=True
+                ))
+                fh.write("\n")
+        assert (tmp_path / "task.jsonl").read_bytes() == \
+            (tmp_path / "task.ref").read_bytes()
+        assert (tmp_path / "labels.jsonl").read_bytes() == \
+            (tmp_path / "labels.ref").read_bytes()

@@ -247,6 +247,116 @@ class TestExitCodes:
         assert not (workdir / ARTIFACTS["eval"]).exists()
         assert not (workdir / "doc_vectors.nbe").exists()
 
+    @pytest.mark.parametrize("name, stage", [
+        ("documents.jsonl", "encode-train"),
+        ("ranking.jsonl", "eval"),
+        ("labels.jsonl", "eval"),
+    ])
+    def test_non_object_record_exits_3(self, workdir, capsys, name, stage):
+        config = str(workdir / "config.ini")
+        for upstream in ("fixture", "ingest", "graph-train", "mine", "encode-train"):
+            assert main([upstream, "--config", config]) == 0
+        good = (workdir / name).read_text(encoding="utf-8")
+        for bad in ("5", "[1, 2]", '"x"'):
+            (workdir / name).write_text(f"{bad}\n{good}", encoding="utf-8")
+            (workdir / ARTIFACTS[stage]).unlink(missing_ok=True)
+            capsys.readouterr()
+            assert main([stage, "--config", config]) == 3, bad
+            err = capsys.readouterr().err
+            assert err.startswith("data error: ") and err.count("\n") == 1
+            assert name in err and "line 1" in err and "object" in err
+            assert not (workdir / ARTIFACTS[stage]).exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("candidates", "n00001"),
+        ("candidates", 5),
+        ("relevant", "n00001"),
+        ("relevant", None),
+    ])
+    def test_non_list_ranking_field_exits_3(self, workdir, capsys, field, value):
+        config = str(workdir / "config.ini")
+        for stage in ("fixture", "ingest", "graph-train", "mine", "encode-train"):
+            assert main([stage, "--config", config]) == 0
+        record = {"query": "n00000", "candidates": ["n00001"], "relevant": ["n00001"]}
+        record[field] = value
+        (workdir / "ranking.jsonl").write_text(
+            json.dumps(record) + "\n", encoding="utf-8"
+        )
+        capsys.readouterr()
+        assert main(["eval", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert "ranking.jsonl" in err and "line 1" in err and field in err
+        assert not (workdir / ARTIFACTS["eval"]).exists()
+
+    def test_train_only_labels_error_names_file(self, workdir, capsys):
+        config = str(workdir / "config.ini")
+        for stage in ("fixture", "ingest", "graph-train", "mine", "encode-train"):
+            assert main([stage, "--config", config]) == 0
+        (workdir / "labels.jsonl").write_text(
+            '{"id": "n00000", "label": "x", "split": "train"}\n'
+            '{"id": "n00001", "label": "y", "split": "train"}\n',
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        assert main(["eval", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert "labels.jsonl" in err and "no test items" in err
+
+    @pytest.mark.parametrize("edges", [
+        [("a", "a"), ("b", "b")],
+        [("a", "a")] * 3,
+    ])
+    def test_no_surviving_edge_exits_3_at_ingest(self, workdir, capsys, edges):
+        (workdir / "edges.tsv").write_text(
+            "".join(f"{s}\t{d}\n" for s, d in edges), encoding="utf-8"
+        )
+        assert main(["ingest", "--config", str(workdir / "config.ini")]) == 3
+        assert "edges.tsv" in capsys.readouterr().err
+        assert not (workdir / ARTIFACTS["ingest"]).exists()
+
+    def test_excluding_every_node_exits_3_at_ingest(self, workdir, capsys):
+        config = str(workdir / "config.ini")
+        assert main(["fixture", "--config", config]) == 0
+        ids = {
+            part
+            for line in (workdir / "edges.tsv").read_text().splitlines()
+            for part in line.split("\t")
+        }
+        (workdir / "exclude.txt").write_text("\n".join(sorted(ids)) + "\n")
+        excluding = workdir / "excluding.ini"
+        excluding.write_text(
+            MINIMAL_CONFIG + "\n[ingest]\nexclude_ids = exclude.txt\n",
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        assert main(["ingest", "--config", str(excluding)]) == 3
+        assert "edges.tsv" in capsys.readouterr().err
+        assert not (workdir / ARTIFACTS["ingest"]).exists()
+
+    def test_too_few_edges_for_holdout_exits_3(self, workdir, capsys):
+        # 5% of 3 edges floors to zero held-out edges
+        (workdir / "edges.tsv").write_text("a\tb\nb\tc\nc\ta\n", encoding="utf-8")
+        config = str(workdir / "config.ini")
+        assert main(["ingest", "--config", config]) == 0
+        capsys.readouterr()
+        assert main(["graph-train", "--config", config]) == 3
+        assert ARTIFACTS["ingest"] in capsys.readouterr().err
+        assert not (workdir / ARTIFACTS["graph-train"]).exists()
+
+    @pytest.mark.parametrize("payload", [
+        {"ids": ["a", "b"], "edges": [], "directed": True},
+        {"ids": ["a", "b"], "edges": [[0, 1]]},
+        {"ids": ["a", "b"], "edges": [0, 1], "directed": True},
+        {"ids": ["a", "b"], "edges": [[0, 2]], "directed": True},
+        [["a", "b"]],
+    ])
+    def test_malformed_graph_snapshot_exits_3(self, workdir, capsys, payload):
+        (workdir / ARTIFACTS["ingest"]).write_text(json.dumps(payload))
+        assert main(["graph-train", "--config", str(workdir / "config.ini")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and ARTIFACTS["ingest"] in err
+        assert not (workdir / ARTIFACTS["graph-train"]).exists()
+
     def test_unknown_stage_rejected_by_parser(self, workdir):
         with pytest.raises(SystemExit):
             main(["frobnicate", "--config", str(workdir / "config.ini")])
