@@ -277,11 +277,16 @@ def load_graph(path: str | Path) -> CitationGraph:
         edges = None
     if edges is None or (edges.size and edges.shape[1:] != (2,)):
         raise DataError(f"{path}: edges must be a list of [src, dst] pairs")
-    n = len(payload["ids"])
+    ids = payload["ids"]
+    if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
+        raise DataError(f"{path}: ids must be a list of strings")
+    if len(set(ids)) != len(ids):
+        raise DataError(f"{path}: ids must be distinct")
+    n = len(ids)
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         raise DataError(f"{path}: edge ids must lie in [0, {n})")
     return CitationGraph(
-        ids=tuple(payload["ids"]),
+        ids=tuple(ids),
         edges=edges,
         directed=bool(payload["directed"]),
         stats=payload.get("stats") or None,

@@ -294,11 +294,14 @@ def load_ranking_task(path: str | Path) -> RankingTask:
         for key in ("candidates", "relevant"):
             if not isinstance(record[key], list):
                 raise DataError(f"{path}: line {lineno}: {key!r} must be a list")
-        queries.append(RankingQuery(
-            query=str(record["query"]),
-            candidates=tuple(str(c) for c in record["candidates"]),
-            relevant=frozenset(str(r) for r in record["relevant"]),
-        ))
+        try:
+            queries.append(RankingQuery(
+                query=str(record["query"]),
+                candidates=tuple(str(c) for c in record["candidates"]),
+                relevant=frozenset(str(r) for r in record["relevant"]),
+            ))
+        except DataError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from None
     if not queries:
         raise DataError(f"{path}: empty ranking task")
     if not any(q.relevant for q in queries):

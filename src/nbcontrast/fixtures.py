@@ -16,15 +16,18 @@ from .corpus import CitationGraph, Document
 from .evaluation import LabeledSet, RankingQuery, RankingTask
 
 
+# words per title and per abstract, and the size of each topic's vocabulary
+TITLE_TOKENS = 6
+ABSTRACT_TOKENS = 30
+TOPIC_VOCAB_SIZE = 40
+
+
 @dataclass
 class FixtureConfig:
     nodes: int = 200
     blocks: int = 2
     p_in: float = 0.10
     p_out: float = 0.01
-    title_tokens: int = 6
-    abstract_tokens: int = 30
-    topic_vocab_size: int = 40
     ranking_queries: int = 20
     ranking_candidates: int = 30
     test_fraction: float = 0.2
@@ -65,25 +68,21 @@ def planted_partition_graph(
     return graph, block_of
 
 
-def _topic_vocab(topic: int, size: int) -> list[str]:
-    return [f"t{topic}w{i}" for i in range(size)]
-
-
 def two_topic_documents(
     block_of: list[int], cfg: FixtureConfig
 ) -> tuple[list[Document], dict[str, str]]:
     """One document per node, worded entirely from its block's vocabulary."""
     rng = np.random.default_rng((cfg.seed, 1))
-    vocabs = {b: _topic_vocab(b, cfg.topic_vocab_size) for b in set(block_of)}
+    vocabs = {b: [f"t{b}w{i}" for i in range(TOPIC_VOCAB_SIZE)] for b in set(block_of)}
     docs: list[Document] = []
     labels: dict[str, str] = {}
     for i, block in enumerate(block_of):
         words = vocabs[block]
         title = " ".join(
-            words[int(w)] for w in rng.integers(0, len(words), cfg.title_tokens)
+            words[int(w)] for w in rng.integers(0, len(words), TITLE_TOKENS)
         )
         abstract = " ".join(
-            words[int(w)] for w in rng.integers(0, len(words), cfg.abstract_tokens)
+            words[int(w)] for w in rng.integers(0, len(words), ABSTRACT_TOKENS)
         )
         docs.append(Document(id=_node_id(i), title=title, abstract=abstract))
         labels[_node_id(i)] = f"topic{block}"

@@ -281,6 +281,8 @@ def eval_link_prediction(
         raise ValueError(f"negatives_per_edge must be >= 1: {negatives_per_edge}")
 
     n = t.rows
+    if n < 2:
+        raise ValueError(f"link prediction needs at least 2 nodes, table has {n}")
     bad = np.flatnonzero(((holdout < 0) | (holdout >= n)).any(axis=1))
     if bad.size:
         src, dst = holdout[bad[0]]

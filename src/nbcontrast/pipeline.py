@@ -13,8 +13,9 @@ import configparser
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -92,7 +93,6 @@ def load_config(
         return parser[name]
 
     pipeline = section("pipeline")
-    global_seed = seed if seed is not None else pipeline.getint("seed", 0)
     if stage_dir:
         workdir = Path(stage_dir)
     elif pipeline.get("workdir", ""):
@@ -113,59 +113,17 @@ def load_config(
     graph_sec = section("graph")
     sampling_sec = section("sampling")
     encoder_sec = section("encoder")
-    probe_sec = section("probe")
     eval_sec = section("eval")
     fixture_sec = section("fixture")
 
     try:
-        graph_cfg = graph_embed.GraphTrainConfig(
-            epochs=graph_sec.getint("epochs", 20),
-            margin=graph_sec.getfloat("margin", 0.15),
-            learning_rate=graph_sec.getfloat("learning_rate", 0.1),
-            negatives_per_edge=graph_sec.getint("negatives_per_edge", 10),
-            dim=graph_sec.getint("dim", 128),
-            measure=graph_sec.get("measure", "dot"),
-            seed=graph_sec.getint("seed", global_seed),
-        )
-        sampling_cfg = mining.SamplingConfig(
-            k_pos=sampling_sec.getint("k_pos", 25),
-            k_hard=sampling_sec.getint("k_hard", 4000),
-            c_pos=sampling_sec.getint("c_pos", 5),
-            c_hard=sampling_sec.getint("c_hard", 2),
-            c_easy=sampling_sec.getint("c_easy", 3),
-            t_pos=sampling_sec.getfloat("t_pos", 0.8),
-            t_neg=sampling_sec.getfloat("t_neg", 0.2),
-            pos_strategy=sampling_sec.get("pos_strategy", "knn"),
-            hard_strategy=sampling_sec.get("hard_strategy", "knn"),
-            easy_strategy=sampling_sec.get("easy_strategy", "filtered_random"),
-            sorted_random_candidates=sampling_sec.getint(
-                "sorted_random_candidates", 100
-            ),
-            seed=sampling_sec.getint("seed", global_seed),
-        )
-        encoder_cfg = encoder.EncoderTrainConfig(
-            epochs=encoder_sec.getint("epochs", 2),
-            learning_rate=encoder_sec.getfloat("learning_rate", 0.1),
-            effective_batch=encoder_sec.getint("effective_batch", 32),
-            slack=encoder_sec.getfloat("slack", 1.0),
-            bias_only=encoder_sec.getboolean("bias_only", False),
-            seed=encoder_sec.getint("seed", global_seed),
-        )
-        probe_cfg = evaluation.ProbeConfig(
-            epochs=probe_sec.getint("epochs", 300),
-            learning_rate=probe_sec.getfloat("learning_rate", 0.5),
-            seed=probe_sec.getint("seed", global_seed),
-        )
-        fixture_cfg = fixtures.FixtureConfig(
-            nodes=fixture_sec.getint("nodes", 200),
-            blocks=fixture_sec.getint("blocks", 2),
-            p_in=fixture_sec.getfloat("p_in", 0.10),
-            p_out=fixture_sec.getfloat("p_out", 0.01),
-            ranking_queries=fixture_sec.getint("ranking_queries", 20),
-            ranking_candidates=fixture_sec.getint("ranking_candidates", 30),
-            test_fraction=fixture_sec.getfloat("test_fraction", 0.2),
-            seed=fixture_sec.getint("seed", global_seed),
-        )
+        global_seed = seed if seed is not None else pipeline.getint("seed", 0)
+        graph_cfg = _read_section(graph_embed.GraphTrainConfig, graph_sec, global_seed)
+        sampling_cfg = _read_section(mining.SamplingConfig, sampling_sec, global_seed)
+        encoder_cfg = _read_section(encoder.EncoderTrainConfig, encoder_sec, global_seed)
+        probe_cfg = _read_section(evaluation.ProbeConfig, section("probe"), global_seed)
+        fixture_cfg = _read_section(fixtures.FixtureConfig, fixture_sec, global_seed)
+        undirected = ingest_sec.getboolean("undirected", False)
         holdout_fraction = graph_sec.getfloat("holdout_fraction", 0.01)
         eval_negatives = graph_sec.getint("eval_negatives", 50)
         n_queries = sampling_sec.getint("n_queries", 0)
@@ -173,6 +131,7 @@ def load_config(
         subsample_by_query = sampling_sec.getboolean("subsample_by_query", True)
         hidden_dim = encoder_sec.getint("hidden_dim", 64)
         out_dim = encoder_sec.getint("out_dim", 32)
+        fixture_enabled = fixture_sec.getboolean("enabled", False)
     except ValueError as exc:
         raise ValidationError(f"{path}: bad config value: {exc}") from None
 
@@ -188,7 +147,7 @@ def load_config(
         edges_path=resolve(paths.get("edges", "edges.tsv")),
         documents_path=resolve(paths.get("documents", "documents.jsonl")),
         exclude_ids_path=resolve(ingest_sec.get("exclude_ids", "")),
-        undirected=ingest_sec.getboolean("undirected", False),
+        undirected=undirected,
         graph_cfg=graph_cfg,
         holdout_fraction=holdout_fraction,
         eval_negatives=eval_negatives,
@@ -203,11 +162,28 @@ def load_config(
         ranking_task_path=resolve(eval_sec.get("ranking_task", "")),
         labels_path=resolve(eval_sec.get("labels", "")),
         overlap_paths=overlap_paths,
-        fixture_enabled=fixture_sec.getboolean("enabled", False),
+        fixture_enabled=fixture_enabled,
         fixture_cfg=fixture_cfg,
     )
     validate_config(cfg)
     return cfg
+
+
+def _read_section(cls, sec: configparser.SectionProxy, global_seed: int):
+    """``cls`` with each field set from the key of the same name in ``sec``.
+
+    The field's type picks the reader; a missing key keeps the field's
+    default, except ``seed``, which falls back to the global seed.
+    """
+    readers = {
+        int: sec.getint, float: sec.getfloat, bool: sec.getboolean, str: sec.get
+    }
+    types = get_type_hints(cls)
+    values = {
+        f.name: readers[types[f.name]](f.name) for f in fields(cls) if f.name in sec
+    }
+    values.setdefault("seed", global_seed)
+    return cls(**values)
 
 
 def validate_config(cfg: PipelineConfig) -> None:

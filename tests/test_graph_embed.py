@@ -437,6 +437,12 @@ class TestEvalLinkPrediction:
         with pytest.raises(ValueError):
             eval_link_prediction(table, np.zeros((0, 2)), 5, seed=0)
 
+    def test_one_row_table_rejected(self):
+        # no node other than the destination exists to draw as a negative
+        table = init_embeddings(1, 2, seed=0)
+        with pytest.raises(ValueError, match="at least 2"):
+            eval_link_prediction(table, np.array([[0, 0]]), 5, seed=0)
+
     @pytest.mark.parametrize("edge", [[0, 3], [3, 0], [-1, 1], [1, -1]])
     def test_out_of_range_holdout_rejected(self, edge):
         # a negative id must not wrap around to the last row

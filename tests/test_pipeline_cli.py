@@ -1,6 +1,7 @@
 """Pipeline stages, CLI exit codes, artifact determinism, provenance."""
 
 import configparser
+import dataclasses
 import hashlib
 import json
 
@@ -8,8 +9,11 @@ import numpy as np
 import pytest
 
 from nbcontrast.cli import main
-from nbcontrast.evaluation import LabeledSet
-from nbcontrast.graph_embed import EmbeddingTable
+from nbcontrast.encoder import EncoderTrainConfig
+from nbcontrast.evaluation import LabeledSet, ProbeConfig
+from nbcontrast.fixtures import FixtureConfig
+from nbcontrast.graph_embed import EmbeddingTable, GraphTrainConfig
+from nbcontrast.mining import SamplingConfig
 from nbcontrast.pipeline import ARTIFACTS, label_separation, load_config, run
 
 
@@ -288,6 +292,29 @@ class TestExitCodes:
         assert "ranking.jsonl" in err and "line 1" in err and field in err
         assert not (workdir / ARTIFACTS["eval"]).exists()
 
+    @pytest.mark.parametrize("record, message", [
+        ({"query": "n00000", "candidates": ["n00001"], "relevant": ["n00002"]},
+         "relevant not within candidates"),
+        ({"query": "n00000", "candidates": [], "relevant": []},
+         "empty candidate list"),
+    ])
+    def test_bad_ranking_record_names_file_and_line(
+        self, workdir, capsys, record, message
+    ):
+        config = str(workdir / "config.ini")
+        for stage in ("fixture", "ingest", "graph-train", "mine", "encode-train"):
+            assert main([stage, "--config", config]) == 0
+        good = {"query": "n00000", "candidates": ["n00001"], "relevant": ["n00001"]}
+        (workdir / "ranking.jsonl").write_text(
+            json.dumps(good) + "\n" + json.dumps(record) + "\n", encoding="utf-8"
+        )
+        capsys.readouterr()
+        assert main(["eval", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert f"ranking.jsonl: line 2: query 'n00000': {message}" in err
+        assert not (workdir / ARTIFACTS["eval"]).exists()
+
     def test_train_only_labels_error_names_file(self, workdir, capsys):
         config = str(workdir / "config.ini")
         for stage in ("fixture", "ingest", "graph-train", "mine", "encode-train"):
@@ -349,6 +376,11 @@ class TestExitCodes:
         {"ids": ["a", "b"], "edges": [0, 1], "directed": True},
         {"ids": ["a", "b"], "edges": [[0, 2]], "directed": True},
         [["a", "b"]],
+        # enough edges that graph-train would run if the ids were accepted
+        {"ids": "ab", "edges": [[0, 1], [1, 0]] * 20, "directed": True},
+        {"ids": ["a", "a", "b"], "edges": [[0, 1], [1, 2], [2, 0]] * 20,
+         "directed": True},
+        {"ids": [1, 2], "edges": [[0, 1], [1, 0]] * 20, "directed": True},
     ])
     def test_malformed_graph_snapshot_exits_3(self, workdir, capsys, payload):
         (workdir / ARTIFACTS["ingest"]).write_text(json.dumps(payload))
@@ -401,6 +433,120 @@ class TestConfigLoading:
         config.write_text("[graph]\nepochs = banana\n", encoding="utf-8")
         with pytest.raises(ValidationError):
             load_config(config)
+
+    def test_every_key_lands_in_its_field(self, tmp_path):
+        # every key load_config reads, each set to a non-default value; the
+        # field lists pin the key set of the five dataclass sections
+        sections = {
+            "graph": {
+                "epochs": 3, "margin": 0.5, "learning_rate": 0.25,
+                "negatives_per_edge": 4, "dim": 8, "measure": "cosine",
+                "seed": 21,
+            },
+            "sampling": {
+                "k_pos": 30, "k_hard": 300, "c_pos": 4, "c_hard": 3,
+                "c_easy": 2, "t_pos": 0.7, "t_neg": 0.1,
+                "pos_strategy": "sim", "hard_strategy": "sim",
+                "easy_strategy": "sorted_random",
+                "sorted_random_candidates": 50, "seed": 22,
+            },
+            "encoder": {
+                "epochs": 4, "learning_rate": 0.05, "effective_batch": 16,
+                "slack": 0.5, "bias_only": True, "seed": 23,
+            },
+            "probe": {"epochs": 50, "learning_rate": 0.3, "seed": 24},
+            "fixture": {
+                "nodes": 50, "blocks": 3, "p_in": 0.3, "p_out": 0.05,
+                "ranking_queries": 5, "ranking_candidates": 10,
+                "test_fraction": 0.4, "seed": 25,
+            },
+        }
+        extra = {
+            "pipeline": {"seed": 9, "workdir": "out"},
+            "paths": {"edges": "e.tsv", "documents": "d.jsonl"},
+            "ingest": {"exclude_ids": "x.txt", "undirected": True},
+            "graph": {"holdout_fraction": 0.2, "eval_negatives": 7},
+            "sampling": {"n_queries": 10, "subsample_fraction": 0.5,
+                         "subsample_by_query": False},
+            "encoder": {"hidden_dim": 12, "out_dim": 6},
+            "eval": {"ranking_task": "r.jsonl", "labels": "l.jsonl",
+                     "overlap_test": "t.txt"},
+            "fixture": {"enabled": True},
+        }
+        parser = configparser.ConfigParser()
+        for group in (sections, extra):
+            for name, keys in group.items():
+                if not parser.has_section(name):
+                    parser.add_section(name)
+                for key, value in keys.items():
+                    parser[name][key] = str(value).lower()
+        config = tmp_path / "c.ini"
+        with config.open("w", encoding="utf-8") as fh:
+            parser.write(fh)
+
+        cfg = load_config(config)
+        nested = {
+            "graph": cfg.graph_cfg, "sampling": cfg.sampling_cfg,
+            "encoder": cfg.encoder_cfg, "probe": cfg.probe_cfg,
+            "fixture": cfg.fixture_cfg,
+        }
+        for name, keys in sections.items():
+            obj = nested[name]
+            assert [f.name for f in dataclasses.fields(obj)] == list(keys), name
+            for key, value in keys.items():
+                got = getattr(obj, key)
+                assert got == value and type(got) is type(value), (name, key)
+        work = tmp_path / "out"
+        assert (cfg.seed, cfg.workdir) == (9, work)
+        assert (cfg.edges_path, cfg.documents_path) == (
+            work / "e.tsv", work / "d.jsonl"
+        )
+        assert (cfg.exclude_ids_path, cfg.undirected) == (work / "x.txt", True)
+        assert (cfg.holdout_fraction, cfg.eval_negatives) == (0.2, 7)
+        assert (cfg.n_queries, cfg.subsample_fraction,
+                cfg.subsample_by_query) == (10, 0.5, False)
+        assert (cfg.hidden_dim, cfg.out_dim) == (12, 6)
+        assert (cfg.ranking_task_path, cfg.labels_path) == (
+            work / "r.jsonl", work / "l.jsonl"
+        )
+        assert cfg.overlap_paths == {"test": work / "t.txt"}
+        assert cfg.fixture_enabled is True
+
+    def test_empty_sections_yield_dataclass_defaults(self, tmp_path):
+        config = tmp_path / "c.ini"
+        config.write_text(
+            "[pipeline]\nseed = 7\n[graph]\n[sampling]\n[encoder]\n"
+            "[probe]\n[fixture]\n",
+            encoding="utf-8",
+        )
+        cfg = load_config(config)
+        assert cfg.graph_cfg == GraphTrainConfig(seed=7)
+        assert cfg.sampling_cfg == SamplingConfig(seed=7)
+        assert cfg.encoder_cfg == EncoderTrainConfig(seed=7)
+        assert cfg.probe_cfg == ProbeConfig(seed=7)
+        assert cfg.fixture_cfg == FixtureConfig(seed=7)
+        assert (
+            cfg.holdout_fraction, cfg.eval_negatives, cfg.n_queries,
+            cfg.subsample_fraction, cfg.subsample_by_query, cfg.hidden_dim,
+            cfg.out_dim, cfg.fixture_enabled, cfg.undirected,
+        ) == (0.01, 50, 0, 1.0, True, 64, 32, False, False)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("graph", "epochs", "1.5"),
+        ("sampling", "t_pos", "high"),
+        ("encoder", "bias_only", "maybe"),
+        ("graph", "holdout_fraction", "tiny"),
+        ("pipeline", "seed", "x"),
+        ("ingest", "undirected", "maybe"),
+        ("fixture", "enabled", "maybe"),
+    ])
+    def test_bad_typed_value_exits_2(self, tmp_path, capsys, section, key, value):
+        config = tmp_path / "c.ini"
+        config.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+        assert main(["ingest", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and err.count("\n") == 1
+        assert value in err
 
     def test_subsample_fraction_thins_triple_file(self, workdir):
         config = workdir / "sub.ini"
