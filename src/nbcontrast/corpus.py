@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import json
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -96,6 +97,17 @@ def _dedup_edges(edges: np.ndarray, n: int) -> tuple[np.ndarray, int, int]:
     return kept, len(edges) - len(kept), int(loops.sum())
 
 
+@contextmanager
+def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """Open a UTF-8 text file for reading; a byte that does not decode is a
+    :class:`DataError` naming the file."""
+    with Path(path).open("r", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
+
+
 def ingest_edges(path: str | Path) -> CitationGraph:
     """Read a ``src<TAB>dst`` edge file into a graph with dense indices.
 
@@ -105,7 +117,7 @@ def ingest_edges(path: str | Path) -> CitationGraph:
     path = Path(path)
     index: dict[str, int] = {}
     flat: list[int] = []
-    with path.open("r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -198,7 +210,7 @@ def read_jsonl(path: str | Path, fields: Sequence[str]) -> Iterator[tuple[int, d
 
     Every record must be a JSON object holding every key in ``fields``.
     """
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -264,7 +276,7 @@ def save_graph(g: CitationGraph, path: str | Path) -> None:
 def load_graph(path: str | Path) -> CitationGraph:
     """Load a graph serialized by :func:`save_graph`."""
     try:
-        with Path(path).open("r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not a graph snapshot: {exc}") from None

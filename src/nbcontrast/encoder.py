@@ -83,6 +83,8 @@ class EncoderTrainConfig:
     effective_batch: int = 32
     slack: float = 1.0
     bias_only: bool = False
+    hidden_dim: int = 64  # token embedding dimension
+    out_dim: int = 32  # document vector dimension
     seed: int = 0
 
     def validate(self) -> None:
@@ -98,6 +100,8 @@ class EncoderTrainConfig:
             )
         if not (math.isfinite(self.slack) and self.slack >= 0):
             raise ValidationError(f"slack must be finite and >= 0: {self.slack}")
+        if self.hidden_dim < 1 or self.out_dim < 1:
+            raise ValidationError("encoder dims must be >= 1")
 
 
 def tokenize(d: Document) -> list[str]:

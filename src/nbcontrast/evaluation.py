@@ -67,6 +67,8 @@ class ProbeConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        if self.epochs < 1:
+            raise ValidationError(f"epochs must be >= 1: {self.epochs}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValidationError(
                 f"learning_rate must be finite and >= 0: {self.learning_rate}"

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import CitationGraph, Document
+from .errors import ValidationError
 from .evaluation import LabeledSet, RankingQuery, RankingTask
 
 
@@ -31,7 +32,25 @@ class FixtureConfig:
     ranking_queries: int = 20
     ranking_candidates: int = 30
     test_fraction: float = 0.2
+    enabled: bool = False  # `all` starts with the fixture stage
     seed: int = 0
+
+    def validate(self) -> None:
+        if not self.nodes >= self.blocks >= 1:
+            raise ValidationError(
+                f"need nodes >= blocks >= 1: nodes={self.nodes}, blocks={self.blocks}"
+            )
+        if min(self.ranking_queries, self.ranking_candidates) < 1:
+            # zero of either writes an empty ranking task, which eval rejects
+            raise ValidationError("ranking_queries and ranking_candidates must be >= 1")
+        if not 0.0 <= self.test_fraction < 1.0:
+            raise ValidationError(
+                f"test_fraction must be in [0, 1): {self.test_fraction}"
+            )
+        if not (0.0 <= self.p_in <= 1.0 and 0.0 <= self.p_out <= 1.0):
+            raise ValidationError(
+                f"p_in and p_out must be in [0, 1]: {self.p_in}, {self.p_out}"
+            )
 
 
 def _node_id(i: int) -> str:

@@ -60,6 +60,8 @@ class GraphTrainConfig:
     negatives_per_edge: int = 10
     dim: int = 128
     measure: str = "dot"
+    holdout_fraction: float = 0.01  # share of edges held out for link prediction
+    eval_negatives: int = 50  # corrupted destinations per held-out edge
     seed: int = 0
 
     def validate(self) -> None:
@@ -79,6 +81,14 @@ class GraphTrainConfig:
             raise ValidationError(f"dim must be >= 1: {self.dim}")
         if self.measure not in MEASURES:
             raise ValidationError(f"measure must be one of {MEASURES}: {self.measure!r}")
+        if not 0.0 <= self.holdout_fraction < 1.0:
+            raise ValidationError(
+                f"holdout_fraction must be in [0, 1): {self.holdout_fraction}"
+            )
+        if self.eval_negatives < 1:
+            raise ValidationError(
+                f"eval_negatives must be >= 1: {self.eval_negatives}"
+            )
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ann import NeighborList, batch_neighbors, range_by_rank, smallest_k
-from .corpus import PaperId
+from .corpus import PaperId, open_text
 from .errors import DataError, InsufficientNeighborsError, ValidationError
 from .graph_embed import EmbeddingTable, scores
 
@@ -51,6 +51,9 @@ class SamplingConfig:
     hard_strategy: str = "knn"
     easy_strategy: str = "filtered_random"
     sorted_random_candidates: int = 100
+    n_queries: int = 0  # seeded sample of query nodes; 0 = every node
+    subsample_fraction: float = 1.0  # share of mined triples kept
+    subsample_by_query: bool = True  # keep whole queries, not single triples
     seed: int = 0
 
     def validate(self) -> None:
@@ -98,6 +101,12 @@ class SamplingConfig:
             raise ValidationError(
                 "sorted_random_candidates must be >= c_easy: "
                 f"{self.sorted_random_candidates} < {self.c_easy}"
+            )
+        if self.n_queries < 0:
+            raise ValidationError(f"n_queries must be >= 0: {self.n_queries}")
+        if not 0.0 < self.subsample_fraction <= 1.0:
+            raise ValidationError(
+                f"subsample_fraction must be in (0, 1]: {self.subsample_fraction}"
             )
 
     def sampling_margin(self) -> int:
@@ -539,7 +548,7 @@ def load_triples(path: str | Path, cfg: SamplingConfig | None = None) -> TripleS
     """Read a triple TSV written by :func:`save_triples`."""
     path = Path(path)
     triples: list[Triple] = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh, delimiter="\t")
         header = next(reader, None)
         if header != TRIPLE_HEADER:

@@ -13,7 +13,7 @@ import configparser
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -34,6 +34,27 @@ ARTIFACTS = {
     "eval": "report.json",
 }
 
+# The INI sections that each read into one config dataclass, a key per field.
+CONFIG_SECTIONS = {
+    "graph": graph_embed.GraphTrainConfig,
+    "sampling": mining.SamplingConfig,
+    "encoder": encoder.EncoderTrainConfig,
+    "probe": evaluation.ProbeConfig,
+    "fixture": fixtures.FixtureConfig,
+}
+
+# The keys of the other sections; [eval] also takes ``overlap_<split>`` keys.
+PLAIN_KEYS = {
+    "pipeline": {"seed", "workdir"},
+    "paths": {"edges", "documents"},
+    "ingest": {"undirected", "exclude_ids"},
+    "eval": {"ranking_task", "labels"},
+}
+
+# Accepted and ignored. ``[encoder] batch_size`` never changed results and is
+# no longer read, but the benchmark's workload configs still write it.
+RETIRED_KEYS = {("encoder", "batch_size")}
+
 
 @dataclass
 class PipelineConfig:
@@ -47,21 +68,13 @@ class PipelineConfig:
     exclude_ids_path: Path | None
     undirected: bool
     graph_cfg: graph_embed.GraphTrainConfig
-    holdout_fraction: float
-    eval_negatives: int
     sampling_cfg: mining.SamplingConfig
-    n_queries: int
-    subsample_fraction: float
-    subsample_by_query: bool
     encoder_cfg: encoder.EncoderTrainConfig
-    hidden_dim: int
-    out_dim: int
     probe_cfg: evaluation.ProbeConfig
+    fixture_cfg: fixtures.FixtureConfig
     ranking_task_path: Path | None
     labels_path: Path | None
-    overlap_paths: dict[str, Path] = field(default_factory=dict)
-    fixture_enabled: bool = False
-    fixture_cfg: fixtures.FixtureConfig = field(default_factory=fixtures.FixtureConfig)
+    overlap_paths: dict[str, Path]
 
     @property
     def config_sha256(self) -> str:
@@ -81,11 +94,22 @@ def load_config(
     path = Path(path)
     if not path.is_file():
         raise DependencyError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    # no default section: [DEFAULT] is a section like any other, and unknown
+    parser = configparser.ConfigParser(default_section="")
     try:
         parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: {exc}") from None
+    known = {
+        name: {f.name for f in fields(cls)} for name, cls in CONFIG_SECTIONS.items()
+    } | PLAIN_KEYS
+    for name in parser.sections():
+        if name not in known:
+            raise ValidationError(f"{path}: unknown section [{name}]")
+        for key in parser[name]:
+            if not (key in known[name] or (name, key) in RETIRED_KEYS
+                    or name == "eval" and key.startswith("overlap_")):
+                raise ValidationError(f"{path}: unknown key {key!r} in [{name}]")
 
     def section(name: str) -> configparser.SectionProxy:
         if not parser.has_section(name):
@@ -110,28 +134,15 @@ def load_config(
 
     paths = section("paths")
     ingest_sec = section("ingest")
-    graph_sec = section("graph")
-    sampling_sec = section("sampling")
-    encoder_sec = section("encoder")
     eval_sec = section("eval")
-    fixture_sec = section("fixture")
 
     try:
         global_seed = seed if seed is not None else pipeline.getint("seed", 0)
-        graph_cfg = _read_section(graph_embed.GraphTrainConfig, graph_sec, global_seed)
-        sampling_cfg = _read_section(mining.SamplingConfig, sampling_sec, global_seed)
-        encoder_cfg = _read_section(encoder.EncoderTrainConfig, encoder_sec, global_seed)
-        probe_cfg = _read_section(evaluation.ProbeConfig, section("probe"), global_seed)
-        fixture_cfg = _read_section(fixtures.FixtureConfig, fixture_sec, global_seed)
         undirected = ingest_sec.getboolean("undirected", False)
-        holdout_fraction = graph_sec.getfloat("holdout_fraction", 0.01)
-        eval_negatives = graph_sec.getint("eval_negatives", 50)
-        n_queries = sampling_sec.getint("n_queries", 0)
-        subsample_fraction = sampling_sec.getfloat("subsample_fraction", 1.0)
-        subsample_by_query = sampling_sec.getboolean("subsample_by_query", True)
-        hidden_dim = encoder_sec.getint("hidden_dim", 64)
-        out_dim = encoder_sec.getint("out_dim", 32)
-        fixture_enabled = fixture_sec.getboolean("enabled", False)
+        configs = {
+            f"{name}_cfg": _read_section(cls, section(name), global_seed)
+            for name, cls in CONFIG_SECTIONS.items()
+        }
     except ValueError as exc:
         raise ValidationError(f"{path}: bad config value: {exc}") from None
 
@@ -140,7 +151,7 @@ def load_config(
         if key.startswith("overlap_") and raw:
             overlap_paths[key[len("overlap_"):]] = resolve(raw)
 
-    cfg = PipelineConfig(
+    return PipelineConfig(
         workdir=workdir,
         config_path=path,
         seed=global_seed,
@@ -148,29 +159,15 @@ def load_config(
         documents_path=resolve(paths.get("documents", "documents.jsonl")),
         exclude_ids_path=resolve(ingest_sec.get("exclude_ids", "")),
         undirected=undirected,
-        graph_cfg=graph_cfg,
-        holdout_fraction=holdout_fraction,
-        eval_negatives=eval_negatives,
-        sampling_cfg=sampling_cfg,
-        n_queries=n_queries,
-        subsample_fraction=subsample_fraction,
-        subsample_by_query=subsample_by_query,
-        encoder_cfg=encoder_cfg,
-        hidden_dim=hidden_dim,
-        out_dim=out_dim,
-        probe_cfg=probe_cfg,
         ranking_task_path=resolve(eval_sec.get("ranking_task", "")),
         labels_path=resolve(eval_sec.get("labels", "")),
         overlap_paths=overlap_paths,
-        fixture_enabled=fixture_enabled,
-        fixture_cfg=fixture_cfg,
+        **configs,
     )
-    validate_config(cfg)
-    return cfg
 
 
 def _read_section(cls, sec: configparser.SectionProxy, global_seed: int):
-    """``cls`` with each field set from the key of the same name in ``sec``.
+    """A validated ``cls``, each field set from the key of the same name in ``sec``.
 
     The field's type picks the reader; a missing key keeps the field's
     default, except ``seed``, which falls back to the global seed.
@@ -179,33 +176,15 @@ def _read_section(cls, sec: configparser.SectionProxy, global_seed: int):
         int: sec.getint, float: sec.getfloat, bool: sec.getboolean, str: sec.get
     }
     types = get_type_hints(cls)
-    values = {
-        f.name: readers[types[f.name]](f.name) for f in fields(cls) if f.name in sec
-    }
-    values.setdefault("seed", global_seed)
-    return cls(**values)
-
-
-def validate_config(cfg: PipelineConfig) -> None:
-    """Check every nested config invariant before any stage runs."""
-    cfg.graph_cfg.validate()
-    cfg.sampling_cfg.validate()
-    cfg.encoder_cfg.validate()
-    cfg.probe_cfg.validate()
-    if not 0.0 <= cfg.holdout_fraction < 1.0:
-        raise ValidationError(
-            f"holdout_fraction must be in [0, 1): {cfg.holdout_fraction}"
-        )
-    if cfg.eval_negatives < 1:
-        raise ValidationError(f"eval_negatives must be >= 1: {cfg.eval_negatives}")
-    if cfg.n_queries < 0:
-        raise ValidationError(f"n_queries must be >= 0: {cfg.n_queries}")
-    if not 0.0 < cfg.subsample_fraction <= 1.0:
-        raise ValidationError(
-            f"subsample_fraction must be in (0, 1]: {cfg.subsample_fraction}"
-        )
-    if cfg.hidden_dim < 1 or cfg.out_dim < 1:
-        raise ValidationError("encoder dims must be >= 1")
+    try:
+        values = {f.name: readers[types[f.name]](f.name)
+                  for f in fields(cls) if f.name in sec}
+        values.setdefault("seed", global_seed)
+        cfg = cls(**values)
+        cfg.validate()
+    except ValueError as exc:
+        raise ValidationError(f"[{sec.name}] {exc}") from None
+    return cfg
 
 
 def _sha256_file(path: Path) -> str:
@@ -237,7 +216,8 @@ def _require(path: Path | None, what: str) -> Path:
 
 def _read_ids(path: Path) -> set[str]:
     """The stripped non-blank lines of a one-id-per-line file."""
-    lines = path.read_text(encoding="utf-8").splitlines()
+    with corpus.open_text(path) as fh:
+        lines = fh.read().splitlines()
     return {line.strip() for line in lines if line.strip()}
 
 
@@ -306,7 +286,7 @@ def run_graph_train(cfg: PipelineConfig) -> Path:
         raise DataError(f"{graph_path}: graph has no edges to train on")
     try:
         train_graph, holdout = corpus.split_edges(
-            graph, cfg.holdout_fraction, cfg.graph_cfg.seed
+            graph, cfg.graph_cfg.holdout_fraction, cfg.graph_cfg.seed
         )
     except ValueError as exc:
         raise DataError(f"{graph_path}: {exc}") from None
@@ -315,7 +295,7 @@ def run_graph_train(cfg: PipelineConfig) -> Path:
     metrics = {}
     if holdout.shape[0]:
         lp = graph_embed.eval_link_prediction(
-            table, holdout, cfg.eval_negatives, cfg.graph_cfg.seed
+            table, holdout, cfg.graph_cfg.eval_negatives, cfg.graph_cfg.seed
         )
         metrics = lp.as_dict()
         print(
@@ -344,25 +324,23 @@ def run_mine(cfg: PipelineConfig) -> Path:
             f"{graph.node_count} nodes"
         )
 
+    sc = cfg.sampling_cfg
     all_papers = graph.paper_ids()
-    if cfg.n_queries and cfg.n_queries < len(all_papers):
-        rng = np.random.default_rng(
-            mining.derive_seed(cfg.sampling_cfg.seed, "query-selection")
-        )
+    if sc.n_queries and sc.n_queries < len(all_papers):
+        rng = np.random.default_rng(mining.derive_seed(sc.seed, "query-selection"))
         picked = sorted(
             int(i) for i in
-            rng.choice(len(all_papers), size=cfg.n_queries, replace=False)
+            rng.choice(len(all_papers), size=sc.n_queries, replace=False)
         )
         queries = [all_papers[i] for i in picked]
     else:
         queries = all_papers
 
-    triples = mining.mine_triples(queries, table, all_papers, cfg.sampling_cfg)
-    if cfg.subsample_fraction < 1.0:
+    triples = mining.mine_triples(queries, table, all_papers, sc)
+    if sc.subsample_fraction < 1.0:
         before = len(triples)
         triples = mining.subsample_triples(
-            triples, cfg.subsample_fraction, cfg.subsample_by_query,
-            seed=cfg.sampling_cfg.seed,
+            triples, sc.subsample_fraction, sc.subsample_by_query, seed=sc.seed
         )
         print(f"mine: subsampled {before} -> {len(triples)} triples")
     out = cfg.workdir / ARTIFACTS["mine"]
@@ -385,10 +363,9 @@ def run_encode_train(cfg: PipelineConfig) -> Path:
     docs = corpus.load_documents(docs_path)
 
     vocab = encoder.build_vocab(docs.values())
-    params = encoder.init_encoder(
-        vocab, cfg.hidden_dim, cfg.out_dim, cfg.encoder_cfg.seed
-    )
-    params, trace = encoder.train(triples, docs, params, cfg.encoder_cfg)
+    ec = cfg.encoder_cfg
+    params = encoder.init_encoder(vocab, ec.hidden_dim, ec.out_dim, ec.seed)
+    params, trace = encoder.train(triples, docs, params, ec)
 
     out = cfg.workdir / ARTIFACTS["encode-train"]
     encoder.save_encoder(params, out)
@@ -519,7 +496,7 @@ _STAGE_RUNNERS = {
 def run(stage: str, cfg: PipelineConfig) -> None:
     """Run one stage, or the whole chain for ``all``."""
     if stage == "all":
-        chain = list(STAGES) if cfg.fixture_enabled else [
+        chain = list(STAGES) if cfg.fixture_cfg.enabled else [
             s for s in STAGES if s != "fixture"
         ]
         for name in chain:

@@ -3,12 +3,15 @@
 import configparser
 import dataclasses
 import hashlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nbcontrast.cli import main
+from nbcontrast.cli import DEFAULT_CONFIG, main
 from nbcontrast.encoder import EncoderTrainConfig
 from nbcontrast.evaluation import LabeledSet, ProbeConfig
 from nbcontrast.fixtures import FixtureConfig
@@ -173,13 +176,84 @@ class TestExitCodes:
         ("encoder", "learning_rate", "nan"),
         ("encoder", "slack", "nan"),
         ("probe", "learning_rate", "nan"),
+        # an untrained probe would still report an F1
+        ("probe", "epochs", "0"),
     ])
     def test_non_finite_hyperparameter_exits_2(self, workdir, section, key, value):
-        bad = MINIMAL_CONFIG.replace(f"[{section}]", f"[{section}]\n{key} = {value}")
+        bad = configparser.ConfigParser()
+        bad.read_string(MINIMAL_CONFIG)
+        bad[section][key] = value
         config = workdir / "bad.ini"
-        config.write_text(bad, encoding="utf-8")
+        with config.open("w", encoding="utf-8") as fh:
+            bad.write(fh)
         assert main(["all", "--config", str(config)]) == 2
         assert sorted(p.name for p in workdir.iterdir()) == ["bad.ini", "config.ini"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("nodes", "1"),
+        ("blocks", "0"),
+        ("ranking_queries", "-1"),
+        ("ranking_queries", "0"),
+        ("ranking_candidates", "-1"),
+        ("test_fraction", "1.5"),
+        ("test_fraction", "-0.5"),
+        ("p_in", "1.5"),
+        ("p_out", "-0.1"),
+        ("p_in", "nan"),
+    ])
+    def test_bad_fixture_value_exits_2(self, workdir, capsys, key, value):
+        bad = configparser.ConfigParser()
+        bad.read_string(MINIMAL_CONFIG)
+        bad["fixture"][key] = value
+        config = workdir / "bad.ini"
+        # rejected whether or not `all` would run the fixture stage
+        for enabled, stage in (("true", "fixture"), ("false", "ingest")):
+            bad["fixture"]["enabled"] = enabled
+            with config.open("w", encoding="utf-8") as fh:
+                bad.write(fh)
+            capsys.readouterr()
+            assert main([stage, "--config", str(config)]) == 2, enabled
+            err = capsys.readouterr().err
+            assert err.startswith("validation error: ") and err.count("\n") == 1
+            assert key in err
+            assert sorted(p.name for p in workdir.iterdir()) == ["bad.ini", "config.ini"]
+
+    @pytest.mark.parametrize("name, stage, code", [
+        ("edges.tsv", "ingest", 3),
+        ("exclude.txt", "ingest", 3),
+        (ARTIFACTS["ingest"], "graph-train", 3),
+        (ARTIFACTS["mine"], "encode-train", 3),
+        ("documents.jsonl", "encode-train", 3),
+        ("ranking.jsonl", "eval", 3),
+        ("overlap.txt", "eval", 3),
+        ("config.ini", "ingest", 2),
+    ])
+    def test_non_utf8_input_is_rejected(self, workdir, capsys, name, stage, code):
+        config = workdir / "config.ini"
+        config.write_text(
+            MINIMAL_CONFIG.replace(
+                "labels = labels.jsonl",
+                "labels = labels.jsonl\noverlap_test = overlap.txt",
+            ) + "\n[ingest]\nexclude_ids = exclude.txt\n",
+            encoding="utf-8",
+        )
+        for ids in ("exclude.txt", "overlap.txt"):
+            (workdir / ids).write_text("nobody\n", encoding="utf-8")
+        stages = ["fixture", "ingest", "graph-train", "mine", "encode-train", "eval"]
+        for upstream in stages[:stages.index(stage)]:
+            assert main([upstream, "--config", str(config)]) == 0
+        out = workdir / ARTIFACTS[stage]
+        out.unlink(missing_ok=True)
+        data = (workdir / name).read_bytes()
+        half = len(data) // 2
+        (workdir / name).write_bytes(data[:half] + b"\xff" + data[half:])
+        capsys.readouterr()
+        assert main([stage, "--config", str(config)]) == code
+        err = capsys.readouterr().err
+        prefix = "data error: " if code == 3 else "validation error: "
+        assert err.startswith(prefix) and err.count("\n") == 1
+        assert name in err
+        assert not out.exists()
 
     def test_missing_upstream_exits_4(self, workdir):
         rc = main(["mine", "--config", str(workdir / "config.ini")])
@@ -427,6 +501,45 @@ class TestConfigLoading:
         )
         assert load_config(config).encoder_cfg.effective_batch == 20
 
+    @pytest.mark.parametrize("text, named", [
+        ("[sampling]\nk_pso = 10\n", ("[sampling]", "k_pso")),
+        ("[graf]\nepochs = 1\n", ("[graf]",)),
+        ("[graf]\n", ("[graf]",)),
+        # a key is known only in its own section
+        ("[encoder]\nholdout_fraction = 0.1\n", ("[encoder]", "holdout_fraction")),
+        ("[probe]\nbatch_size = 8\n", ("[probe]", "batch_size")),
+        ("[eval]\noverlap = x.txt\n", ("[eval]", "overlap")),
+        ("[pipeline]\nseeds = 1\n", ("[pipeline]", "seeds")),
+        # keys of a [DEFAULT] section would otherwise reach every section
+        ("[DEFAULT]\nseed = 1\n", ("[DEFAULT]",)),
+    ])
+    def test_unknown_key_or_section_exits_2(self, tmp_path, capsys, text, named):
+        config = tmp_path / "c.ini"
+        config.write_text(text, encoding="utf-8")
+        assert main(["ingest", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and err.count("\n") == 1
+        assert all(word in err for word in named), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini"]
+
+    def test_bundled_and_bench_configs_load(self, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads",
+            Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py",
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        # dataclasses look their module up by name while the class is built
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        texts = {"default": DEFAULT_CONFIG}
+        for name, w in workloads.WORKLOADS.items():
+            texts[name] = workloads.render_config(w, w.default_seed, tmp_path)
+        assert len(texts) == 4
+        for name, text in texts.items():
+            config = tmp_path / f"{name}.ini"
+            config.write_text(text, encoding="utf-8")
+            load_config(config)
+
     def test_bad_value_is_validation_error(self, tmp_path):
         from nbcontrast.errors import ValidationError
         config = tmp_path / "c.ini"
@@ -441,37 +554,35 @@ class TestConfigLoading:
             "graph": {
                 "epochs": 3, "margin": 0.5, "learning_rate": 0.25,
                 "negatives_per_edge": 4, "dim": 8, "measure": "cosine",
-                "seed": 21,
+                "holdout_fraction": 0.2, "eval_negatives": 7, "seed": 21,
             },
             "sampling": {
                 "k_pos": 30, "k_hard": 300, "c_pos": 4, "c_hard": 3,
                 "c_easy": 2, "t_pos": 0.7, "t_neg": 0.1,
                 "pos_strategy": "sim", "hard_strategy": "sim",
                 "easy_strategy": "sorted_random",
-                "sorted_random_candidates": 50, "seed": 22,
+                "sorted_random_candidates": 50, "n_queries": 10,
+                "subsample_fraction": 0.5, "subsample_by_query": False,
+                "seed": 22,
             },
             "encoder": {
                 "epochs": 4, "learning_rate": 0.05, "effective_batch": 16,
-                "slack": 0.5, "bias_only": True, "seed": 23,
+                "slack": 0.5, "bias_only": True, "hidden_dim": 12, "out_dim": 6,
+                "seed": 23,
             },
             "probe": {"epochs": 50, "learning_rate": 0.3, "seed": 24},
             "fixture": {
                 "nodes": 50, "blocks": 3, "p_in": 0.3, "p_out": 0.05,
                 "ranking_queries": 5, "ranking_candidates": 10,
-                "test_fraction": 0.4, "seed": 25,
+                "test_fraction": 0.4, "enabled": True, "seed": 25,
             },
         }
         extra = {
             "pipeline": {"seed": 9, "workdir": "out"},
             "paths": {"edges": "e.tsv", "documents": "d.jsonl"},
             "ingest": {"exclude_ids": "x.txt", "undirected": True},
-            "graph": {"holdout_fraction": 0.2, "eval_negatives": 7},
-            "sampling": {"n_queries": 10, "subsample_fraction": 0.5,
-                         "subsample_by_query": False},
-            "encoder": {"hidden_dim": 12, "out_dim": 6},
             "eval": {"ranking_task": "r.jsonl", "labels": "l.jsonl",
                      "overlap_test": "t.txt"},
-            "fixture": {"enabled": True},
         }
         parser = configparser.ConfigParser()
         for group in (sections, extra):
@@ -502,15 +613,16 @@ class TestConfigLoading:
             work / "e.tsv", work / "d.jsonl"
         )
         assert (cfg.exclude_ids_path, cfg.undirected) == (work / "x.txt", True)
-        assert (cfg.holdout_fraction, cfg.eval_negatives) == (0.2, 7)
-        assert (cfg.n_queries, cfg.subsample_fraction,
-                cfg.subsample_by_query) == (10, 0.5, False)
-        assert (cfg.hidden_dim, cfg.out_dim) == (12, 6)
+        graph = cfg.graph_cfg
+        assert (graph.holdout_fraction, graph.eval_negatives) == (0.2, 7)
+        assert (cfg.sampling_cfg.n_queries, cfg.sampling_cfg.subsample_fraction,
+                cfg.sampling_cfg.subsample_by_query) == (10, 0.5, False)
+        assert (cfg.encoder_cfg.hidden_dim, cfg.encoder_cfg.out_dim) == (12, 6)
         assert (cfg.ranking_task_path, cfg.labels_path) == (
             work / "r.jsonl", work / "l.jsonl"
         )
         assert cfg.overlap_paths == {"test": work / "t.txt"}
-        assert cfg.fixture_enabled is True
+        assert cfg.fixture_cfg.enabled is True
 
     def test_empty_sections_yield_dataclass_defaults(self, tmp_path):
         config = tmp_path / "c.ini"
@@ -525,10 +637,11 @@ class TestConfigLoading:
         assert cfg.encoder_cfg == EncoderTrainConfig(seed=7)
         assert cfg.probe_cfg == ProbeConfig(seed=7)
         assert cfg.fixture_cfg == FixtureConfig(seed=7)
+        graph, sampling, enc = cfg.graph_cfg, cfg.sampling_cfg, cfg.encoder_cfg
         assert (
-            cfg.holdout_fraction, cfg.eval_negatives, cfg.n_queries,
-            cfg.subsample_fraction, cfg.subsample_by_query, cfg.hidden_dim,
-            cfg.out_dim, cfg.fixture_enabled, cfg.undirected,
+            graph.holdout_fraction, graph.eval_negatives, sampling.n_queries,
+            sampling.subsample_fraction, sampling.subsample_by_query, enc.hidden_dim,
+            enc.out_dim, cfg.fixture_cfg.enabled, cfg.undirected,
         ) == (0.01, 50, 0, 1.0, True, 64, 32, False, False)
 
     @pytest.mark.parametrize("section, key, value", [
