@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import CitationGraph, Document
-from .errors import ValidationError
+from .errors import DataError, ValidationError
 from .evaluation import LabeledSet, RankingQuery, RankingTask
 
 
@@ -142,7 +142,14 @@ def labeled_set_from_labels(labels: dict[str, str], cfg: FixtureConfig) -> Label
         (pid, labels[pid], "test" if pid in test_ids else "train") for pid in ids
     )
     ls = LabeledSet(items=items)
-    ls.validate()
+    try:
+        ls.validate()
+    except DataError as exc:
+        # the config chose this split, so the config is what is wrong
+        raise ValidationError(
+            f"[fixture] nodes = {cfg.nodes}, blocks = {cfg.blocks}, "
+            f"test_fraction = {cfg.test_fraction}, seed = {cfg.seed}: {exc}"
+        ) from None
     return ls
 
 

@@ -122,29 +122,34 @@ def init_embeddings(node_count: int, dim: int, seed: int) -> EmbeddingTable:
 
 def scores(
     t: EmbeddingTable,
-    query: int,
-    cols: Sequence[int] | np.ndarray | None = None,
+    query: int | np.ndarray,
+    cols: Sequence[int] | np.ndarray | slice | None = None,
     measure: str | None = None,
 ) -> np.ndarray:
     """Float64 scores of row ``query`` against rows ``cols`` (all rows if None).
 
-    ``measure`` defaults to the table's own. Dot returns inner products;
-    cosine normalizes both rows and scores 0 where either is the zero
-    vector. Every table score outside the training gradient comes from
-    here. The BLAS product may round a pair's score differently in the
-    last bit depending on which other rows share the call.
+    An array of query rows gives one row of scores per query. ``measure``
+    defaults to the table's own. Dot returns inner products; cosine
+    normalizes both rows and scores 0 where either is the zero vector.
+    Every table score outside the training gradient comes from here. The
+    BLAS product may round a pair's score differently in the last bit
+    depending on which other rows share the call.
     """
     q = t.values[query]
-    values = t.values if cols is None else t.values[np.asarray(cols, dtype=np.int64)]
+    if cols is None:
+        cols = slice(None)
+    elif not isinstance(cols, slice):
+        cols = np.asarray(cols, dtype=np.int64)
+    values = t.values[cols]
     if (measure or t.measure) == "dot":
-        return values @ q
+        return (values @ q.T).T
     norms = np.linalg.norm(values, axis=1)
-    qn = float(np.linalg.norm(q))
-    out = np.zeros(values.shape[0], dtype=np.float64)
-    if qn == 0.0:
-        return out
+    qn = np.linalg.norm(q, axis=-1, keepdims=True)
     nonzero = norms > 0.0
-    out[nonzero] = (values[nonzero] @ q) / (norms[nonzero] * qn)
+    out = np.zeros(qn.shape[:-1] + norms.shape)
+    with np.errstate(invalid="ignore"):  # 0/0 for a zero query, zeroed below
+        out[..., nonzero] = (values[nonzero] @ q.T).T / (norms[nonzero] * qn)
+    out[qn[..., 0] == 0.0] = 0.0
     return out
 
 

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ann import NeighborList, batch_neighbors, range_by_rank, smallest_k
+from .ann import NeighborList, batch_neighbors, query_block, range_by_rank, smallest_k
 from .corpus import PaperId, open_text
 from .errors import DataError, InsufficientNeighborsError, ValidationError
 from .graph_embed import EmbeddingTable, scores
@@ -232,9 +232,17 @@ def _without(
 ) -> np.ndarray:
     """Corpus ids not in ``exclude``, in corpus order with repeats kept."""
     corpus = np.asarray(corpus, dtype=np.int64)
+    if not corpus.size:
+        return corpus
     if isinstance(exclude, (set, frozenset)):
         exclude = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
-    return corpus[~np.isin(corpus, exclude)]
+    exclude = np.asarray(exclude, dtype=np.int64)
+    if corpus.min() < 0:
+        raise ValueError(f"corpus id {corpus.min()} is negative")
+    keep = np.ones(int(corpus.max()) + 1, dtype=bool)
+    # ids outside the corpus's range exclude nothing
+    keep[exclude[(exclude >= 0) & (exclude < len(keep))]] = False
+    return np.compress(keep[corpus], corpus)
 
 
 def sample_random(
@@ -393,10 +401,12 @@ def mine_triples(
 ) -> TripleSet:
     """Mine (query, positive, negative) triples for every query paper.
 
-    The neighbor list is scanned once per query at the maximum depth any
-    strategy needs, then each band is a range selection in it. Queries
-    whose samplers cannot fill a band are skipped and recorded; queries
-    with partially filled bands emit fewer triples and are flagged.
+    Queries are scanned a block at a time (``ann.query_block``) at the
+    maximum depth any strategy needs, and each block is mined before the
+    next is scanned; each band is a range selection in a query's neighbor
+    list. Queries whose samplers cannot fill a band are skipped and
+    recorded; queries with partially filled bands emit fewer triples and
+    are flagged.
     """
     cfg.validate()
     ext_of = {p.index: p.external_id for p in corpus}
@@ -405,33 +415,37 @@ def mine_triples(
 
     corpus_idx = np.array([p.index for p in corpus], dtype=np.int64)
     depth = cfg.neighbor_depth()
-
-    triples: list[Triple] = []
-    skipped: list[tuple[str, str]] = []
-    partials: list[str] = []
     for query in queries:
         if not 0 <= query.index < t.rows:
             raise ValueError(
                 f"query {query.external_id!r} index {query.index} not in table"
             )
-        neighbors = None
+
+    triples: list[Triple] = []
+    skipped: list[tuple[str, str]] = []
+    partials: list[str] = []
+    per_block = query_block(t)
+    for start in range(0, len(queries), per_block):
+        block = queries[start:start + per_block]
+        lists: Sequence[NeighborList | None] = [None] * len(block)
         if depth:
-            neighbors = batch_neighbors(t, [query.index], depth)[0]
-        try:
-            mined, partial = _mine_one_query(
-                query, t, corpus_idx, ext_of, neighbors, cfg
-            )
-        except MiningFailure as skip:
-            skipped.append((query.external_id, skip.reason))
-            continue
-        except InsufficientNeighborsError as err:
-            skipped.append(
-                (query.external_id, f"insufficient neighbors for k={err.k}")
-            )
-            continue
-        triples.extend(mined)
-        if partial:
-            partials.append(query.external_id)
+            lists = batch_neighbors(t, [q.index for q in block], depth)
+        for query, neighbors in zip(block, lists):
+            try:
+                mined, partial = _mine_one_query(
+                    query, t, corpus_idx, ext_of, neighbors, cfg
+                )
+            except MiningFailure as skip:
+                skipped.append((query.external_id, skip.reason))
+                continue
+            except InsufficientNeighborsError as err:
+                skipped.append(
+                    (query.external_id, f"insufficient neighbors for k={err.k}")
+                )
+                continue
+            triples.extend(mined)
+            if partial:
+                partials.append(query.external_id)
 
     return TripleSet(
         triples=tuple(triples),

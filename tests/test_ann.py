@@ -1,11 +1,14 @@
 """Flat top-k search: exactness, tie order, rank bands."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbcontrast.ann import NeighborList, batch_neighbors, range_by_rank, top_k
+from nbcontrast import ann
+from nbcontrast.ann import NeighborList, batch_neighbors, range_by_rank, smallest_k, top_k
 from nbcontrast.errors import InsufficientNeighborsError
 from nbcontrast.graph_embed import EmbeddingTable, score_edge, scores
 
@@ -214,3 +217,77 @@ class TestBatchNeighbors:
         table = EmbeddingTable(values=np.ones((4, 2)))
         with pytest.raises(ValueError, match="query 9"):
             batch_neighbors(table, [0, 9], 2)
+
+    def test_non_integer_query_rejected(self):
+        table = EmbeddingTable(values=np.ones((4, 2)))
+        with pytest.raises(TypeError):
+            batch_neighbors(table, [0, 1.5], 2)
+
+    @staticmethod
+    def assert_top_k_ids(table, queries, k_max, exact_scores=False):
+        got = batch_neighbors(table, queries, k_max)
+        assert [nl.query for nl in got] == list(queries)
+        for nl in got:
+            expect = top_k(table, nl.query, k_max)
+            assert nl.ids.tolist() == expect.ids.tolist()
+            if exact_scores:  # equal values; NaN and zero signs may differ by kernel
+                np.testing.assert_array_equal(nl.scores, expect.scores)
+
+    @pytest.mark.parametrize("measure", ["dot", "cosine"])
+    def test_zero_rows_and_zero_query(self, measure):
+        values = np.random.default_rng(5).normal(size=(40, 6))
+        values[[3, 17, 30]] = 0.0  # zero queries, and zero rows for every query
+        self.assert_top_k_ids(EmbeddingTable(values, measure), range(40), 12)
+
+    @pytest.mark.parametrize("measure", ["dot", "cosine"])
+    def test_integer_table_ties_score_exactly(self, measure):
+        values = np.random.default_rng(11).integers(-2, 3, size=(60, 3)).astype(float)
+        table = EmbeddingTable(values, measure)
+        self.assert_top_k_ids(table, range(60), 25, exact_scores=True)
+
+    @pytest.mark.parametrize("measure", ["dot", "cosine"])
+    def test_several_blocks_and_column_chunks(self, monkeypatch, measure):
+        # 200 // 30 = 6 queries a block, 200 // (6 * 3) = 11 columns a product
+        monkeypatch.setattr(ann, "SCAN_CAP", 200)
+        values = np.random.default_rng(3).integers(-3, 4, size=(30, 3)).astype(float)
+        table = EmbeddingTable(values, measure)
+        assert ann.query_block(table) == 6
+        self.assert_top_k_ids(table, [*range(20), 29, 0], 9, exact_scores=True)
+
+    def test_duplicate_queries_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(ann, "SCAN_CAP", 40)
+        table = EmbeddingTable(np.random.default_rng(4).normal(size=(20, 2)))
+        got = batch_neighbors(table, [7, 2, 7, 7, 2, 7], 5)
+        assert len({nl.ids.tobytes() for nl in got if nl.query == 7}) == 1
+        self.assert_top_k_ids(table, [7, 2, 7, 7, 2, 7], 5)
+
+    @pytest.mark.parametrize("k_max", [9, 10, 50])
+    def test_depth_at_least_the_other_rows(self, k_max):
+        table = EmbeddingTable(np.random.default_rng(6).normal(size=(10, 3)))
+        got = batch_neighbors(table, range(10), k_max)
+        assert all(len(nl) == 9 for nl in got)
+        self.assert_top_k_ids(table, range(10), k_max)
+
+    @given(scan=scans(), cap=st.sampled_from([1, 7, 64, ann.SCAN_CAP]), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_block_scan_equals_top_k(self, scan, cap, data):
+        # CELLS products are exact, so block and single scores agree exactly
+        table, _, k, _ = scan
+        queries = data.draw(st.lists(st.integers(0, table.rows - 1), max_size=8))
+        with mock.patch.object(ann, "SCAN_CAP", cap):
+            self.assert_top_k_ids(table, queries, k, exact_scores=True)
+
+
+# signed zeros, infinities and NaN tie or order in every way a key can
+KEYS = st.sampled_from([-1.0, -0.0, 0.0, 0.5, np.inf, -np.inf, np.nan])
+
+
+class TestSmallestK:
+    @given(keys=st.lists(KEYS, min_size=1, max_size=40), data=st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_equals_lexsort_prefix(self, keys, data):
+        key = np.array(keys)
+        ids = np.array(data.draw(st.permutations(range(len(key)))), dtype=np.int64)
+        k = data.draw(st.integers(1, len(key)))
+        expect = np.lexsort((ids, key))[:k]
+        assert smallest_k(key, ids, k).tolist() == expect.tolist()

@@ -104,6 +104,18 @@ class TestScores:
         assert scores(t, 0).tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("measure", ["dot", "cosine"])
+    def test_query_block_rows_match_single_queries(self, measure):
+        # a zero query row and a zero table row both score 0 under cosine
+        values = np.random.default_rng(9).normal(size=(7, 4))
+        values[[1, 5]] = 0.0
+        t = EmbeddingTable(values=values, measure=measure)
+        block = scores(t, np.array([0, 1, 4]), slice(2, 7))
+        assert block.shape == (3, 5)
+        for row, query in zip(block, [0, 1, 4]):
+            np.testing.assert_allclose(row, scores(t, query)[2:7], rtol=1e-12, atol=0)
+        assert not block[1].any()
+
+    @pytest.mark.parametrize("measure", ["dot", "cosine"])
     def test_score_edge_is_one_kernel_call(self, measure):
         t = EmbeddingTable(
             values=np.random.default_rng(8).normal(size=(6, 5)), measure=measure

@@ -173,6 +173,11 @@ class TestSampleRandom:
         with pytest.raises(MiningFailure):
             sample_random([1, 2], 3, set(), seed=0)
 
+    def test_negative_corpus_id_rejected(self):
+        # the keep-mask is indexed by corpus id, where -1 would wrap around
+        with pytest.raises(ValueError, match="corpus id -1"):
+            sample_random([3, -1, 2], 1, {2}, seed=0)
+
 
 class TestSampleFilteredRandom:
     def test_excludes_leading_neighbors(self):
@@ -385,6 +390,21 @@ class TestSamplersMatchListReference:
                 list(zip(ids.tolist(), scores.tolist())), c, t, mode
             ),
         )
+        assert mine_triples(papers[::50], table, papers, cfg) == got
+
+    @pytest.mark.parametrize("easy", ["filtered_random", "sorted_random"])
+    def test_mine_triples_cosine(self, monkeypatch, easy):
+        base, papers = desk_papers(3000, seed=5)
+        values = base.values.copy()
+        values[::97] = 0.0  # the first query and 30 other rows are zero
+        table = EmbeddingTable(values, measure="cosine")
+        cfg = SamplingConfig(k_pos=25, k_hard=1000, c_pos=5, c_hard=2, c_easy=3,
+                             easy_strategy=easy, seed=11)
+        got = mine_triples(papers[::50], table, papers, cfg)
+        assert len(got) == 60 * 5
+        for name in ("sample_random", "sample_filtered_random",
+                     "sample_sorted_random", "batch_neighbors"):
+            monkeypatch.setattr(mining, name, globals()["reference_" + name])
         assert mine_triples(papers[::50], table, papers, cfg) == got
 
 

@@ -218,6 +218,20 @@ class TestExitCodes:
             assert key in err
             assert sorted(p.name for p in workdir.iterdir()) == ["bad.ini", "config.ini"]
 
+    def test_fixture_too_small_to_split_exits_2(self, workdir, capsys):
+        # one paper per label: whichever lands in the test split has no train row
+        tiny = configparser.ConfigParser()
+        tiny.read_string(MINIMAL_CONFIG)
+        tiny["fixture"].update(nodes="2", blocks="2")
+        config = workdir / "tiny.ini"
+        with config.open("w", encoding="utf-8") as fh:
+            tiny.write(fh)
+        assert main(["fixture", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and err.count("\n") == 1
+        assert "[fixture]" in err and "nodes = 2" in err and "blocks = 2" in err
+        assert sorted(p.name for p in workdir.iterdir()) == ["config.ini", "tiny.ini"]
+
     @pytest.mark.parametrize("name, stage, code", [
         ("edges.tsv", "ingest", 3),
         ("exclude.txt", "ingest", 3),
