@@ -3,8 +3,11 @@
 Each citation edge is a positive pair; corrupted pairs replace the
 destination with uniformly sampled nodes. The per-pair hinge is
 ``max(0, m - score(edge) + score(corrupted))``, minimized by minibatch SGD
-with one step per ``EDGE_BATCH`` edges, as in PyTorch-BigGraph.
-Embeddings are held as float64 in memory; the snapshot file stores float32.
+with one step per ``EDGE_BATCH`` edges. As in PyTorch-BigGraph, each step
+draws one pool of ``negatives_per_edge`` nodes that every edge of the step
+takes as its corrupted destinations, so the corrupted scores are one matrix
+product. Embeddings are held as float64 in memory; the snapshot file stores
+float32.
 """
 
 from __future__ import annotations
@@ -45,9 +48,6 @@ class EmbeddingTable:
     @property
     def dim(self) -> int:
         return int(self.values.shape[1])
-
-    def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(self.values.copy(), self.measure)
 
 
 @dataclass
@@ -131,7 +131,8 @@ def scores(
     An array of query rows gives one row of scores per query. ``measure``
     defaults to the table's own. Dot returns inner products; cosine
     normalizes both rows and scores 0 where either is the zero vector.
-    Every table score outside the training gradient comes from here. The
+    Every table score outside graph training and link eval (which score
+    :func:`_scaled` rows) comes from here. The
     BLAS product may round a pair's score differently in the last bit
     depending on which other rows share the call.
     """
@@ -161,31 +162,18 @@ def score_edge(t: EmbeddingTable, src: int, dst: int) -> float:
     return float(scores(t, src, [dst])[0])
 
 
-def _pair_grads(
-    values: np.ndarray, src: np.ndarray, dst: np.ndarray, measure: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scores of the row pairs ``(src, dst)`` and their gradients.
+def _scaled(rows: np.ndarray, measure: str) -> tuple[np.ndarray, np.ndarray]:
+    """Rows as ``measure`` scores them, and the factor each was scaled by.
 
-    ``src`` and ``dst`` are index arrays that broadcast to one shape; returns
-    the scores in that shape and the gradients with respect to the src and
-    dst rows, each with a trailing ``dim`` axis. Under cosine, a pair with a
-    zero row scores 0 with subgradient 0.
+    Dot keeps every row (factor 1); cosine divides each row by its norm, and
+    a zero row stays zero (factor 0), so it scores 0 with gradient 0. The
+    factor keeps a trailing axis of length 1.
     """
-    src, dst = np.broadcast_arrays(src, dst)
-    u = values[src]
-    v = values[dst]
-    dots = np.einsum("...d,...d->...", u, v)
     if measure == "dot":
-        return dots, v, u
-    nu = np.linalg.norm(u, axis=-1, keepdims=True)
-    nv = np.linalg.norm(v, axis=-1, keepdims=True)
-    live = (nu > 0.0) & (nv > 0.0)
-    nu[~live] = 1.0
-    nv[~live] = 1.0
-    s = np.where(live, dots[..., None] / (nu * nv), 0.0)
-    grad_u = np.where(live, v / (nu * nv) - s * u / (nu * nu), 0.0)
-    grad_v = np.where(live, u / (nu * nv) - s * v / (nv * nv), 0.0)
-    return s[..., 0], grad_u, grad_v
+        return rows, np.ones(rows.shape[:-1] + (1,))
+    norms = np.linalg.norm(rows, axis=-1, keepdims=True)
+    factor = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
+    return rows * factor, factor
 
 
 def train_epoch(
@@ -196,16 +184,18 @@ def train_epoch(
 ) -> tuple[EmbeddingTable, float]:
     """Run one pass of minibatch SGD over every edge in a seeded shuffled order.
 
-    Each edge gets ``negatives_per_edge`` corrupted destinations drawn
-    uniformly over all nodes. Every ``EDGE_BATCH`` edges of the shuffled
-    order (the last batch may be shorter) make one SGD step: all of the
-    batch's (edge, corrupted edge) pairs are scored against the table as it
-    stood at the batch start, and the hinge gradients of the active pairs
-    (loss > 0) are summed and applied times
+    Every ``EDGE_BATCH`` edges of the shuffled order (the last batch may be
+    shorter) make one SGD step, and each step draws one pool of
+    ``negatives_per_edge`` nodes uniformly over all nodes (duplicates
+    allowed): every edge of the step is paired with every pool node as a
+    corrupted destination. All of the step's pairs are scored against the
+    table as it stood at the batch start, and the hinge gradients of the
+    active pairs (loss > 0) are summed and applied times
     ``learning_rate / negatives_per_edge``. With ``EDGE_BATCH = 1`` this is
     per-edge SGD. Returns the updated table and the mean per-pair loss. The
-    RNG stream is derived from ``(cfg.seed, epoch)`` so consecutive epochs
-    see fresh shuffles and negatives.
+    RNG stream is derived from ``(cfg.seed, epoch)``: it draws the shuffle,
+    then every step's pool, so consecutive epochs see fresh shuffles and
+    negatives.
     """
     cfg.validate()
     if g.edge_count == 0:
@@ -215,27 +205,29 @@ def train_epoch(
     columns = np.arange(t.dim)
     rng = np.random.default_rng((cfg.seed, epoch))
     order = rng.permutation(g.edge_count)
-    negatives = rng.integers(0, t.rows, size=(g.edge_count, cfg.negatives_per_edge))
+    steps = range(0, g.edge_count, EDGE_BATCH)
+    pools = rng.integers(0, t.rows, size=(len(steps), cfg.negatives_per_edge))
 
     total_loss = 0.0
     step = -cfg.learning_rate / cfg.negatives_per_edge
-    for start in range(0, g.edge_count, EDGE_BATCH):
+    for start, pool in zip(steps, pools):
         edges = g.edges[order[start:start + EDGE_BATCH]]
-        src, dst = edges[:, 0], edges[:, 1]
-        negs = negatives[start:start + EDGE_BATCH]
-        s_pos, g_src_pos, g_dst = _pair_grads(values, src, dst, t.measure)
-        s_neg, g_src_neg, g_negs = _pair_grads(values, src[:, None], negs, t.measure)
-        loss = cfg.margin - s_pos[:, None] + s_neg
+        b = edges.shape[0]
+        rows = np.concatenate((edges[:, 0], edges[:, 1], pool))
+        unit, factor = _scaled(values[rows], t.measure)
+        u, v, p = unit[:b], unit[b:2 * b], unit[2 * b:]
+        loss = cfg.margin - np.einsum("bd,bd->b", u, v)[:, None] + u @ p.T
         active = loss > 0.0
         total_loss += float(loss[active].sum())
-        # each active pair adds g_src_neg - g_src_pos to src, -g_dst to dst
-        # and g_negs to its corrupted destination
-        n_active = active.sum(axis=1)[:, None]
-        grad_src = (g_src_neg * active[..., None]).sum(axis=1) - n_active * g_src_pos
-        rows = np.concatenate((src, dst, negs[active]))
-        grads = np.concatenate((grad_src, -n_active * g_dst, g_negs[active]))
+        # gradients with respect to the scaled rows: each active pair adds
+        # p - v to its src, -u to its dst and u to its pool node
+        a = active.astype(np.float64)
+        n_active = a.sum(axis=1)[:, None]
+        grads = np.concatenate((a @ p - n_active * v, -n_active * u, a.T @ u))
+        if t.measure == "cosine":  # back through row / |row|: drop the radial part
+            grads -= np.einsum("rd,rd->r", grads, unit)[:, None] * unit
         np.add.at(cells, (rows[:, None] * t.dim + columns).reshape(-1),
-                  (step * grads).reshape(-1))
+                  (step * factor * grads).reshape(-1))
 
     mean_loss = total_loss / (g.edge_count * cfg.negatives_per_edge)
     return EmbeddingTable(values=values, measure=t.measure), float(mean_loss)
@@ -284,10 +276,12 @@ def eval_link_prediction(
     """Rank each held-out destination against sampled corrupted ones.
 
     Per edge (s, d), ``negatives_per_edge`` destinations are drawn i.i.d.
-    uniform over nodes excluding d (duplicates allowed), each from an RNG
-    derived from ``(seed, edge position)``. The true destination's rank
-    among the pooled candidates breaks score ties toward the smaller node
-    index. AUC pools all positive scores against all corrupted scores.
+    uniform over nodes excluding d (duplicates allowed): one RNG seeded with
+    ``seed`` draws ``integers(0, n - 1)`` for each block of ``EDGE_BATCH``
+    edges in order, and every draw ``>= d`` is shifted up by one. The true
+    destination's rank among the pooled candidates breaks score ties toward
+    the smaller node index. AUC pools all positive scores against all
+    corrupted scores.
     """
     holdout = np.asarray(holdout, dtype=np.int64).reshape(-1, 2)
     if holdout.shape[0] == 0:
@@ -302,25 +296,24 @@ def eval_link_prediction(
     if bad.size:
         src, dst = holdout[bad[0]]
         raise ValueError(f"edge ({src}, {dst}) out of range for {n} nodes")
+    rng = np.random.default_rng(seed)
     ranks = np.empty(holdout.shape[0], dtype=np.int64)
     pos_scores = np.empty(holdout.shape[0], dtype=np.float64)
     neg_scores = np.empty((holdout.shape[0], negatives_per_edge), dtype=np.float64)
-    for i, (src, dst) in enumerate(holdout):
-        rng = np.random.default_rng((seed, i))
-        negs = np.empty(negatives_per_edge, dtype=np.int64)
-        filled = 0
-        while filled < negatives_per_edge:
-            draw = rng.integers(0, n, size=negatives_per_edge - filled)
-            draw = draw[draw != dst]
-            negs[filled:filled + draw.size] = draw
-            filled += draw.size
-
-        s = scores(t, src, np.concatenate(([dst], negs)))
-        pos_scores[i], neg_scores[i] = s[0], s[1:]
+    for start in range(0, holdout.shape[0], EDGE_BATCH):
+        src, dst = holdout[start:start + EDGE_BATCH].T
+        block = slice(start, start + src.size)
+        negs = rng.integers(0, n - 1, size=(src.size, negatives_per_edge))
+        negs += negs >= dst[:, None]
+        u, _ = _scaled(t.values[src], t.measure)
+        c, _ = _scaled(t.values[np.column_stack((dst, negs))], t.measure)
+        s = np.einsum("ed,ekd->ek", u, c)
+        pos_scores[block], neg_scores[block] = s[:, 0], s[:, 1:]
         # candidates sorted by (score desc, index asc); rank of the true
         # destination = 1 + number of candidates strictly ahead of it
-        ahead = (s[1:] > s[0]) | ((s[1:] == s[0]) & (negs < dst))
-        ranks[i] = 1 + int(ahead.sum())
+        pos = s[:, :1]
+        ahead = (s[:, 1:] > pos) | ((s[:, 1:] == pos) & (negs < dst[:, None]))
+        ranks[block] = 1 + ahead.sum(axis=1)
 
     mrr = float(np.mean(1.0 / ranks))
     hits1 = float(np.mean(ranks <= 1))

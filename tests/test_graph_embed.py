@@ -12,7 +12,6 @@ from nbcontrast.fixtures import planted_partition_graph
 from nbcontrast.graph_embed import (
     EmbeddingTable,
     GraphTrainConfig,
-    _pair_grads,
     eval_link_prediction,
     init_embeddings,
     pairwise_auc,
@@ -190,44 +189,51 @@ class TestTrainEpoch:
             train_epoch(table, g, GraphTrainConfig(dim=2))
 
 
+def batch_hinge(table, edges, pool, margin):
+    """Summed hinge of every (edge, pool node) pair, scored by ``score_edge``."""
+    return sum(
+        max(0.0, margin - score_edge(table, src, dst) + score_edge(table, src, neg))
+        for src, dst in edges for neg in pool
+    )
+
+
 class TestHingeGradients:
     @pytest.mark.parametrize("measure", ["dot", "cosine"])
     def test_matches_central_differences(self, measure):
+        # one batch, learning rate 1: train_epoch's update is -grad / K
         rng = np.random.default_rng(11)
-        margin = 0.5
+        margin, k = 0.5, 2
         checked = 0
         while checked < 12:
             n = int(rng.integers(3, 6))
             dim = int(rng.integers(2, 5))
             values = rng.normal(size=(n, dim))
-            s, d, neg = (int(x) for x in rng.integers(0, n, size=3))
+            edges = rng.integers(0, n, size=(int(rng.integers(1, 4)), 2))
+            g = CitationGraph(ids=tuple(f"n{i}" for i in range(n)), edges=edges)
+            cfg = GraphTrainConfig(
+                epochs=1, margin=margin, learning_rate=1.0, negatives_per_edge=k,
+                dim=dim, measure=measure, seed=int(rng.integers(0, 1000)),
+            )
+            draw = np.random.default_rng((cfg.seed, 0))
+            edges = edges[draw.permutation(len(edges))].tolist()
+            pool = draw.integers(0, n, size=(1, k))[0].tolist()
             table = EmbeddingTable(values=values, measure=measure)
-            hinge = margin - score_edge(table, s, d) + score_edge(table, s, neg)
-            if abs(hinge) < 5e-2:
+            hinges = [margin - score_edge(table, s, d) + score_edge(table, s, neg)
+                      for s, d in edges for neg in pool]
+            if min(abs(h) for h in hinges) < 5e-2:
                 continue  # stay away from the kink
-            _, g_src, g_dst = _pair_grads(values, np.array([s, s]),
-                                          np.array([d, neg]), measure)
-            analytic = np.zeros_like(values)
-            if hinge > 0.0:
-                analytic[s] += g_src[1] - g_src[0]
-                analytic[d] -= g_dst[0]
-                analytic[neg] += g_dst[1]
+            updated, _ = train_epoch(table, g, cfg)
+            analytic = (values - updated.values) * k
 
             eps = 1e-6
             for i in range(n):
                 for j in range(dim):
                     values[i, j] += eps
-                    t_up = EmbeddingTable(values=values.copy(), measure=measure)
-                    up = max(
-                        0.0,
-                        margin - score_edge(t_up, s, d) + score_edge(t_up, s, neg),
-                    )
+                    up = batch_hinge(EmbeddingTable(values.copy(), measure),
+                                     edges, pool, margin)
                     values[i, j] -= 2 * eps
-                    t_dn = EmbeddingTable(values=values.copy(), measure=measure)
-                    down = max(
-                        0.0,
-                        margin - score_edge(t_dn, s, d) + score_edge(t_dn, s, neg),
-                    )
+                    down = batch_hinge(EmbeddingTable(values.copy(), measure),
+                                       edges, pool, margin)
                     values[i, j] += eps
                     fd = (up - down) / (2 * eps)
                     denom = max(abs(analytic[i, j]), abs(fd))
@@ -271,6 +277,8 @@ def reference_hinge(values, src, dst, neg_dst, margin, measure):
 def reference_epoch(table, g, cfg, epoch, batch):
     """Scalar-loop SGD epoch: one step per ``batch`` edges of the shuffled order.
 
+    After the shuffle the RNG draws one pool of ``negatives_per_edge`` nodes
+    per step, and every edge of the step is corrupted with every pool node.
     Every pair of a batch is scored against the table at the batch start
     and the summed gradients are applied at its end; ``batch = 1`` is
     per-edge SGD.
@@ -278,13 +286,14 @@ def reference_epoch(table, g, cfg, epoch, batch):
     values = table.values.copy()
     rng = np.random.default_rng((cfg.seed, epoch))
     order = rng.permutation(g.edge_count)
-    negatives = rng.integers(0, table.rows, size=(g.edge_count, cfg.negatives_per_edge))
+    starts = range(0, g.edge_count, batch)
+    pools = rng.integers(0, table.rows, size=(len(starts), cfg.negatives_per_edge))
     total = 0.0
-    for start in range(0, g.edge_count, batch):
+    for start, pool in zip(starts, pools):
         step = {}
         for pos in range(start, min(start + batch, g.edge_count)):
             src, dst = (int(x) for x in g.edges[order[pos]])
-            for neg in negatives[pos]:
+            for neg in pool:
                 loss, grads = reference_hinge(
                     values, src, dst, int(neg), cfg.margin, table.measure
                 )
@@ -299,9 +308,9 @@ def reference_epoch(table, g, cfg, epoch, batch):
 def reference_case(measure, negatives_per_edge):
     """150 edges over 16 nodes: two full 64-edge batches and one of 22.
 
-    With so few nodes the draws include negatives equal to the source or
-    the destination and negatives repeated within an edge. Under cosine,
-    node 3 is the zero vector.
+    With so few nodes the pools include nodes equal to a source or a
+    destination of their batch and nodes repeated within a pool. Under
+    cosine, node 3 is the zero vector.
     """
     rng = np.random.default_rng(21)
     pairs = [(a, b) for a in range(16) for b in range(16) if a != b]
@@ -353,15 +362,17 @@ class TestMinibatchTrainer:
 
     def test_case_covers_the_corner_draws(self):
         table, g, cfg = reference_case("cosine", 10)
-        assert g.edge_count % graph_embed.EDGE_BATCH != 0
+        batch = graph_embed.EDGE_BATCH
+        assert g.edge_count % batch != 0
         for epoch in range(cfg.epochs):
             rng = np.random.default_rng((cfg.seed, epoch))
             edges = g.edges[rng.permutation(g.edge_count)]
-            negs = rng.integers(0, table.rows, size=(g.edge_count, 10))
-            assert (negs == edges[:, :1]).any()
-            assert (negs == edges[:, 1:]).any()
-            assert any(len(set(row)) < 10 for row in negs.tolist())
-            assert (edges == 3).any() and (negs == 3).any()
+            pools = rng.integers(0, table.rows, size=(-(-g.edge_count // batch), 10))
+            batches = [edges[i:i + batch] for i in range(0, g.edge_count, batch)]
+            assert any(np.isin(pool, b[:, 0]).any() for b, pool in zip(batches, pools))
+            assert any(np.isin(pool, b[:, 1]).any() for b, pool in zip(batches, pools))
+            assert any(len(set(pool)) < 10 for pool in pools.tolist())
+            assert (edges == 3).any() and (pools == 3).any()
 
 
 class TestPairwiseAuc:
@@ -422,20 +433,17 @@ class TestEvalLinkPrediction:
         assert m.auc == 1.0
 
     def test_tie_breaks_toward_smaller_index(self):
-        # scores of candidates all equal; the drawn negative is node 2,
-        # whose index is larger than the destination, so the edge wins
-        values = np.array([[1.0, 0.0], [0.5, 0.0], [0.5, 0.0]])
-        table = EmbeddingTable(values=values)
-        m = eval_link_prediction(table, np.array([[0, 1]]), 1, seed=0)
-        assert m.mrr == 1.0
-        assert m.auc == 0.5  # tied pair counts half
+        # every candidate scores 0: only the index order separates them
+        for measure in ("dot", "cosine"):
+            table = EmbeddingTable(values=np.zeros((5, 2)), measure=measure)
+            m = eval_link_prediction(table, np.array([[2, 0]]), 6, seed=0)
+            assert m.mrr == 1.0
+            assert m.auc == 0.5  # tied pairs count half
 
-        # destination 2 ties with drawn negative 1: smaller index wins
-        values = np.array([[1.0, 0.0], [0.5, 0.0], [0.5, 0.0]])
-        table = EmbeddingTable(values=values)
-        m = eval_link_prediction(table, np.array([[0, 2]]), 1, seed=0)
-        assert m.mrr == 0.5
-        assert m.hits_at_1 == 0.0
+            m = eval_link_prediction(table, np.array([[2, 4]]), 6, seed=0)
+            assert m.mrr == 1.0 / 7
+            assert m.hits_at_1 == 0.0 and m.hits_at_10 == 1.0
+            assert m.auc == 0.5
 
     def test_deterministic(self):
         table = init_embeddings(20, 4, seed=2)
@@ -468,15 +476,13 @@ class TestEvalLinkPrediction:
             values=np.random.default_rng(6).integers(-2, 3, size=(15, 3)).astype(float),
             measure=measure,
         )
-        holdout = np.array([[0, 1], [4, 9], [14, 2], [7, 7]])
+        holdout = np.array([[0, 1], [4, 9], [14, 2], [7, 7], [3, 14], [5, 0]])
         got = eval_link_prediction(table, holdout, 6, seed=3)
+        rng = np.random.default_rng(3)
         ranks, pos, neg = [], [], []
-        for i, (src, dst) in enumerate(holdout.tolist()):
-            rng = np.random.default_rng((3, i))
-            negs = []
-            while len(negs) < 6:
-                negs += [d for d in rng.integers(0, 15, size=6 - len(negs)).tolist()
-                         if d != dst]
+        for src, dst in holdout.tolist():
+            # uniform over the 14 nodes other than dst
+            negs = [d + (d >= dst) for d in rng.integers(0, 14, size=6).tolist()]
             s_pos = score_edge(table, src, dst)
             s_negs = [score_edge(table, src, d) for d in negs]
             ranks.append(1 + sum(s > s_pos or (s == s_pos and d < dst)
@@ -486,6 +492,41 @@ class TestEvalLinkPrediction:
         assert got.mrr == pytest.approx(np.mean([1.0 / r for r in ranks]))
         assert got.hits_at_1 == np.mean([r <= 1 for r in ranks])
         assert got.auc == brute_force_auc(pos, neg)
+
+    def test_negatives_cover_every_node_but_the_destination(self, monkeypatch):
+        # row j holds the value j, so the candidate rows name the drawn nodes
+        n, k = 5, 8
+        table = EmbeddingTable(values=np.arange(n, dtype=float)[:, None])
+        holdout = np.column_stack((np.zeros(150, dtype=np.int64), np.arange(150) % n))
+        seen = []
+        scaled = graph_embed._scaled
+
+        def spy(rows, measure):
+            if rows.ndim == 3:
+                seen.append(rows[..., 0].astype(np.int64))
+            return scaled(rows, measure)
+
+        monkeypatch.setattr(graph_embed, "_scaled", spy)
+        eval_link_prediction(table, holdout, k, seed=1)
+        candidates = np.concatenate(seen)
+        assert candidates.shape == (150, k + 1)
+        np.testing.assert_array_equal(candidates[:, 0], holdout[:, 1])
+        for dst in range(n):
+            negs = candidates[candidates[:, 0] == dst, 1:]
+            assert set(negs.ravel().tolist()) == set(range(n)) - {dst}
+
+    @pytest.mark.parametrize("measure", ["dot", "cosine"])
+    def test_edge_batch_does_not_change_metrics(self, monkeypatch, measure):
+        rng = np.random.default_rng(12)
+        values = rng.normal(size=(30, 5))
+        values[3] = 0.0
+        table = EmbeddingTable(values=values, measure=measure)
+        holdout = rng.integers(0, 30, size=(150, 2))
+        holdout[:10, 0] = 3
+        holdout[10:20, 1] = 3
+        batched = eval_link_prediction(table, holdout, 7, seed=5)
+        monkeypatch.setattr(graph_embed, "EDGE_BATCH", 1)
+        assert eval_link_prediction(table, holdout, 7, seed=5) == batched
 
 
 class TestConfigValidation:
