@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,8 +30,6 @@ from .mining import TripleSet
 
 UNK = "<unk>"
 SEP = "<sep>"
-
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
 @dataclass
@@ -105,11 +102,14 @@ class EncoderTrainConfig:
 
 
 def tokenize(d: Document) -> list[str]:
-    """Lowercase word tokens of the title, a separator, then the abstract."""
-    tokens = _TOKEN_RE.findall(d.title.lower())
-    tokens.append(SEP)
-    tokens.extend(_TOKEN_RE.findall(d.abstract.lower()))
-    return tokens
+    r"""Lowercase ``[a-z0-9]+`` words of the title, a separator, then the
+    abstract's; any other character, once lowercased, separates words.
+
+    >>> tokenize(Document(id="d", title="\u212aelvin-9 İx", abstract="a\x00b\ud800c"))
+    ['kelvin', '9', 'i', 'x', '<sep>', 'a', 'b', 'c']
+    """
+    tokens = next(_text_blocks([d]))[:-1]
+    return [SEP if token == _TITLE_END else token for token in tokens]
 
 
 def build_vocab(docs: Iterable[Document]) -> dict[str, int]:
@@ -118,13 +118,10 @@ def build_vocab(docs: Iterable[Document]) -> dict[str, int]:
     Tokens are sorted so the mapping is independent of document order.
     """
     seen: set[str] = set()
-    for doc in docs:
-        seen.update(tokenize(doc))
-    seen.discard(SEP)
-    vocab = {UNK: 0, SEP: 1}
-    for token in sorted(seen):
-        vocab[token] = len(vocab)
-    return vocab
+    for tokens in _text_blocks(docs):
+        seen.update(tokens)
+    seen -= {_TITLE_END, _DOC_END}
+    return {token: i for i, token in enumerate([UNK, SEP, *sorted(seen)])}
 
 
 def init_encoder(
@@ -143,28 +140,16 @@ def init_encoder(
     )
 
 
-def token_ids(tokens: Sequence[str], vocab: Mapping[str, int]) -> list[int]:
-    unk = vocab[UNK]
-    return [vocab.get(token, unk) for token in tokens]
-
-
-def encode_tokens(tokens: Sequence[str], p: EncoderParams) -> np.ndarray:
-    """Mean of token embedding rows, then the affine projection."""
-    if not tokens:
-        raise ValueError("cannot encode an empty token sequence")
-    return _encode_rows(p, *_token_rows([tokens], p.vocab))[0]
-
-
 def encode(d: Document, p: EncoderParams) -> np.ndarray:
     """Encode one document into an out_dim vector."""
-    return encode_tokens(tokenize(d), p)
+    return _encode_rows(p, *_token_rows([d], p.vocab))[0]
 
 
 def encode_corpus(
     docs: Sequence[Document], p: EncoderParams
 ) -> tuple[EmbeddingTable, dict[str, int]]:
     """Encode documents into a table plus an id-to-row mapping."""
-    offsets, flat = _token_rows(map(tokenize, docs), p.vocab)
+    offsets, flat = _token_rows(docs, p.vocab)
     id_to_row = {d.id: i for i, d in enumerate(docs)}
     return EmbeddingTable(values=_encode_rows(p, offsets, flat), measure="dot"), id_to_row
 
@@ -190,20 +175,51 @@ def triplet_loss(
 CELL_CAP = 1 << 18
 
 
+# Characters tokenized at once: a block's words leave memory arenas partly used
+TEXT_CAP = 1 << 14
+
+# Marker words after each title and each document, as lowercased text has no
+# ASCII capital; any other byte but [a-z0-9] (non-ASCII ones are >= 0x80) is a space.
+_TITLE_END, _DOC_END = "S", "D"
+_WORD_BYTES = bytes(c if c in b"abcdefghijklmnopqrstuvwxyz0123456789SD" else 32
+                    for c in range(256))
+
+
+def _text_blocks(docs: Iterable[Document]) -> Iterator[list[str]]:
+    """Tokens of the documents, a block of at most TEXT_CAP characters (or
+    one longer document) at a time: each document's title words,
+    ``_TITLE_END``, its abstract words, then ``_DOC_END``."""
+    parts, size = [], 0
+    for d in docs:
+        text = f"{d.title.lower()} {_TITLE_END} {d.abstract.lower()} {_DOC_END} "
+        if parts and size + len(text) > TEXT_CAP:
+            yield _split(parts)
+            parts, size = [], 0
+        parts.append(text)
+        size += len(text)
+    if parts:
+        yield _split(parts)
+
+
+def _split(parts: list[str]) -> list[str]:
+    raw = "".join(parts).encode("utf-8", "surrogatepass")
+    return raw.translate(_WORD_BYTES).decode("ascii").split()
+
+
 def _token_rows(
-    token_lists: Iterable[Sequence[str]], vocab: Mapping[str, int]
+    docs: Iterable[Document], vocab: Mapping[str, int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tokenized documents as CSR arrays: offsets (one more than documents)
     and their flat vocab ids, with no id list held per document."""
-    lengths: list[int] = []
-
-    def doc_ids(tokens: Sequence[str]) -> list[int]:
-        lengths.append(len(tokens))
-        return token_ids(tokens, vocab)
-
-    ids = itertools.chain.from_iterable(map(doc_ids, token_lists))
-    flat = np.fromiter(ids, dtype=np.intp)
-    return np.cumsum([0, *lengths]), flat
+    lookup = {**vocab, _TITLE_END: vocab[SEP], _DOC_END: -1}
+    unk = itertools.repeat(vocab[UNK])
+    ids = np.concatenate([
+        np.fromiter(map(lookup.get, tokens, unk), dtype=np.intp, count=len(tokens))
+        for tokens in _text_blocks(docs)
+    ] or [np.zeros(0, dtype=np.intp)])
+    ends = np.flatnonzero(ids < 0)
+    # a document ends at its marker's position less the markers before it
+    return np.concatenate([[0], ends - np.arange(len(ends))]), ids[ids >= 0]
 
 
 def _pool_chunks(
@@ -299,7 +315,7 @@ def train(
             if pid not in docs:
                 raise DataError(f"triple references missing document {pid!r}")
             doc_row.setdefault(pid, len(doc_row))
-    offsets, flat = _token_rows((tokenize(docs[pid]) for pid in doc_row), p0.vocab)
+    offsets, flat = _token_rows((docs[pid] for pid in doc_row), p0.vocab)
     triples = np.array([[doc_row[t.query], doc_row[t.positive], doc_row[t.negative]]
                         for t in ts.triples], dtype=np.intp)
 
@@ -337,7 +353,7 @@ def grad_check(
     The fixture must sit away from kinks: loss strictly positive and both
     pair distances nonzero, otherwise the fixture is rejected.
     """
-    offsets, flat = _token_rows(map(tokenize, docs), p.vocab)
+    offsets, flat = _token_rows(docs, p.vocab)
 
     def loss_at(params: EncoderParams) -> float:
         return triplet_loss(*_encode_rows(params, offsets, flat), slack)

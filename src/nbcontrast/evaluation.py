@@ -89,15 +89,10 @@ def rank_by_l2(
         for pid in (q.query, *q.candidates):
             if pid not in id_to_row:
                 raise DataError(f"id {pid!r} has no vector")
-        qv = vectors.values[id_to_row[q.query]]
-        order = sorted(
-            q.candidates,
-            key=lambda pid: (
-                float(np.linalg.norm(vectors.values[id_to_row[pid]] - qv)),
-                id_to_row[pid],
-            ),
-        )
-        ranked.append(order)
+        rows = np.array([id_to_row[pid] for pid in q.candidates], dtype=np.intp)
+        diff = vectors.values[rows] - vectors.values[id_to_row[q.query]]
+        order = np.lexsort((rows, np.sqrt((diff ** 2).sum(axis=1))))
+        ranked.append([q.candidates[i] for i in order])
     return ranked
 
 

@@ -448,6 +448,10 @@ def run_eval(cfg: PipelineConfig) -> Path:
     return out
 
 
+# Elements (rows x later rows x dim) of one block in label_separation
+PAIR_CAP = 1 << 18
+
+
 def label_separation(
     vectors: graph_embed.EmbeddingTable,
     labeled: evaluation.LabeledSet,
@@ -455,21 +459,26 @@ def label_separation(
 ) -> tuple[float, float]:
     """Mean pairwise L2 distance within and across label groups.
 
-    Each row is compared with the rows after it, so no n x n x d tensor is
-    built; the n(n-1)/2 pairwise distances are still held at once.
+    Each row is compared with the rows after it, a block of at most
+    PAIR_CAP differences at a time, and only the distances' sums are kept.
     """
     ids = [pid for pid, _, _ in labeled.items if pid in id_to_row]
     labels = {pid: label for pid, label, _ in labeled.items}
     points = np.stack([vectors.values[id_to_row[pid]] for pid in ids])
     _, codes = np.unique([labels[pid] for pid in ids], return_inverse=True)
-    dists = np.concatenate([
-        np.sqrt(((points[i + 1:] - points[i]) ** 2).sum(axis=1))
-        for i in range(len(ids))
-    ])
-    same = np.concatenate([codes[i + 1:] == codes[i] for i in range(len(ids))])
-    intra = float(dists[same].mean())
-    inter = float(dists[~same].mean())
-    return intra, inter
+    sums, counts = np.zeros(2), np.zeros(2)
+    step = max(1, PAIR_CAP // points.size)
+    for start in range(0, len(points) - 1, step):
+        block = points[start:start + step]
+        dists = np.sqrt(((block[:, None] - points[start + 1:]) ** 2).sum(axis=-1))
+        # column j is row start + 1 + j, a later row than block row i if j >= i
+        later = np.arange(dists.shape[1]) >= np.arange(len(block))[:, None]
+        same = codes[start:start + step, None] == codes[start + 1:]
+        for k, pairs in enumerate((later & same, later & ~same)):
+            sums[k] += dists[pairs].sum()
+            counts[k] += pairs.sum()
+    intra, inter = sums / counts
+    return float(intra), float(inter)
 
 
 def render_report(metrics: dict[str, float]) -> str:

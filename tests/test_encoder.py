@@ -1,7 +1,11 @@
 """Document encoder: tokenization, triplet loss, training, gradients."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbcontrast import encoder
 from nbcontrast.corpus import Document
@@ -14,12 +18,10 @@ from nbcontrast.encoder import (
     build_vocab,
     encode,
     encode_corpus,
-    encode_tokens,
     grad_check,
     init_encoder,
     load_encoder,
     save_encoder,
-    token_ids,
     tokenize,
     train,
     triplet_loss,
@@ -29,6 +31,31 @@ from nbcontrast.fixtures import FixtureConfig, two_topic_documents
 from nbcontrast.graph_embed import EmbeddingTable
 from nbcontrast.mining import SamplingConfig, Triple, TripleSet, oracle_triples
 from nbcontrast.snapshot import read_snapshot, write_snapshot
+
+
+def token_ids(tokens, vocab):
+    """Test-local id lookup: a token outside the vocabulary is ``<unk>``."""
+    return [vocab.get(token, vocab[UNK]) for token in tokens]
+
+
+def encode_tokens(tokens, p):
+    """Test-local encoder of one token sequence through the package's pooling."""
+    ids = token_ids(tokens, p.vocab)
+    return encoder._encode_rows(p, np.array([0, len(ids)]), np.array(ids))[0]
+
+
+def reference_tokens(d):
+    """Test-local tokenizer: the regex over each lowercased field on its own."""
+    words = re.compile(r"[a-z0-9]+").findall
+    return words(d.title.lower()) + [SEP] + words(d.abstract.lower())
+
+
+# any text, plus characters that lowercase to ASCII (Kelvin sign, dotted
+# capital I), separators (NUL, lone surrogates) and the marker letters
+TEXT = st.text(
+    st.one_of(st.characters(), st.sampled_from("\u212a\u0130\x00\ud800\udfffSDsd 9")),
+    max_size=30,
+)
 
 
 class TestTokenize:
@@ -46,7 +73,37 @@ class TestTokenize:
 
     def test_oov_maps_to_unk(self):
         vocab = {UNK: 0, SEP: 1, "known": 2}
-        assert token_ids(["known", "mystery", SEP], vocab) == [2, 0, 1]
+        doc = Document(id="d", title="Known mystery", abstract="")
+        offsets, flat = encoder._token_rows([doc], vocab)
+        assert offsets.tolist() == [0, 3] and flat.tolist() == [2, 0, 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(TEXT.filter(bool), TEXT), max_size=12), st.integers(1, 80))
+    def test_blocks_match_per_document_regex(self, fields, cap):
+        docs = [Document(id=str(i), title=title, abstract=abstract)
+                for i, (title, abstract) in enumerate(fields)]
+        expect = [reference_tokens(d) for d in docs]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(encoder, "TEXT_CAP", cap)
+            assert [tokenize(d) for d in docs] == expect
+            vocab = build_vocab(docs)
+            assert list(vocab) == [UNK, SEP, *sorted({t for ts in expect for t in ts} - {SEP})]
+            # half the documents' vocabulary, so the rest map to <unk>
+            vocab = build_vocab(docs[::2])
+            offsets, flat = encoder._token_rows(docs, vocab)
+        assert offsets.tolist() == np.cumsum([0, *map(len, expect)]).tolist()
+        assert flat.tolist() == token_ids([t for ts in expect for t in ts], vocab)
+
+    def test_blocks_hold_documents_up_to_the_cap(self, monkeypatch):
+        monkeypatch.setattr(encoder, "TEXT_CAP", 64)
+        # 14 characters per short document: "ab cd ", " S ", "ef" and " D "
+        short = [Document(id=f"s{i}", title="Ab cd ", abstract="ef") for i in range(9)]
+        long = Document(id="long", title="word " * 30, abstract="")
+        blocks = list(encoder._text_blocks(short[:5] + [long] + short[5:]))
+        ends = [block.count(encoder._DOC_END) for block in blocks]
+        # 64 characters hold 4 short documents; the long one is a block alone
+        assert ends == [4, 1, 1, 4]
+        assert blocks[2] == ["word"] * 30 + [encoder._TITLE_END, encoder._DOC_END]
 
 
 class TestEncode:
@@ -83,10 +140,6 @@ class TestEncode:
         d1 = Document(id="1", title="a b", abstract="a")
         d2 = Document(id="2", title="a a", abstract="b")
         np.testing.assert_allclose(encode(d1, p), encode(d2, p), atol=1e-15)
-
-    def test_empty_sequence_rejected(self):
-        with pytest.raises(ValueError):
-            encode_tokens([], self.tiny_params())
 
     def test_vocab_must_reserve_unk(self):
         with pytest.raises(ValidationError):
@@ -426,12 +479,16 @@ class TestTrain:
     def test_tokenizes_each_document_once(self, monkeypatch):
         ts, docs, p0 = self.reference_fixture()
         calls = []
+        text_blocks = encoder._text_blocks
 
-        def counting_tokenize(doc):
-            calls.append(doc.id)
-            return tokenize(doc)
+        def counting_blocks(block_docs):
+            def counted():
+                for doc in block_docs:
+                    calls.append(doc.id)
+                    yield doc
+            return text_blocks(counted())
 
-        monkeypatch.setattr(encoder, "tokenize", counting_tokenize)
+        monkeypatch.setattr(encoder, "_text_blocks", counting_blocks)
         train(ts, docs, p0, EncoderTrainConfig(epochs=2, effective_batch=4))
         used = {d for t in ts.triples for d in (t.query, t.positive, t.negative)}
         assert sorted(calls) == sorted(used)
@@ -451,7 +508,7 @@ class TestTrain:
         """CSR token rows of the reference fixture and its triples as rows."""
         ts, docs, p0 = self.reference_fixture()
         ids = sorted(docs)
-        offsets, flat = encoder._token_rows([tokenize(docs[d]) for d in ids], p0.vocab)
+        offsets, flat = encoder._token_rows([docs[d] for d in ids], p0.vocab)
         triples = np.array([[ids.index(d) for d in (t.query, t.positive, t.negative)]
                             for t in ts.triples])
         return p0, offsets, flat, triples

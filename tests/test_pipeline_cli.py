@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nbcontrast import pipeline
 from nbcontrast.cli import DEFAULT_CONFIG, main
 from nbcontrast.encoder import EncoderTrainConfig
 from nbcontrast.evaluation import LabeledSet, ProbeConfig
@@ -103,6 +104,20 @@ class TestStages:
         main(["all", "--config", config])
         second = {name: sha256(workdir / name) for name in first}
         assert first == second
+
+    def test_lone_surrogate_escape_in_documents_runs(self, workdir):
+        config = str(workdir / "config.ini")
+        for stage in ("fixture", "ingest", "graph-train", "mine"):
+            assert main([stage, "--config", config]) == 0
+        docs = workdir / "documents.jsonl"
+        first, *rest = docs.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(first)
+        record["title"] += " a\ud800b"
+        line = json.dumps(record) + "\n"
+        assert "\\ud800" in line
+        docs.write_text(line + "".join(rest), encoding="utf-8")
+        assert main(["encode-train", "--config", config]) == 0
+        assert main(["eval", "--config", config]) == 0
 
     def test_stage_dir_override(self, workdir, tmp_path):
         other = tmp_path / "elsewhere"
@@ -719,7 +734,7 @@ class TestFixtureBootstrap:
 
 
 class TestLabelSeparation:
-    def test_matches_full_distance_matrix(self):
+    def test_matches_full_distance_matrix(self, monkeypatch):
         rng = np.random.default_rng(12)
         n, dim = 60, 7
         vectors = EmbeddingTable(values=rng.normal(size=(n + 5, dim)))
@@ -736,4 +751,9 @@ class TestLabelSeparation:
         same = np.array([[a == b for b in labels] for a in labels])
         upper = np.triu(np.ones((n, n), dtype=bool), k=1)
         expect = (float(dists[same & upper].mean()), float(dists[~same & upper].mean()))
-        assert label_separation(vectors, labeled, id_to_row) == expect
+        # one block, blocks of a few rows, and a row per block below the cap;
+        # the block sums add in another order than the full matrix's mean
+        for cap in (pipeline.PAIR_CAP, 59 * 7 * 4, 1):
+            monkeypatch.setattr(pipeline, "PAIR_CAP", cap)
+            got = label_separation(vectors, labeled, id_to_row)
+            np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0)
