@@ -10,14 +10,13 @@ from .corpus import (
     split_edges,
     to_undirected,
 )
-from .encoder import EncoderParams, EncoderTrainConfig, encode, tokenize, triplet_loss
+from .encoder import EncoderParams, EncoderTrainConfig, tokenize, triplet_loss
 from .graph_embed import (
     EmbeddingTable,
     GraphTrainConfig,
     LinkPredMetrics,
     eval_link_prediction,
     init_embeddings,
-    score_edge,
     train_epoch,
 )
 from .mining import (
@@ -25,7 +24,6 @@ from .mining import (
     Triple,
     TripleSet,
     mine_triples,
-    oracle_triples,
     subsample_triples,
 )
 
@@ -45,15 +43,12 @@ __all__ = [
     "Triple",
     "TripleSet",
     "batch_neighbors",
-    "encode",
     "eval_link_prediction",
     "filter_nodes",
     "ingest_edges",
     "init_embeddings",
     "mine_triples",
-    "oracle_triples",
     "range_by_rank",
-    "score_edge",
     "split_edges",
     "subsample_triples",
     "to_undirected",

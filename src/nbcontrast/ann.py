@@ -53,9 +53,6 @@ class NeighborList:
         """``(node, score)`` pairs in rank order."""
         return tuple(zip(self.ids.tolist(), self.scores.tolist()))
 
-    def nodes(self) -> list[int]:
-        return self.ids.tolist()
-
 
 def smallest_k(key: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     """Positions of the k smallest keys, ties toward the smaller id, NaN last.

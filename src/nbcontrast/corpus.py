@@ -10,7 +10,6 @@ import json
 import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -66,19 +65,6 @@ class CitationGraph:
     @property
     def edge_count(self) -> int:
         return int(self.edges.shape[0])
-
-    @cached_property
-    def id_to_index(self) -> dict[str, int]:
-        return {ext: i for i, ext in enumerate(self.ids)}
-
-    def index_of(self, external_id: str) -> int:
-        try:
-            return self.id_to_index[external_id]
-        except KeyError:
-            raise DataError(f"unknown paper id {external_id!r}") from None
-
-    def paper_id(self, index: int) -> PaperId:
-        return PaperId(self.ids[index], index)
 
     def paper_ids(self) -> list[PaperId]:
         return [PaperId(ext, i) for i, ext in enumerate(self.ids)]

@@ -45,8 +45,9 @@ class EncoderParams:
         self.token_table = np.asarray(self.token_table, dtype=np.float64)
         self.projection = np.asarray(self.projection, dtype=np.float64)
         self.projection_bias = np.asarray(self.projection_bias, dtype=np.float64)
-        if UNK not in self.vocab:
-            raise ValidationError(f"vocab must reserve {UNK!r}")
+        for token in (UNK, SEP):
+            if token not in self.vocab:
+                raise ValidationError(f"vocab must reserve {token!r}")
         if self.token_table.shape[0] != len(self.vocab):
             raise ValidationError("token_table rows must match vocab size")
         if self.token_table.shape[1] != self.projection.shape[0]:
@@ -138,11 +139,6 @@ def init_encoder(
         projection=rng.normal(0.0, scale, size=(hidden_dim, out_dim)),
         projection_bias=np.zeros(out_dim),
     )
-
-
-def encode(d: Document, p: EncoderParams) -> np.ndarray:
-    """Encode one document into an out_dim vector."""
-    return _encode_rows(p, *_token_rows([d], p.vocab))[0]
 
 
 def encode_corpus(

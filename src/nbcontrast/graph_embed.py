@@ -144,6 +144,7 @@ def scores(
     values = t.values[cols]
     if (measure or t.measure) == "dot":
         return (values @ q.T).T
+    # not _scaled rows: integer products over norms keep integer-table ties exact
     norms = np.linalg.norm(values, axis=1)
     qn = np.linalg.norm(q, axis=-1, keepdims=True)
     nonzero = norms > 0.0
@@ -152,14 +153,6 @@ def scores(
         out[..., nonzero] = (values[nonzero] @ q.T).T / (norms[nonzero] * qn)
     out[qn[..., 0] == 0.0] = 0.0
     return out
-
-
-def score_edge(t: EmbeddingTable, src: int, dst: int) -> float:
-    """Score one (src, dst) pair under the table's measure (see :func:`scores`)."""
-    n = t.rows
-    if not (0 <= src < n and 0 <= dst < n):
-        raise ValueError(f"edge ({src}, {dst}) out of range for {n} nodes")
-    return float(scores(t, src, [dst])[0])
 
 
 def _scaled(rows: np.ndarray, measure: str) -> tuple[np.ndarray, np.ndarray]:

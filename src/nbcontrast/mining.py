@@ -191,16 +191,6 @@ def derive_seed(seed: int, *parts: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def sample_positives_knn(n: NeighborList, cfg: SamplingConfig) -> list[int]:
-    """Positive band: neighbor ranks (k_pos - c_pos, k_pos]."""
-    return range_by_rank(n, cfg.k_pos, cfg.c_pos) if cfg.c_pos else []
-
-
-def sample_hard_negatives_knn(n: NeighborList, cfg: SamplingConfig) -> list[int]:
-    """Hard-negative band: neighbor ranks (k_hard - c_hard, k_hard]."""
-    return range_by_rank(n, cfg.k_hard, cfg.c_hard) if cfg.c_hard else []
-
-
 def sample_by_similarity(
     ids: np.ndarray, scores: np.ndarray, c: int, t: float, mode: str
 ) -> list[int]:
@@ -325,7 +315,7 @@ def _mine_one_query(
         positives: list[int] = []
     elif cfg.pos_strategy == "knn":
         assert neighbors is not None
-        positives = sample_positives_knn(neighbors, cfg)
+        positives = range_by_rank(neighbors, cfg.k_pos, cfg.c_pos)
     else:
         positives = sample_by_similarity(others, cosine, cfg.c_pos, cfg.t_pos, "above")
 
@@ -333,7 +323,7 @@ def _mine_one_query(
         hard: list[int] = []
     elif cfg.hard_strategy == "knn":
         assert neighbors is not None
-        hard = sample_hard_negatives_knn(neighbors, cfg)
+        hard = range_by_rank(neighbors, cfg.k_hard, cfg.c_hard)
     else:
         hard = sample_by_similarity(others, cosine, cfg.c_hard, cfg.t_neg, "below")
 
@@ -452,68 +442,6 @@ def mine_triples(
         config_snapshot=cfg,
         skipped=tuple(skipped),
         partial=tuple(partials),
-    )
-
-
-def oracle_triples(
-    labels: Mapping[str, str],
-    per_label_cap: int,
-    cfg: SamplingConfig,
-) -> TripleSet:
-    """Build triples from class labels instead of embedding neighborhoods.
-
-    Same-label papers are positives, different-label papers negatives.
-    Every labeled paper acts as a query; each label contributes at most
-    ``per_label_cap`` triples so no class dominates the set.
-    """
-    cfg.validate()
-    if per_label_cap < 1:
-        raise ValueError(f"per_label_cap must be >= 1: {per_label_cap}")
-    by_label: dict[str, list[str]] = {}
-    for pid, label in labels.items():
-        by_label.setdefault(label, []).append(pid)
-    if len(by_label) < 2:
-        raise ValueError("oracle triples need at least 2 distinct labels")
-    for label, members in by_label.items():
-        if len(members) < 2:
-            raise ValueError(f"label {label!r} has fewer than 2 members")
-
-    n_negatives = cfg.c_hard + cfg.c_easy
-    emitted: dict[str, int] = {label: 0 for label in by_label}
-    triples: list[Triple] = []
-    partials: list[str] = []
-    for pid, label in labels.items():
-        budget = per_label_cap - emitted[label]
-        if budget <= 0:
-            continue
-        same = [p for p in by_label[label] if p != pid]
-        other = [p for other_label, members in by_label.items()
-                 if other_label != label for p in members]
-        rng = np.random.default_rng(derive_seed(cfg.seed, "oracle", pid))
-        n_pos = min(cfg.c_pos, len(same), budget)
-        n_neg = min(n_negatives, len(other))
-        n_emit = min(n_pos, n_neg)
-        if n_emit < 1:
-            continue
-        pos_pick = [same[int(i)] for i in rng.choice(len(same), n_pos, replace=False)]
-        neg_pick = [other[int(i)] for i in rng.choice(len(other), n_neg, replace=False)]
-        kinds = ["hard"] * cfg.c_hard + ["easy"] * cfg.c_easy
-        for j in range(n_emit):
-            triples.append(
-                Triple(
-                    query=pid,
-                    positive=pos_pick[j],
-                    negative=neg_pick[j],
-                    negative_kind=kinds[j] if j < len(kinds) else "easy",
-                    strategy="oracle",
-                )
-            )
-        emitted[label] += n_emit
-        if n_emit < cfg.c_pos:
-            partials.append(pid)
-
-    return TripleSet(
-        triples=tuple(triples), config_snapshot=cfg, partial=tuple(partials)
     )
 
 

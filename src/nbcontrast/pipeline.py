@@ -365,7 +365,10 @@ def run_encode_train(cfg: PipelineConfig) -> Path:
     vocab = encoder.build_vocab(docs.values())
     ec = cfg.encoder_cfg
     params = encoder.init_encoder(vocab, ec.hidden_dim, ec.out_dim, ec.seed)
-    params, trace = encoder.train(triples, docs, params, ec)
+    try:
+        params, trace = encoder.train(triples, docs, params, ec)
+    except DataError as exc:
+        raise DataError(f"{triples_path}: {exc} (documents: {docs_path})") from None
 
     out = cfg.workdir / ARTIFACTS["encode-train"]
     encoder.save_encoder(params, out)
@@ -407,7 +410,10 @@ def run_eval(cfg: PipelineConfig) -> Path:
 
     metrics: dict[str, float] = {}
     if cfg.ranking_task_path:
-        ranked = evaluation.rank_by_l2(vectors, task, id_to_row)
+        try:
+            ranked = evaluation.rank_by_l2(vectors, task, id_to_row)
+        except DataError as exc:
+            raise DataError(f"{task_path}: {exc} (documents: {docs_path})") from None
         relevant = [q.relevant for q in task.queries]
         name = task_path.stem
         metrics[f"ranking.{name}.map"] = evaluation.mean_average_precision(
@@ -418,9 +424,12 @@ def run_eval(cfg: PipelineConfig) -> Path:
 
     if cfg.labels_path:
         name = labels_path.stem
-        metrics[f"classification.{name}.f1"] = evaluation.linear_probe_f1(
-            vectors, labeled, id_to_row, cfg.probe_cfg
-        )
+        try:
+            metrics[f"classification.{name}.f1"] = evaluation.linear_probe_f1(
+                vectors, labeled, id_to_row, cfg.probe_cfg
+            )
+        except DataError as exc:
+            raise DataError(f"{labels_path}: {exc} (documents: {docs_path})") from None
         intra, inter = label_separation(vectors, labeled, id_to_row)
         metrics["separation.topics.intra_l2"] = intra
         metrics["separation.topics.inter_l2"] = inter

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from nbcontrast import ann
 from nbcontrast.ann import NeighborList, batch_neighbors, range_by_rank, smallest_k, top_k
 from nbcontrast.errors import InsufficientNeighborsError
-from nbcontrast.graph_embed import EmbeddingTable, score_edge, scores
+from nbcontrast.graph_embed import EmbeddingTable, scores
+
+
+def score_edge(table, src, dst):
+    """One pair's score from a one-column ``scores`` call."""
+    return float(scores(table, src, [dst])[0])
 
 
 def naive_top_k(table, query, k, exclude=frozenset()):
@@ -70,12 +75,12 @@ class TestPartialSelection:
         # nodes 1..6 tie; k=3 cuts through the tie, nodes 7 and 8 lose
         values = np.array([[1.0]] + [[0.5]] * 6 + [[0.1], [0.2]])
         nl = top_k(EmbeddingTable(values), 0, 3)
-        assert nl.nodes() == [1, 2, 3]
+        assert nl.ids.tolist() == [1, 2, 3]
 
     def test_nan_scores_rank_last(self):
         values = np.array([[1.0], [np.nan], [0.5], [np.nan], [0.2]])
         nl = top_k(EmbeddingTable(values), 0, 4)
-        assert nl.nodes() == [2, 4, 1, 3]
+        assert nl.ids.tolist() == [2, 4, 1, 3]
 
     def test_arrays_are_typed_and_read_only(self):
         nl = top_k(EmbeddingTable(np.eye(4)), 0, 3)
@@ -83,7 +88,7 @@ class TestPartialSelection:
         assert nl.scores.dtype == np.float64
         with pytest.raises(ValueError):
             nl.ids[0] = 9
-        assert nl.entries == tuple(zip(nl.nodes(), nl.scores.tolist()))
+        assert nl.entries == tuple(zip(nl.ids.tolist(), nl.scores.tolist()))
 
     @pytest.mark.parametrize("bad", [-1, 4, 100])
     def test_out_of_range_exclude_rejected(self, bad):
@@ -104,23 +109,23 @@ class TestTopK:
     def test_equal_scores_ascending_index(self):
         table = EmbeddingTable(values=np.ones((5, 2)))
         nl = top_k(table, 2, 4)
-        assert nl.nodes() == [0, 1, 3, 4]
+        assert nl.ids.tolist() == [0, 1, 3, 4]
 
     def test_k_at_least_node_count(self):
         rng = np.random.default_rng(5)
         table = EmbeddingTable(values=rng.normal(size=(6, 3)))
         nl = top_k(table, 1, 100)
         assert len(nl) == 5
-        assert nl.nodes() == [i for i, _ in naive_top_k(table, 1, 5)]
+        assert nl.ids.tolist() == [i for i, _ in naive_top_k(table, 1, 5)]
 
     def test_query_never_present(self):
         table = EmbeddingTable(values=np.random.default_rng(0).normal(size=(8, 2)))
-        assert 3 not in top_k(table, 3, 7).nodes()
+        assert 3 not in top_k(table, 3, 7).ids.tolist()
 
     def test_exclusions_respected(self):
         table = EmbeddingTable(values=np.random.default_rng(0).normal(size=(8, 2)))
         nl = top_k(table, 0, 7, exclude={1, 2})
-        assert not {1, 2} & set(nl.nodes())
+        assert not {1, 2} & set(nl.ids.tolist())
 
     def test_k_zero_rejected(self):
         table = EmbeddingTable(values=np.ones((2, 2)))

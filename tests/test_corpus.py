@@ -65,9 +65,9 @@ class TestIngest:
 
     def test_index_mapping_is_bijection(self, tmp_path):
         g = ingest_edges(write_edges(tmp_path, [("x", "y"), ("y", "z"), ("z", "x")]))
-        for i, ext in enumerate(g.ids):
-            assert g.index_of(ext) == i
-            assert g.paper_id(i).external_id == ext
+        papers = g.paper_ids()
+        assert [p.index for p in papers] == list(range(g.node_count))
+        assert {p.external_id: p.index for p in papers} == {"x": 0, "y": 1, "z": 2}
 
 
 class TestFilterNodes:
@@ -344,7 +344,7 @@ def reference_ingest(pairs):
 
 def reference_filter(g, exclude):
     known = set(g.ids)
-    drop = {g.id_to_index[e] for e in exclude if e in known}
+    drop = {g.ids.index(e) for e in exclude if e in known}
     keep_ids = tuple(ext for i, ext in enumerate(g.ids) if i not in drop)
     remap = {old: new for new, old in
              enumerate(i for i in range(g.node_count) if i not in drop)}

@@ -16,7 +16,6 @@ from nbcontrast.encoder import (
     EncoderParams,
     EncoderTrainConfig,
     build_vocab,
-    encode,
     encode_corpus,
     grad_check,
     init_encoder,
@@ -29,7 +28,7 @@ from nbcontrast.encoder import (
 from nbcontrast.errors import DataError, ValidationError
 from nbcontrast.fixtures import FixtureConfig, two_topic_documents
 from nbcontrast.graph_embed import EmbeddingTable
-from nbcontrast.mining import SamplingConfig, Triple, TripleSet, oracle_triples
+from nbcontrast.mining import SamplingConfig, Triple, TripleSet
 from nbcontrast.snapshot import read_snapshot, write_snapshot
 
 
@@ -139,7 +138,8 @@ class TestEncode:
         p = self.tiny_params()
         d1 = Document(id="1", title="a b", abstract="a")
         d2 = Document(id="2", title="a a", abstract="b")
-        np.testing.assert_allclose(encode(d1, p), encode(d2, p), atol=1e-15)
+        table, _ = encode_corpus([d1, d2], p)
+        np.testing.assert_allclose(table.values[0], table.values[1], atol=1e-15)
 
     def test_vocab_must_reserve_unk(self):
         with pytest.raises(ValidationError):
@@ -203,7 +203,8 @@ class TestEncodeCorpus:
             table.values, mean_pool_reference(docs, p), rtol=0, atol=1e-12
         )
         for i in (0, 13, 24):
-            np.testing.assert_allclose(encode(docs[i], p), table.values[i],
+            alone, _ = encode_corpus([docs[i]], p)
+            np.testing.assert_allclose(alone.values[0], table.values[i],
                                        rtol=0, atol=1e-12)
 
 
@@ -652,6 +653,21 @@ class TestGradCheck:
             grad_check(params, (doc, doc, doc), slack=0.0)
 
 
+def label_triples(labels, per_query, seed):
+    """Test-local triples from class labels: each paper is a query with
+    same-label positives and other-label negatives, drawn without replacement."""
+    rng = np.random.default_rng(seed)
+    triples = []
+    for pid, label in labels.items():
+        same = [p for p, other in labels.items() if other == label and p != pid]
+        rest = [p for p, other in labels.items() if other != label]
+        positives = rng.choice(same, per_query, replace=False)
+        negatives = rng.choice(rest, per_query, replace=False)
+        triples += [Triple(pid, str(pos), str(neg), "easy", "labels")
+                    for pos, neg in zip(positives, negatives)]
+    return TripleSet(triples=tuple(triples), config_snapshot=SamplingConfig())
+
+
 class TestTopicSeparation:
     def test_two_topic_corpus_separates_after_training(self):
         fc = FixtureConfig(nodes=200, blocks=2, seed=5)
@@ -659,8 +675,7 @@ class TestTopicSeparation:
         docs_list, labels = two_topic_documents(block_of, fc)
         docs = {d.id: d for d in docs_list}
 
-        cfg = SamplingConfig(c_pos=5, c_hard=0, c_easy=5, seed=5)
-        ts = oracle_triples(labels, per_label_cap=10_000, cfg=cfg)
+        ts = label_triples(labels, per_query=5, seed=5)
         vocab = build_vocab(docs.values())
         p0 = init_encoder(vocab, hidden_dim=64, out_dim=32, seed=5)
         tcfg = EncoderTrainConfig(epochs=2, learning_rate=0.1,

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from nbcontrast.ann import NeighborList, batch_neighbors
+from nbcontrast.ann import NeighborList, batch_neighbors, range_by_rank
 from nbcontrast.corpus import PaperId
 from nbcontrast.errors import ValidationError
 from nbcontrast import mining
-from nbcontrast.graph_embed import EmbeddingTable, init_embeddings, score_edge, scores
+from nbcontrast.graph_embed import EmbeddingTable, init_embeddings, scores
 from nbcontrast.mining import (
     MiningFailure,
     SamplingConfig,
@@ -15,11 +15,8 @@ from nbcontrast.mining import (
     TripleSet,
     load_triples,
     mine_triples,
-    oracle_triples,
     sample_by_similarity,
     sample_filtered_random,
-    sample_hard_negatives_knn,
-    sample_positives_knn,
     sample_random,
     sample_sorted_random,
     save_triples,
@@ -82,27 +79,37 @@ class TestConfigValidation:
         assert adjacent.sampling_margin() == 0
 
 
+def knn_positives(n, cfg):
+    """The ``knn`` positive band as mining takes it: ranks (k_pos - c_pos, k_pos]."""
+    return range_by_rank(n, cfg.k_pos, cfg.c_pos)
+
+
+def knn_hard_negatives(n, cfg):
+    """The ``knn`` hard-negative band: ranks (k_hard - c_hard, k_hard]."""
+    return range_by_rank(n, cfg.k_hard, cfg.c_hard)
+
+
 class TestBandSamplers:
     def test_positive_band_of_tuned_config(self):
         n = fake_neighbors(30)
-        assert sample_positives_knn(n, TUNED_CONFIG) == [21, 22, 23, 24, 25]
+        assert knn_positives(n, TUNED_CONFIG) == [21, 22, 23, 24, 25]
 
     def test_positive_band_minimal(self):
         cfg = SamplingConfig(k_pos=1, c_pos=1, k_hard=10, c_hard=1)
-        assert sample_positives_knn(fake_neighbors(10), cfg) == [1]
+        assert knn_positives(fake_neighbors(10), cfg) == [1]
 
     def test_positive_band_three_from_ten(self):
         cfg = SamplingConfig(k_pos=10, c_pos=3, k_hard=20, c_hard=1)
-        assert sample_positives_knn(fake_neighbors(20), cfg) == [8, 9, 10]
+        assert knn_positives(fake_neighbors(20), cfg) == [8, 9, 10]
 
     def test_hard_band_of_tuned_config(self):
         n = fake_neighbors(4000)
-        assert sample_hard_negatives_knn(n, TUNED_CONFIG) == [3999, 4000]
+        assert knn_hard_negatives(n, TUNED_CONFIG) == [3999, 4000]
 
     def test_band_gap_of_tuned_config(self):
         n = fake_neighbors(4000)
-        pos = sample_positives_knn(n, TUNED_CONFIG)
-        hard = sample_hard_negatives_knn(n, TUNED_CONFIG)
+        pos = knn_positives(n, TUNED_CONFIG)
+        hard = knn_hard_negatives(n, TUNED_CONFIG)
         ranks = {node: r for r, (node, _) in enumerate(n.entries, start=1)}
         assert min(ranks[h] for h in hard) - max(ranks[p] for p in pos) == 3974
         assert not set(pos) & set(hard)
@@ -202,6 +209,11 @@ class TestSampleFilteredRandom:
         corpus = list(range(4101))
         got = sample_filtered_random(corpus, 3, n, k_filter=4000, seed=0)
         assert not set(got) & exclusion
+
+
+def score_edge(table, src, dst):
+    """One pair's score from a one-column ``scores`` call."""
+    return float(scores(table, src, [dst])[0])
 
 
 class TestSampleSortedRandom:
@@ -469,7 +481,7 @@ class TestMineTriples:
                 continue
             assert t.strategy == "filtered_random"
             nl = batch_neighbors(table, [ext_to_idx[t.query]], depth)[0]
-            assert ext_to_idx[t.negative] not in set(nl.nodes()[:depth])
+            assert ext_to_idx[t.negative] not in set(nl.ids.tolist()[:depth])
 
     def test_negatives_are_shuffled_union_of_bands(self):
         table, papers = desk_papers()
@@ -478,7 +490,7 @@ class TestMineTriples:
         ext_to_idx = {p.external_id: p.index for p in papers}
         for paper in papers[:8]:
             nl = batch_neighbors(table, [paper.index], cfg.k_hard)[0]
-            hard_band = set(nl.nodes()[cfg.k_hard - cfg.c_hard:cfg.k_hard])
+            hard_band = set(nl.ids.tolist()[cfg.k_hard - cfg.c_hard:cfg.k_hard])
             triples = [t for t in ts.triples if t.query == paper.external_id]
             got_hard = {ext_to_idx[t.negative]
                         for t in triples if t.negative_kind == "hard"}
@@ -551,43 +563,6 @@ class TestMineTriples:
         # sim picks by cosine regardless of the table's dot measure
         for t in ts.triples[:6]:
             assert t.query != t.positive != t.negative
-
-
-class TestOracleTriples:
-    def test_same_label_positive_cross_label_negative(self):
-        labels = {f"a{i}": "A" for i in range(3)}
-        labels.update({f"b{i}": "B" for i in range(3)})
-        cfg = SamplingConfig(c_pos=1, c_hard=0, c_easy=1, seed=0)
-        ts = oracle_triples(labels, per_label_cap=100, cfg=cfg)
-        assert len(ts) == 6
-        for t in ts.triples:
-            assert labels[t.query] == labels[t.positive]
-            assert labels[t.query] != labels[t.negative]
-            assert t.strategy == "oracle"
-
-    def test_per_label_cap_bounds_contributions(self):
-        rng = np.random.default_rng(4)
-        labels = {f"p{i}": f"L{int(rng.integers(0, 4))}" for i in range(40)}
-        counts = {}
-        for label in set(labels.values()):
-            if sum(1 for v in labels.values() if v == label) < 2:
-                labels = {k: v for k, v in labels.items() if v != label}
-        cfg = SamplingConfig(c_pos=3, c_hard=1, c_easy=2, seed=0)
-        cap = 7
-        ts = oracle_triples(labels, per_label_cap=cap, cfg=cfg)
-        for t in ts.triples:
-            counts[labels[t.query]] = counts.get(labels[t.query], 0) + 1
-        assert counts
-        for label, count in counts.items():
-            assert count <= cap
-
-    def test_single_label_rejected(self):
-        with pytest.raises(ValueError):
-            oracle_triples({"a": "X", "b": "X"}, 10, SamplingConfig())
-
-    def test_singleton_label_rejected(self):
-        with pytest.raises(ValueError):
-            oracle_triples({"a": "X", "b": "X", "c": "Y"}, 10, SamplingConfig())
 
 
 def synthetic_tripleset(n_queries, per_query=5):

@@ -304,6 +304,19 @@ class TestExitCodes:
         ckpt.write_bytes(ckpt.read_bytes()[:-1])
         assert main(["eval", "--config", config]) == 3
 
+    def test_checkpoint_without_sep_exits_3(self, workdir, capsys):
+        config = str(workdir / "config.ini")
+        assert main(["all", "--config", config]) == 0
+        ckpt = workdir / ARTIFACTS["encode-train"]
+        raw = ckpt.read_bytes()
+        assert raw.count(b"<sep>") == 1
+        ckpt.write_bytes(raw.replace(b"<sep>", b"[sep]"))
+        capsys.readouterr()
+        assert main(["eval", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert ARTIFACTS["encode-train"] in err and "<sep>" in err
+
     def test_triple_with_repeated_ids_exits_3(self, workdir):
         config = str(workdir / "config.ini")
         for stage in ("fixture", "ingest", "graph-train", "mine"):
@@ -431,6 +444,42 @@ class TestExitCodes:
         assert main(["eval", "--config", config]) == 3
         err = capsys.readouterr().err
         assert "labels.jsonl" in err and "no test items" in err
+
+    def test_triple_with_missing_document_names_both_files(self, workdir, capsys):
+        config = str(workdir / "config.ini")
+        for stage in ("fixture", "ingest", "graph-train", "mine"):
+            assert main([stage, "--config", config]) == 0
+        triples = (workdir / ARTIFACTS["mine"]).read_text(encoding="utf-8")
+        query = triples.splitlines()[1].split("\t")[0]
+        docs = workdir / "documents.jsonl"
+        kept = [line for line in docs.read_text(encoding="utf-8").splitlines()
+                if json.loads(line)["id"] != query]
+        docs.write_text("".join(line + "\n" for line in kept), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["encode-train", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert ARTIFACTS["mine"] in err and "documents.jsonl" in err
+        assert f"missing document {query!r}" in err
+        assert not (workdir / ARTIFACTS["encode-train"]).exists()
+
+    @pytest.mark.parametrize("name", ["ranking.jsonl", "labels.jsonl"])
+    def test_eval_id_without_vector_names_both_files(self, workdir, capsys, name):
+        config = str(workdir / "config.ini")
+        for stage in ("fixture", "ingest", "graph-train", "mine", "encode-train"):
+            assert main([stage, "--config", config]) == 0
+        path = workdir / name
+        first = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+        first["query" if name == "ranking.jsonl" else "id"] = "ghost"
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(first) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert name in err and "documents.jsonl" in err
+        assert "id 'ghost' has no vector" in err
+        assert not (workdir / ARTIFACTS["eval"]).exists()
 
     @pytest.mark.parametrize("edges", [
         [("a", "a"), ("b", "b")],
