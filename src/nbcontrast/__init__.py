@@ -1,6 +1,6 @@
 """Neighborhood-contrastive triple mining over citation-graph embeddings."""
 
-from .ann import NeighborList, batch_neighbors, range_by_rank, top_k
+from .ann import NeighborList, batch_neighbors, range_by_rank
 from .corpus import (
     CitationGraph,
     Document,
@@ -53,7 +53,6 @@ __all__ = [
     "subsample_triples",
     "to_undirected",
     "tokenize",
-    "top_k",
     "train_epoch",
     "triplet_loss",
 ]

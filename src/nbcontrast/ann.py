@@ -1,19 +1,21 @@
-"""Exact exhaustive top-k similarity search over an embedding table.
+"""Exact exhaustive nearest-neighbour search over an embedding table.
 
-No approximate index: a flat scan keeps neighbor ranks exactly
-reproducible. Scores are compared as float64 and ties break toward the
-smaller node index, so rank bands are stable across platforms.
+No approximate index: a flat scan keeps neighbour ranks exactly
+reproducible. A query's list holds every other row, or the ``k_max`` best
+of them, ordered by score descending with ties broken toward the smaller
+node index and NaN last; the query itself is never in it. Ranks are exact
+with respect to the scores of the ``graph_embed.scores`` call that made
+them: BLAS may round a score in the last bit differently when other
+queries share the call, but no rank depends on anything else.
 
-:func:`top_k` scans one query with one GEMV over the table.
 :func:`batch_neighbors` scans a block of queries at a time: ``SCAN_CAP``
 bounds both the block's score cells and the multiply-adds of each
 ``graph_embed.scores`` product, which keeps every BLAS call small enough
 to run on the calling thread. As in a FAISS flat index (Johnson et al.
 2017, arXiv:1702.08734), :func:`smallest_k` then partitions each row to
 depth k and sorts only the survivors (every candidate at least as good
-as the k-th), so it returns the full sort's first k, tie order included;
-NaN ranks last. The threshold and sorted-random samplers in ``mining``
-share it.
+as the k-th), so it returns the full sort's first k, tie order included.
+The threshold and sorted-random samplers in ``mining`` share it.
 """
 
 from __future__ import annotations
@@ -48,11 +50,6 @@ class NeighborList:
     def __len__(self) -> int:
         return len(self.ids)
 
-    @property
-    def entries(self) -> tuple[tuple[int, float], ...]:
-        """``(node, score)`` pairs in rank order."""
-        return tuple(zip(self.ids.tolist(), self.scores.tolist()))
-
 
 def smallest_k(key: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     """Positions of the k smallest keys, ties toward the smaller id, NaN last.
@@ -79,35 +76,6 @@ def smallest_k(key: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     return np.lexsort((ids, key))[:k]
 
 
-def top_k(
-    t: EmbeddingTable,
-    query: int,
-    k: int,
-    exclude: set[int] | frozenset[int] = frozenset(),
-) -> NeighborList:
-    """Exhaustive top-k scan, excluding the query and any extra indices."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1: {k}")
-    if not 0 <= query < t.rows:
-        raise ValueError(f"query {query} out of range for {t.rows} nodes")
-    dropped = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
-    outside = dropped[(dropped < 0) | (dropped >= t.rows)]
-    if outside.size:
-        raise ValueError(f"exclude id {outside.min()} out of range for {t.rows} nodes")
-
-    scored = scores(t, query)
-    mask = np.ones(t.rows, dtype=bool)
-    mask[query] = False
-    mask[dropped] = False
-    candidates = np.flatnonzero(mask)
-    chosen = candidates[smallest_k(-scored[candidates], candidates, k)]
-    ids = chosen.astype(np.int64, copy=False)
-    found = scored[chosen]
-    ids.flags.writeable = False
-    found.flags.writeable = False
-    return NeighborList(query=query, ids=ids, scores=found)
-
-
 def range_by_rank(n: NeighborList, k: int, c: int) -> list[int]:
     """Nodes at 1-based neighbor ranks k-c+1 .. k.
 
@@ -131,11 +99,15 @@ def query_block(t: EmbeddingTable) -> int:
 def batch_neighbors(
     t: EmbeddingTable, queries: Sequence[int], k_max: int
 ) -> list[NeighborList]:
-    """Each query's ``top_k(t, query, k_max)``, positionally aligned with the input.
+    """Each query's ``k_max`` nearest neighbours, aligned with the input.
 
-    Queries are scored ``query_block(t)`` at a time, in products of at
-    most SCAN_CAP multiply-adds. The query's own key is set to +inf, so
-    each row takes ``min(k_max + 1, rows)`` smallest and drops the query.
+    A list holds ``min(k_max, rows - 1)`` neighbours ordered by score
+    descending, ties toward the smaller node index, NaN last, and never
+    the query. Queries are scored ``query_block(t)`` at a time, in
+    products of at most SCAN_CAP multiply-adds; ranks are exact for the
+    scores of the block's own call, which may differ in the last bit from
+    a one-query call. The query's own key is set to +inf, so each row
+    takes ``min(k_max + 1, rows)`` smallest and drops the query.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1: {k_max}")

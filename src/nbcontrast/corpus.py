@@ -133,7 +133,8 @@ def filter_nodes(g: CitationGraph, exclude: set[str]) -> CitationGraph:
     """Remove the given external IDs and all incident edges, re-densifying.
 
     Surviving nodes keep their external IDs and their relative order.
-    Unknown excluded IDs are ignored and counted.
+    Unknown excluded IDs are ignored and counted; the counts join
+    ``g.stats``.
     """
     unknown = len(exclude - set(g.ids))
     if unknown:
@@ -144,6 +145,7 @@ def filter_nodes(g: CitationGraph, exclude: set[str]) -> CitationGraph:
     edges = remap[g.edges[keep[g.edges].all(axis=1)]]
     keep_ids = tuple(ext for ext, kept in zip(g.ids, keep) if kept)
     stats = {
+        **(g.stats or {}),
         "nodes_removed": g.node_count - len(keep_ids),
         "edges_removed": g.edge_count - edges.shape[0],
         "unknown_excluded_ids": unknown,
@@ -154,11 +156,12 @@ def filter_nodes(g: CitationGraph, exclude: set[str]) -> CitationGraph:
 def to_undirected(g: CitationGraph) -> CitationGraph:
     """Symmetrize the edge set: every (a, b) also yields (b, a).
 
-    Idempotent; the reversed copies are deduplicated against existing edges.
+    Idempotent; the reversed copies are deduplicated against existing edges,
+    and ``g.stats`` is kept.
     """
     both = np.concatenate([g.edges, g.edges[:, ::-1]])
     edges, _, _ = _dedup_edges(both, g.node_count)
-    return CitationGraph(ids=g.ids, edges=edges, directed=False)
+    return CitationGraph(ids=g.ids, edges=edges, directed=False, stats=g.stats)
 
 
 def split_edges(

@@ -257,14 +257,9 @@ def run_ingest(cfg: PipelineConfig) -> Path:
     """Edge file to graph snapshot, with optional filtering and symmetrizing."""
     edges = _require(cfg.edges_path, "edge file")
     graph = corpus.ingest_edges(edges)
-    if graph.stats:
-        for key, value in sorted(graph.stats.items()):
-            print(f"ingest: {key} = {value}")
     if cfg.exclude_ids_path:
         exclude_file = _require(cfg.exclude_ids_path, "exclusion id file")
         graph = corpus.filter_nodes(graph, _read_ids(exclude_file))
-        for key, value in sorted((graph.stats or {}).items()):
-            print(f"ingest: {key} = {value}")
     if cfg.undirected:
         graph = corpus.to_undirected(graph)
     if not graph.edge_count:
@@ -390,7 +385,7 @@ def run_eval(cfg: PipelineConfig) -> Path:
     ckpt_path = _require(cfg.workdir / ARTIFACTS["encode-train"], "encoder checkpoint")
     docs_path = _require(cfg.documents_path, "document file")
     inputs = [ckpt_path, docs_path]
-    # task files are read before any vector is written, so a bad one
+    # every input is checked before any artifact is written, so a bad one
     # leaves no artifact behind
     if cfg.ranking_task_path:
         task_path = _require(cfg.ranking_task_path, "ranking task file")
@@ -405,8 +400,6 @@ def run_eval(cfg: PipelineConfig) -> Path:
     docs = corpus.load_documents(docs_path)
     doc_list = list(docs.values())
     vectors, id_to_row = encoder.encode_corpus(doc_list, params)
-    vectors_path = cfg.workdir / "doc_vectors.nbe"
-    snapshot.write_snapshot(vectors, vectors_path)
 
     metrics: dict[str, float] = {}
     if cfg.ranking_task_path:
@@ -447,6 +440,8 @@ def run_eval(cfg: PipelineConfig) -> Path:
         for key, value in report.as_dict().items():
             metrics[f"leakage.{key}"] = value
 
+    vectors_path = cfg.workdir / "doc_vectors.nbe"
+    snapshot.write_snapshot(vectors, vectors_path)
     out = cfg.workdir / ARTIFACTS["eval"]
     _write_json(out, metrics)
     text = render_report(metrics)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from nbcontrast.ann import range_by_rank, top_k
+from nbcontrast.ann import SCAN_CAP, batch_neighbors, range_by_rank
 from nbcontrast.cli import main
 from nbcontrast.corpus import Document, PaperId, load_documents, split_edges
 from nbcontrast.encoder import (
@@ -37,6 +37,7 @@ from nbcontrast.graph_embed import (
     eval_link_prediction,
     init_embeddings,
     pairwise_auc,
+    scores,
     train_graph_embeddings,
 )
 from nbcontrast.mining import (
@@ -79,19 +80,16 @@ def pipeline_dir(tmp_path_factory):
     return workdir, elapsed
 
 
-def naive_full_sort(table, query, k):
-    """Full-sort oracle over the definitional per-pair scores.
+def naive_full_sort(row, query, k):
+    """Full-sort oracle over one query's row of block scores.
 
-    Ranking must match top_k exactly, including tie order. The pooled
-    score battery is shared with production (summation order inside a
-    float dot product is not otherwise pinned down); the selection,
-    exclusion, sorting, and truncation logic under test is all
-    reimplemented here.
+    Ranking must match the scan exactly, including tie order. The row
+    comes from the same ``scores(table, block)`` call the scan makes (the
+    last bit of a float dot product depends on which rows share the
+    call); the selection, exclusion, sorting, and truncation logic under
+    test is all reimplemented here.
     """
-    from nbcontrast.graph_embed import scores as score_battery
-
-    scores = score_battery(table, query)
-    scored = [(i, float(scores[i])) for i in range(table.rows) if i != query]
+    scored = [(i, float(row[i])) for i in range(len(row)) if i != query]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]
 
@@ -110,16 +108,17 @@ def test_criterion_1_exact_knn_oracle():
             values = rng.integers(-1, 2, size=(n, dim)).astype(float)
         measure = "dot" if trial % 3 else "cosine"
         table = EmbeddingTable(values=values, measure=measure)
-        for query in rng.integers(0, n, size=2):
-            k = int(rng.integers(1, n + 1))
-            got = top_k(table, int(query), k)
-            expect = naive_full_sort(table, int(query), k)
-            if [i for i, _ in got.entries] != [i for i, _ in expect]:
-                ok = False
-            if [s for _, s in got.entries] != [s for _, s in expect]:
+        block = rng.integers(0, n, size=8)
+        k = int(rng.integers(1, n + 1))
+        # the whole block fits one query block and one column product
+        ok = ok and len(block) * n * dim <= SCAN_CAP
+        got = batch_neighbors(table, block.tolist(), k)
+        for nl, row in zip(got, scores(table, np.asarray(block)), strict=True):
+            expect = naive_full_sort(row, nl.query, k)
+            if list(zip(nl.ids.tolist(), nl.scores.tolist())) != expect:
                 ok = False
     elapsed = time.monotonic() - start
-    report(1, f"top_k equals full-sort oracle on 50 tables ({elapsed:.1f}s)",
+    report(1, f"batch_neighbors equals full-sort oracle on 50 tables ({elapsed:.1f}s)",
            ok and elapsed < 30.0)
 
 
@@ -127,9 +126,10 @@ def test_criterion_2_band_arithmetic(band_mining):
     table, papers, queries, triples = band_mining
     ext_to_idx = {p.external_id: p.index for p in papers}
     ok = len(triples.skipped) == 0
-    for query in queries:
-        nl = top_k(table, query.index, TUNED_SAMPLING.k_hard)
-        ranks = {node: r for r, (node, _) in enumerate(nl.entries, start=1)}
+    # one call splits its query blocks exactly as mine_triples does
+    neighbors = batch_neighbors(table, range(1000), TUNED_SAMPLING.k_hard)
+    for query, nl in zip(queries, neighbors, strict=True):
+        ranks = {node: r for r, node in enumerate(nl.ids.tolist(), start=1)}
         mine = [t for t in triples.triples if t.query == query.external_id]
         pos_ranks = sorted(ranks[ext_to_idx[t.positive]] for t in mine)
         hard_ranks = sorted(
@@ -170,9 +170,9 @@ def test_criterion_3_triple_composition(band_mining):
 def test_criterion_4_documented_band_examples():
     # diagonal rows are mutually orthogonal: every candidate scores 0, so
     # the tie rule pins rank r to node r-1 and the band is independently known
-    neighbors = top_k(
+    [neighbors] = batch_neighbors(
         EmbeddingTable(values=np.diag(np.arange(12, 0, -1)).astype(float)),
-        query=11, k=11,
+        [11], 11,
     )
     band = range_by_rank(neighbors, k=10, c=3)
     ok = band == [7, 8, 9]  # the 8th, 9th, and 10th nearest neighbors

@@ -1,4 +1,4 @@
-"""Flat top-k search: exactness, tie order, rank bands."""
+"""Flat neighbour scan: exactness, tie order, rank bands."""
 
 from unittest import mock
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbcontrast import ann
-from nbcontrast.ann import NeighborList, batch_neighbors, range_by_rank, smallest_k, top_k
+from nbcontrast.ann import NeighborList, batch_neighbors, range_by_rank, smallest_k
 from nbcontrast.errors import InsufficientNeighborsError
 from nbcontrast.graph_embed import EmbeddingTable, scores
 
@@ -18,28 +18,24 @@ def score_edge(table, src, dst):
     return float(scores(table, src, [dst])[0])
 
 
-def naive_top_k(table, query, k, exclude=frozenset()):
+def naive_top_k(table, query, k):
     """Full-sort oracle: score every candidate, sort by (score desc, idx asc)."""
-    scored = []
-    for i in range(table.rows):
-        if i == query or i in exclude:
-            continue
-        scored.append((i, score_edge(table, query, i)))
+    scored = [(i, score_edge(table, query, i)) for i in range(table.rows) if i != query]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]
 
 
-def full_sort_top_k(table, query, k, exclude=frozenset()):
-    """The scan before partial selection: lexsort every candidate."""
-    scored = scores(table, query)
-    mask = np.ones(table.rows, dtype=bool)
-    mask[query] = False
-    for idx in exclude:
-        mask[idx] = False
-    candidates = np.flatnonzero(mask)
+def full_sort_top_k(scored, query, k):
+    """The scan before partial selection: lexsort every candidate of a score row."""
+    candidates = np.flatnonzero(np.arange(len(scored)) != query)
     order = np.lexsort((candidates, -scored[candidates]))
     chosen = candidates[order[:k]]
     return chosen, scored[chosen]
+
+
+def pairs(nl):
+    """``(node, score)`` pairs in rank order."""
+    return list(zip(nl.ids.tolist(), nl.scores.tolist()))
 
 
 # few distinct cells force exact score ties across the k-th boundary;
@@ -57,92 +53,86 @@ def scans(draw):
     table = EmbeddingTable(values, draw(st.sampled_from(["dot", "cosine"])))
     query = draw(st.integers(0, n - 1))
     k = draw(st.integers(1, n + 1))
-    exclude = draw(st.frozensets(st.integers(0, n - 1)))
-    return table, query, k, exclude
+    return table, query, k
 
 
 class TestPartialSelection:
-    @given(scan=scans())
+    @given(scan=scans(), data=st.data())
     @settings(max_examples=400, deadline=None)
-    def test_equals_full_sort(self, scan):
-        table, query, k, exclude = scan
-        ids, found = full_sort_top_k(table, query, k, exclude)
-        got = top_k(table, query, k, exclude)
-        assert got.ids.tolist() == ids.tolist()
-        assert got.scores.tobytes() == found.tobytes()
+    def test_equals_full_sort(self, scan, data):
+        # the oracle sorts the scores of the very call the scan makes
+        table, query, k = scan
+        queries = [query, *data.draw(st.lists(st.integers(0, table.rows - 1), max_size=7))]
+        block = scores(table, np.asarray(queries))
+        for nl, row in zip(batch_neighbors(table, queries, k), block, strict=True):
+            ids, found = full_sort_top_k(row, nl.query, k)
+            assert nl.ids.tolist() == ids.tolist()
+            assert nl.scores.tobytes() == found.tobytes()
 
     def test_ties_across_the_boundary_keep_index_order(self):
         # nodes 1..6 tie; k=3 cuts through the tie, nodes 7 and 8 lose
         values = np.array([[1.0]] + [[0.5]] * 6 + [[0.1], [0.2]])
-        nl = top_k(EmbeddingTable(values), 0, 3)
+        [nl] = batch_neighbors(EmbeddingTable(values), [0], 3)
         assert nl.ids.tolist() == [1, 2, 3]
 
     def test_nan_scores_rank_last(self):
         values = np.array([[1.0], [np.nan], [0.5], [np.nan], [0.2]])
-        nl = top_k(EmbeddingTable(values), 0, 4)
+        [nl] = batch_neighbors(EmbeddingTable(values), [0], 4)
         assert nl.ids.tolist() == [2, 4, 1, 3]
 
     def test_arrays_are_typed_and_read_only(self):
-        nl = top_k(EmbeddingTable(np.eye(4)), 0, 3)
-        assert nl.ids.dtype == np.int64
-        assert nl.scores.dtype == np.float64
-        with pytest.raises(ValueError):
-            nl.ids[0] = 9
-        assert nl.entries == tuple(zip(nl.ids.tolist(), nl.scores.tolist()))
-
-    @pytest.mark.parametrize("bad", [-1, 4, 100])
-    def test_out_of_range_exclude_rejected(self, bad):
-        # a negative id would wrap to the last row, one past the end would
-        # raise a bare IndexError
-        with pytest.raises(ValueError, match=f"exclude id {bad} out of range"):
-            top_k(EmbeddingTable(np.eye(4)), 0, 3, exclude={1, bad})
+        for nl in batch_neighbors(EmbeddingTable(np.eye(4)), [0, 2], 3):
+            assert nl.ids.dtype == np.int64
+            assert nl.scores.dtype == np.float64
+            with pytest.raises(ValueError):
+                nl.ids[0] = 9
+            with pytest.raises(ValueError):
+                nl.scores[0] = 9.0
 
 
 class TestTopK:
+    """The top-k lists the block scan returns, one case at a time."""
+
     def test_fixed_fixture(self):
         # scores from query 0: node1=0.9, node2=0.8, node3=0.1
         values = np.array([[1.0, 0.0], [0.9, 0.0], [0.8, 0.0], [0.1, 0.0]])
         table = EmbeddingTable(values=values)
-        nl = top_k(table, 0, 2)
-        assert nl.entries == ((1, 0.9), (2, 0.8))
+        [nl] = batch_neighbors(table, [0], 2)
+        assert pairs(nl) == [(1, 0.9), (2, 0.8)]
 
     def test_equal_scores_ascending_index(self):
         table = EmbeddingTable(values=np.ones((5, 2)))
-        nl = top_k(table, 2, 4)
+        [nl] = batch_neighbors(table, [2], 4)
         assert nl.ids.tolist() == [0, 1, 3, 4]
 
     def test_k_at_least_node_count(self):
         rng = np.random.default_rng(5)
         table = EmbeddingTable(values=rng.normal(size=(6, 3)))
-        nl = top_k(table, 1, 100)
+        [nl] = batch_neighbors(table, [1], 100)
         assert len(nl) == 5
         assert nl.ids.tolist() == [i for i, _ in naive_top_k(table, 1, 5)]
 
     def test_query_never_present(self):
         table = EmbeddingTable(values=np.random.default_rng(0).normal(size=(8, 2)))
-        assert 3 not in top_k(table, 3, 7).ids.tolist()
-
-    def test_exclusions_respected(self):
-        table = EmbeddingTable(values=np.random.default_rng(0).normal(size=(8, 2)))
-        nl = top_k(table, 0, 7, exclude={1, 2})
-        assert not {1, 2} & set(nl.ids.tolist())
+        for nl in batch_neighbors(table, range(8), 7):
+            assert nl.query not in nl.ids.tolist()
 
     def test_k_zero_rejected(self):
         table = EmbeddingTable(values=np.ones((2, 2)))
         with pytest.raises(ValueError):
-            top_k(table, 0, 0)
+            batch_neighbors(table, [0], 0)
 
     @pytest.mark.parametrize("measure", ["dot", "cosine"])
     def test_vectorized_scores_agree_with_per_pair_scorer(self, measure):
-        # float summation order may differ by an ulp between the batched
+        # float summation order may differ by an ulp between the block
         # scan and the per-pair scorer; anything beyond that is a bug
         rng = np.random.default_rng(23)
         values = rng.normal(size=(40, 12))
         table = EmbeddingTable(values=values, measure=measure)
-        nl = top_k(table, 7, 39)
-        for node, score in nl.entries:
-            expect = score_edge(table, 7, node)
-            assert score == pytest.approx(expect, rel=1e-12, abs=1e-14)
+        for nl in batch_neighbors(table, [7, 0, 39], 39):
+            for node, score in pairs(nl):
+                expect = score_edge(table, nl.query, node)
+                assert score == pytest.approx(expect, rel=1e-12, abs=1e-14)
 
     @pytest.mark.parametrize("measure", ["dot", "cosine"])
     def test_matches_naive_oracle_with_ties(self, measure):
@@ -153,14 +143,10 @@ class TestTopK:
             # quantized values force plenty of exact score ties
             values = rng.integers(-2, 3, size=(n, dim)).astype(float)
             table = EmbeddingTable(values=values, measure=measure)
-            query = int(rng.integers(0, n))
+            queries = rng.integers(0, n, size=3).tolist()
             k = int(rng.integers(1, n + 2))
-            got = top_k(table, query, k)
-            expect = naive_top_k(table, query, k)
-            assert [i for i, _ in got.entries] == [i for i, _ in expect]
-            np.testing.assert_allclose(
-                [s for _, s in got.entries], [s for _, s in expect], rtol=0, atol=0
-            )
+            for nl in batch_neighbors(table, queries, k):
+                assert pairs(nl) == naive_top_k(table, nl.query, k)
 
 
 def fake_neighbors(count):
@@ -203,12 +189,13 @@ class TestBatchNeighbors:
     def test_singleton(self):
         table = EmbeddingTable(values=np.random.default_rng(2).normal(size=(9, 3)))
         [nl] = batch_neighbors(table, [4], 5)
-        assert nl.entries == top_k(table, 4, 5).entries
+        ids, found = full_sort_top_k(scores(table, 4), 4, 5)
+        assert pairs(nl) == list(zip(ids.tolist(), found.tolist()))
 
     def test_duplicate_queries_identical(self):
         table = EmbeddingTable(values=np.random.default_rng(2).normal(size=(9, 3)))
         a, b = batch_neighbors(table, [3, 3], 4)
-        assert a.entries == b.entries
+        assert pairs(a) == pairs(b)
 
     def test_prefix_consistency(self):
         table = EmbeddingTable(values=np.random.default_rng(7).normal(size=(30, 4)))
@@ -216,7 +203,7 @@ class TestBatchNeighbors:
         deep = batch_neighbors(table, queries, 20)
         shallow = batch_neighbors(table, queries, 6)
         for d, s in zip(deep, shallow):
-            assert d.entries[:6] == s.entries
+            assert pairs(d)[:6] == pairs(s)
 
     def test_error_names_query(self):
         table = EmbeddingTable(values=np.ones((4, 2)))
@@ -233,10 +220,11 @@ class TestBatchNeighbors:
         got = batch_neighbors(table, queries, k_max)
         assert [nl.query for nl in got] == list(queries)
         for nl in got:
-            expect = top_k(table, nl.query, k_max)
-            assert nl.ids.tolist() == expect.ids.tolist()
+            # against a one-query call, the rows the block shares do not round
+            ids, found = full_sort_top_k(scores(table, nl.query), nl.query, k_max)
+            assert nl.ids.tolist() == ids.tolist()
             if exact_scores:  # equal values; NaN and zero signs may differ by kernel
-                np.testing.assert_array_equal(nl.scores, expect.scores)
+                np.testing.assert_array_equal(nl.scores, found)
 
     @pytest.mark.parametrize("measure", ["dot", "cosine"])
     def test_zero_rows_and_zero_query(self, measure):
@@ -277,7 +265,7 @@ class TestBatchNeighbors:
     @settings(max_examples=200, deadline=None)
     def test_block_scan_equals_top_k(self, scan, cap, data):
         # CELLS products are exact, so block and single scores agree exactly
-        table, _, k, _ = scan
+        table, _, k = scan
         queries = data.draw(st.lists(st.integers(0, table.rows - 1), max_size=8))
         with mock.patch.object(ann, "SCAN_CAP", cap):
             self.assert_top_k_ids(table, queries, k, exact_scores=True)

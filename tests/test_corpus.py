@@ -420,7 +420,7 @@ class TestArrayPathsMatchReference:
                           edges=np.array(pairs, dtype=np.int64).reshape(-1, 2))
         u = to_undirected(g)
         assert_same_edges(u.edges, reference_undirected(g))
-        assert u.ids == g.ids and not u.directed and u.stats is None
+        assert u.ids == g.ids and not u.directed and u.stats == g.stats
 
     def test_save_graph_bytes_match_reference_writer(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -110,7 +110,7 @@ class TestBandSamplers:
         n = fake_neighbors(4000)
         pos = knn_positives(n, TUNED_CONFIG)
         hard = knn_hard_negatives(n, TUNED_CONFIG)
-        ranks = {node: r for r, (node, _) in enumerate(n.entries, start=1)}
+        ranks = {node: r for r, node in enumerate(n.ids.tolist(), start=1)}
         assert min(ranks[h] for h in hard) - max(ranks[p] for p in pos) == 3974
         assert not set(pos) & set(hard)
 
@@ -204,7 +204,7 @@ class TestSampleFilteredRandom:
 
     def test_production_scale_exclusion_set(self):
         n = fake_neighbors(4000)
-        exclusion = {node for node, _ in n.entries[:4000]} | {n.query}
+        exclusion = set(n.ids[:4000].tolist()) | {n.query}
         assert len(exclusion) == 4001
         corpus = list(range(4101))
         got = sample_filtered_random(corpus, 3, n, k_filter=4000, seed=0)
@@ -266,7 +266,7 @@ def reference_sample_random(corpus, c, exclude, seed):
 
 def reference_sample_filtered_random(corpus, c, n, k_filter, seed,
                                      extra_exclude=frozenset()):
-    exclude = {node for node, _ in n.entries[:k_filter]}
+    exclude = set(n.ids[:k_filter].tolist())
     exclude.add(n.query)
     exclude.update(extra_exclude)
     return reference_sample_random(corpus, c, exclude, seed)
@@ -457,7 +457,7 @@ class TestMineTriples:
         for t in ts.triples:
             by_query.setdefault(t.query, []).append(t)
         for paper, nl in zip(papers[:10], neighbors):
-            ranks = {node: r for r, (node, _) in enumerate(nl.entries, start=1)}
+            ranks = {node: r for r, node in enumerate(nl.ids.tolist(), start=1)}
             triples = by_query[paper.external_id]
             ext_to_idx = {p.external_id: p.index for p in papers}
             pos_ranks = [ranks[ext_to_idx[t.positive]] for t in triples]

@@ -134,6 +134,24 @@ class TestStages:
         triples_b = sha256(workdir / ARTIFACTS["mine"])
         assert triples_a != triples_b
 
+    @pytest.mark.parametrize("ingest, extra", [
+        ("undirected = true", {}),
+        ("exclude_ids = exclude.txt",
+         {"nodes_removed": 1, "edges_removed": 1, "unknown_excluded_ids": 1}),
+    ])
+    def test_graph_keeps_dedup_counters(self, workdir, ingest, extra):
+        (workdir / "edges.tsv").write_text(
+            "a\tb\na\tb\nb\tb\nb\tc\nc\td\n", encoding="utf-8"
+        )
+        (workdir / "exclude.txt").write_text("d\nzz\n", encoding="utf-8")
+        config = workdir / "ingest.ini"
+        config.write_text(MINIMAL_CONFIG + f"\n[ingest]\n{ingest}\n", encoding="utf-8")
+        assert main(["ingest", "--config", str(config)]) == 0
+        graph = json.loads((workdir / ARTIFACTS["ingest"]).read_text(encoding="utf-8"))
+        assert graph["stats"] == {
+            "duplicate_edges_dropped": 1, "self_loops_dropped": 1, **extra
+        }
+
 
 class TestExitCodes:
     def test_margin_violation_exits_2_and_writes_nothing(self, workdir):
@@ -480,6 +498,7 @@ class TestExitCodes:
         assert name in err and "documents.jsonl" in err
         assert "id 'ghost' has no vector" in err
         assert not (workdir / ARTIFACTS["eval"]).exists()
+        assert not (workdir / "doc_vectors.nbe").exists()
 
     @pytest.mark.parametrize("edges", [
         [("a", "a"), ("b", "b")],
