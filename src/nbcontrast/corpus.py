@@ -227,15 +227,24 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
 
 
 def load_documents(path: str | Path) -> dict[str, Document]:
-    """Read a JSON-lines document file with ``id``, ``title``, ``abstract``."""
+    """Read a JSON-lines document file with ``id``, ``title``, ``abstract``.
+
+    An id on two lines is a :class:`DataError` naming both.
+    """
     path = Path(path)
     docs: dict[str, Document] = {}
-    for _, record in read_jsonl(path, ("id", "title")):
+    line_of: dict[str, int] = {}
+    for lineno, record in read_jsonl(path, ("id", "title")):
         doc = Document(
             id=str(record["id"]),
             title=str(record["title"]),
             abstract=str(record.get("abstract", "")),
         )
+        first = line_of.setdefault(doc.id, lineno)
+        if first != lineno:
+            raise DataError(
+                f"{path}: line {lineno}: document id {doc.id!r} already on line {first}"
+            )
         docs[doc.id] = doc
     if not docs:
         raise DataError(f"{path}: empty document file")

@@ -14,12 +14,14 @@ mode trains legally but cannot change the encoder.
 
 from __future__ import annotations
 
-import itertools
+import collections
+import hashlib
+import json
 import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -113,16 +115,43 @@ def tokenize(d: Document) -> list[str]:
     return [SEP if token == _TITLE_END else token for token in tokens]
 
 
-def build_vocab(docs: Iterable[Document]) -> dict[str, int]:
-    """Vocabulary over all document tokens, with reserved ids 0 and 1.
+@dataclass(frozen=True)
+class DocTokens:
+    """Documents as CSR token rows: document ``ids[i]`` is the vocab ids
+    ``flat[offsets[i]:offsets[i + 1]]``."""
 
-    Tokens are sorted so the mapping is independent of document order.
-    """
-    seen: set[str] = set()
-    for tokens in _text_blocks(docs):
-        seen.update(tokens)
-    seen -= {_TITLE_END, _DOC_END}
-    return {token: i for i, token in enumerate([UNK, SEP, *sorted(seen)])}
+    ids: tuple[str, ...]
+    offsets: np.ndarray  # (documents + 1,) int64
+    flat: np.ndarray     # int32
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def index_corpus(docs: Collection[Document]) -> tuple[dict[str, int], DocTokens]:
+    """The documents' vocabulary, reserved ids 0 and 1 then every token
+    sorted (so independent of document order), and their token rows under
+    it, from one split of their text."""
+    # a token's provisional id is its rank of first appearance, the markers' 0 and 1
+    first = collections.defaultdict(None, {_TITLE_END: 0, _DOC_END: 1})
+    first.default_factory = first.__len__
+    ids = np.concatenate([
+        np.fromiter(map(first.__getitem__, tokens), dtype=np.int32, count=len(tokens))
+        for tokens in _text_blocks(docs)
+    ] or [np.zeros(0, dtype=np.int32)])
+    words = list(first)[2:]
+    vocab = {token: i for i, token in enumerate([UNK, SEP, *sorted(words)])}
+    remap = np.array([vocab[SEP], -1, *map(vocab.__getitem__, words)], dtype=np.int32)
+    ids = remap[ids]
+    ends = np.flatnonzero(ids < 0)
+    # a document ends at its marker's position less the markers before it
+    offsets = np.concatenate([[0], ends - np.arange(len(ends))])
+    return vocab, DocTokens(tuple(d.id for d in docs), offsets, ids[ids >= 0])
+
+
+def build_vocab(docs: Collection[Document]) -> dict[str, int]:
+    """Vocabulary of :func:`index_corpus`."""
+    return index_corpus(docs)[0]
 
 
 def init_encoder(
@@ -142,12 +171,12 @@ def init_encoder(
 
 
 def encode_corpus(
-    docs: Sequence[Document], p: EncoderParams
+    docs: DocTokens, p: EncoderParams
 ) -> tuple[EmbeddingTable, dict[str, int]]:
-    """Encode documents into a table plus an id-to-row mapping."""
-    offsets, flat = _token_rows(docs, p.vocab)
-    id_to_row = {d.id: i for i, d in enumerate(docs)}
-    return EmbeddingTable(values=_encode_rows(p, offsets, flat), measure="dot"), id_to_row
+    """Encode tokenized documents into a table plus an id-to-row mapping."""
+    id_to_row = {pid: i for i, pid in enumerate(docs.ids)}
+    values = _encode_rows(p, docs.offsets, docs.flat)
+    return EmbeddingTable(values=values, measure="dot"), id_to_row
 
 
 def triplet_loss(
@@ -202,20 +231,12 @@ def _split(parts: list[str]) -> list[str]:
     return raw.translate(_WORD_BYTES).decode("ascii").split()
 
 
-def _token_rows(
-    docs: Iterable[Document], vocab: Mapping[str, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tokenized documents as CSR arrays: offsets (one more than documents)
-    and their flat vocab ids, with no id list held per document."""
-    lookup = {**vocab, _TITLE_END: vocab[SEP], _DOC_END: -1}
-    unk = itertools.repeat(vocab[UNK])
-    ids = np.concatenate([
-        np.fromiter(map(lookup.get, tokens, unk), dtype=np.intp, count=len(tokens))
-        for tokens in _text_blocks(docs)
-    ] or [np.zeros(0, dtype=np.intp)])
-    ends = np.flatnonzero(ids < 0)
-    # a document ends at its marker's position less the markers before it
-    return np.concatenate([[0], ends - np.arange(len(ends))]), ids[ids >= 0]
+def tokenize_corpus(docs: Collection[Document], vocab: Mapping[str, int]) -> DocTokens:
+    """Token rows of the documents under a given vocabulary, such as a
+    trained encoder's; a word outside it is ``<unk>``."""
+    own, rows = index_corpus(docs)
+    remap = np.array([vocab.get(token, vocab[UNK]) for token in own], dtype=np.int32)
+    return DocTokens(rows.ids, rows.offsets, remap[rows.flat])
 
 
 def _pool_chunks(
@@ -289,31 +310,30 @@ def _batch_loss_and_grads(
 
 def train(
     ts: TripleSet,
-    docs: Mapping[str, Document],
+    docs: DocTokens,
     p0: EncoderParams,
     cfg: EncoderTrainConfig,
 ) -> tuple[EncoderParams, list[float]]:
     """Minibatch SGD over the triple set; returns params and a loss trace.
 
-    Each document is tokenized once. Triples are reshuffled each epoch
-    with a seed derived from ``(cfg.seed, epoch)``; every ``effective_batch``
-    triples, and the remainder at the end of the epoch, make one step that
-    applies their mean gradient to the rows they touch. With ``bias_only``
-    the token table and projection stay untouched.
+    The triples' documents are read from ``docs``, the corpus split once
+    per chain (see :func:`index_corpus`), tokenized under ``p0.vocab``.
+    Triples are reshuffled each epoch with a seed derived from
+    ``(cfg.seed, epoch)``; every ``effective_batch`` triples, and the
+    remainder at the end of the epoch, make one step that applies their
+    mean gradient to the rows they touch. With ``bias_only`` the token
+    table and projection stay untouched.
     """
     cfg.validate()
     n_triples = len(ts.triples)
     if n_triples == 0:
         raise ValueError("cannot train on an empty triple set")
-    doc_row: dict[str, int] = {}
-    for t in ts.triples:
-        for pid in (t.query, t.positive, t.negative):
-            if pid not in docs:
-                raise DataError(f"triple references missing document {pid!r}")
-            doc_row.setdefault(pid, len(doc_row))
-    offsets, flat = _token_rows((docs[pid] for pid in doc_row), p0.vocab)
-    triples = np.array([[doc_row[t.query], doc_row[t.positive], doc_row[t.negative]]
-                        for t in ts.triples], dtype=np.intp)
+    row = {pid: i for i, pid in enumerate(docs.ids)}
+    try:
+        triples = np.array([[row[t.query], row[t.positive], row[t.negative]]
+                            for t in ts.triples], dtype=np.intp)
+    except KeyError as exc:
+        raise DataError(f"triple references missing document {exc.args[0]!r}") from None
 
     params = p0.copy()
     trace: list[float] = []
@@ -323,7 +343,7 @@ def train(
         for start in range(0, n_triples, cfg.effective_batch):
             batch = triples[order[start:start + cfg.effective_batch]]
             loss, row_grads, d_projection, d_bias = _batch_loss_and_grads(
-                params, offsets, flat, batch, cfg.slack, cfg.bias_only
+                params, docs.offsets, docs.flat, batch, cfg.slack, cfg.bias_only
             )
             epoch_loss += loss
             factor = cfg.learning_rate / len(batch)
@@ -349,7 +369,8 @@ def grad_check(
     The fixture must sit away from kinks: loss strictly positive and both
     pair distances nonzero, otherwise the fixture is rejected.
     """
-    offsets, flat = _token_rows(docs, p.vocab)
+    doc_rows = tokenize_corpus(docs, p.vocab)
+    offsets, flat = doc_rows.offsets, doc_rows.flat
 
     def loss_at(params: EncoderParams) -> float:
         return triplet_loss(*_encode_rows(params, offsets, flat), slack)
@@ -461,3 +482,41 @@ def load_encoder(path: str | Path) -> EncoderParams:
         )
     except (UnicodeDecodeError, ValidationError) as exc:
         raise DataError(f"{path}: bad vocab section: {exc}") from None
+
+
+# distinct from the checkpoint's and the snapshot's magic
+TOKENS_MAGIC = b"NBT1"
+# key, documents, tokens
+_TOKENS_HEAD = struct.Struct("<64sQQ")
+
+
+def save_doc_tokens(docs: DocTokens, key: bytes, path: str | Path) -> None:
+    """Token rows file: NBT1, the SHA-256 of the rest, then a header of
+    ``key`` (64 bytes) and the document and token counts, the offsets
+    (``<i8``), the token ids (``<i4``) and the document ids as a JSON list."""
+    body = b"".join([
+        _TOKENS_HEAD.pack(key, len(docs), len(docs.flat)),
+        np.ascontiguousarray(docs.offsets, dtype="<i8").tobytes(),
+        np.ascontiguousarray(docs.flat, dtype="<i4").tobytes(),
+        json.dumps(docs.ids).encode("ascii"),
+    ])
+    Path(path).write_bytes(TOKENS_MAGIC + hashlib.sha256(body).digest() + body)
+
+
+def load_doc_tokens(path: str | Path, key: bytes) -> DocTokens:
+    """Token rows written by :func:`save_doc_tokens` under ``key``.
+
+    A file that fails its checksum or was written under another key is a
+    :class:`DataError`.
+    """
+    raw = memoryview(Path(path).read_bytes())
+    head, body = bytes(raw[:36]), raw[36:]
+    if head != TOKENS_MAGIC + hashlib.sha256(body).digest():
+        raise DataError(f"{path}: not an intact token rows file")
+    stored, n_docs, n_tokens = _TOKENS_HEAD.unpack_from(body)
+    if stored != key:
+        raise DataError(f"{path}: written for other documents or another checkpoint")
+    offsets = np.frombuffer(body, "<i8", n_docs + 1, _TOKENS_HEAD.size)
+    flat = np.frombuffer(body, "<i4", n_tokens, _TOKENS_HEAD.size + offsets.nbytes)
+    ids = json.loads(bytes(body[_TOKENS_HEAD.size + offsets.nbytes + flat.nbytes:]))
+    return DocTokens(tuple(ids), offsets, flat)

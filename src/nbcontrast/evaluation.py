@@ -315,15 +315,26 @@ def save_ranking_task(task: RankingTask, path: str | Path) -> None:
 
 
 def load_labeled_set(path: str | Path) -> LabeledSet:
-    """Read a JSON-lines labeled set (id, label, split)."""
+    """Read a JSON-lines labeled set (id, label, split).
+
+    A split other than ``train`` or ``test``, or an id in both, is a
+    :class:`DataError` naming the line.
+    """
     path = Path(path)
-    items = tuple(
-        (str(record["id"]), str(record["label"]), str(record["split"]))
-        for _, record in read_jsonl(path, ("id", "label", "split"))
-    )
+    items = []
+    split_of: dict[str, str] = {}
+    for lineno, record in read_jsonl(path, ("id", "label", "split")):
+        pid, split = str(record["id"]), str(record["split"])
+        if split not in ("train", "test"):
+            raise DataError(
+                f"{path}: line {lineno}: split must be 'train' or 'test', got {split!r}"
+            )
+        if split_of.setdefault(pid, split) != split:
+            raise DataError(f"{path}: line {lineno}: id {pid!r} is in both splits")
+        items.append((pid, str(record["label"]), split))
     if not items:
         raise DataError(f"{path}: empty labeled set")
-    ls = LabeledSet(items=items)
+    ls = LabeledSet(items=tuple(items))
     try:
         ls.validate()
     except DataError as exc:

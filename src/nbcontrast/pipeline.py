@@ -34,6 +34,10 @@ ARTIFACTS = {
     "eval": "report.json",
 }
 
+# Written by encode-train beside the checkpoint, read by eval: the corpus's
+# token rows, keyed by the document file and the checkpoint it was split for.
+DOC_TOKENS = "doc_tokens.bin"
+
 # The INI sections that each read into one config dataclass, a key per field.
 CONFIG_SECTIONS = {
     "graph": graph_embed.GraphTrainConfig,
@@ -195,15 +199,30 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
+def _tokens_key(docs_path: Path, ckpt_path: Path) -> tuple[bytes, dict[Path, str]]:
+    """Key of ``doc_tokens.bin``, the SHA-256 of the documents then of the
+    checkpoint, and the two digests by path."""
+    digests = {path: _sha256_file(path) for path in (docs_path, ckpt_path)}
+    return bytes.fromhex("".join(digests.values())), digests
+
+
 def _write_provenance(
-    cfg: PipelineConfig, stage: str, inputs: list[Path], outputs: list[Path]
+    cfg: PipelineConfig, stage: str, inputs: list[Path], outputs: list[Path],
+    digests: dict[Path, str] | None = None,
 ) -> None:
+    """Sidecar of the stage's config, seed and file digests; a file's digest
+    is read from ``digests`` when there."""
+    digests = digests or {}
+
+    def digest_of(paths: list[Path]) -> dict[str, str]:
+        return {p.name: digests.get(p) or _sha256_file(p) for p in paths}
+
     payload = {
         "stage": stage,
         "config_sha256": cfg.config_sha256,
         "seed": cfg.seed,
-        "inputs": {p.name: _sha256_file(p) for p in inputs},
-        "outputs": {p.name: _sha256_file(p) for p in outputs},
+        "inputs": digest_of(inputs),
+        "outputs": digest_of(outputs),
     }
     _write_json(cfg.workdir / f"{stage}.prov.json", payload)
 
@@ -357,21 +376,23 @@ def run_encode_train(cfg: PipelineConfig) -> Path:
         raise DataError(f"{triples_path}: no triples to train on")
     docs = corpus.load_documents(docs_path)
 
-    vocab = encoder.build_vocab(docs.values())
+    vocab, tokens = encoder.index_corpus(docs.values())
     ec = cfg.encoder_cfg
     params = encoder.init_encoder(vocab, ec.hidden_dim, ec.out_dim, ec.seed)
     try:
-        params, trace = encoder.train(triples, docs, params, ec)
+        params, trace = encoder.train(triples, tokens, params, ec)
     except DataError as exc:
         raise DataError(f"{triples_path}: {exc} (documents: {docs_path})") from None
 
     out = cfg.workdir / ARTIFACTS["encode-train"]
     encoder.save_encoder(params, out)
+    tokens_path = cfg.workdir / DOC_TOKENS
+    key, digests = _tokens_key(docs_path, out)
+    encoder.save_doc_tokens(tokens, key, tokens_path)
     metrics_path = cfg.workdir / "encoder_metrics.json"
     _write_json(metrics_path, {"loss_trace": trace})
-    _write_provenance(
-        cfg, "encode-train", [triples_path, docs_path], [out, metrics_path]
-    )
+    _write_provenance(cfg, "encode-train", [triples_path, docs_path],
+                      [out, metrics_path, tokens_path], digests)
     print(
         f"encode-train: {len(trace)} epochs, loss "
         + " -> ".join(f"{x:.4f}" for x in trace)
@@ -397,9 +418,16 @@ def run_eval(cfg: PipelineConfig) -> Path:
         labeled = evaluation.load_labeled_set(labels_path)
 
     params = encoder.load_encoder(ckpt_path)
-    docs = corpus.load_documents(docs_path)
-    doc_list = list(docs.values())
-    vectors, id_to_row = encoder.encode_corpus(doc_list, params)
+    tokens_path = cfg.workdir / DOC_TOKENS
+    key, digests = _tokens_key(docs_path, ckpt_path)
+    try:
+        tokens = encoder.load_doc_tokens(tokens_path, key)
+        inputs.append(tokens_path)
+    except (OSError, DataError):
+        # missing, stale or damaged: split the documents under the checkpoint's vocab
+        docs = corpus.load_documents(docs_path)
+        tokens = encoder.tokenize_corpus(docs.values(), params.vocab)
+    vectors, id_to_row = encoder.encode_corpus(tokens, params)
 
     metrics: dict[str, float] = {}
     if cfg.ranking_task_path:
@@ -448,7 +476,7 @@ def run_eval(cfg: PipelineConfig) -> Path:
     text_path = cfg.workdir / "report.txt"
     text_path.write_text(text, encoding="utf-8")
     print(text, end="")
-    _write_provenance(cfg, "eval", inputs, [out, text_path, vectors_path])
+    _write_provenance(cfg, "eval", inputs, [out, text_path, vectors_path], digests)
     return out
 
 

@@ -21,6 +21,7 @@ from nbcontrast.encoder import (
     encode_corpus,
     grad_check,
     load_encoder,
+    tokenize_corpus,
     triplet_loss,
 )
 from nbcontrast.evaluation import (
@@ -256,7 +257,7 @@ def test_criterion_7_end_to_end_separation(pipeline_dir):
     docs = load_documents(workdir / "documents.jsonl")
     labeled = load_labeled_set(workdir / "labels.jsonl")
     labels = {pid: label for pid, label, _ in labeled.items}
-    vectors, id_to_row = encode_corpus(list(docs.values()), params)
+    vectors, id_to_row = encode_corpus(tokenize_corpus(docs.values(), params.vocab), params)
     same, diff = [], []
     ids = list(docs)
     for i in range(0, len(ids), 3):

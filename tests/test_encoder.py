@@ -18,10 +18,14 @@ from nbcontrast.encoder import (
     build_vocab,
     encode_corpus,
     grad_check,
+    index_corpus,
     init_encoder,
+    load_doc_tokens,
     load_encoder,
+    save_doc_tokens,
     save_encoder,
     tokenize,
+    tokenize_corpus,
     train,
     triplet_loss,
 )
@@ -41,6 +45,11 @@ def encode_tokens(tokens, p):
     """Test-local encoder of one token sequence through the package's pooling."""
     ids = token_ids(tokens, p.vocab)
     return encoder._encode_rows(p, np.array([0, len(ids)]), np.array(ids))[0]
+
+
+def corpus_rows(docs, p):
+    """Token rows of a ``{id: Document}`` mapping under ``p``'s vocabulary."""
+    return tokenize_corpus(docs.values(), p.vocab)
 
 
 def reference_tokens(d):
@@ -73,8 +82,8 @@ class TestTokenize:
     def test_oov_maps_to_unk(self):
         vocab = {UNK: 0, SEP: 1, "known": 2}
         doc = Document(id="d", title="Known mystery", abstract="")
-        offsets, flat = encoder._token_rows([doc], vocab)
-        assert offsets.tolist() == [0, 3] and flat.tolist() == [2, 0, 1]
+        rows = tokenize_corpus([doc], vocab)
+        assert rows.offsets.tolist() == [0, 3] and rows.flat.tolist() == [2, 0, 1]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(TEXT.filter(bool), TEXT), max_size=12), st.integers(1, 80))
@@ -87,11 +96,17 @@ class TestTokenize:
             assert [tokenize(d) for d in docs] == expect
             vocab = build_vocab(docs)
             assert list(vocab) == [UNK, SEP, *sorted({t for ts in expect for t in ts} - {SEP})]
+            # the corpus's own rows from the same split as its vocabulary
+            own, doc_rows = index_corpus(docs)
             # half the documents' vocabulary, so the rest map to <unk>
             vocab = build_vocab(docs[::2])
-            offsets, flat = encoder._token_rows(docs, vocab)
-        assert offsets.tolist() == np.cumsum([0, *map(len, expect)]).tolist()
-        assert flat.tolist() == token_ids([t for ts in expect for t in ts], vocab)
+            rows = tokenize_corpus(docs, vocab)
+        assert rows.offsets.tolist() == np.cumsum([0, *map(len, expect)]).tolist()
+        assert rows.flat.tolist() == token_ids([t for ts in expect for t in ts], vocab)
+        assert doc_rows.ids == rows.ids == tuple(d.id for d in docs)
+        assert doc_rows.offsets.tolist() == rows.offsets.tolist()
+        assert doc_rows.flat.tolist() == token_ids([t for ts in expect for t in ts], own)
+        assert rows.flat.dtype == doc_rows.flat.dtype == np.int32
 
     def test_blocks_hold_documents_up_to_the_cap(self, monkeypatch):
         monkeypatch.setattr(encoder, "TEXT_CAP", 64)
@@ -138,7 +153,7 @@ class TestEncode:
         p = self.tiny_params()
         d1 = Document(id="1", title="a b", abstract="a")
         d2 = Document(id="2", title="a a", abstract="b")
-        table, _ = encode_corpus([d1, d2], p)
+        table, _ = encode_corpus(tokenize_corpus([d1, d2], p.vocab), p)
         np.testing.assert_allclose(table.values[0], table.values[1], atol=1e-15)
 
     def test_vocab_must_reserve_unk(self):
@@ -195,7 +210,7 @@ class TestEncodeCorpus:
         sizes = []
         monkeypatch.setattr(encoder, "_pool_chunks",
                             counting(encoder._pool_chunks, sizes))
-        table, id_to_row = encode_corpus(docs, p)
+        table, id_to_row = encode_corpus(tokenize_corpus(docs, p.vocab), p)
         assert sizes == [block] * (25 // block) + [25 % block] * (25 % block > 0)
         # rows follow the input order, not the ids' sorted order
         assert id_to_row == {d.id: i for i, d in enumerate(docs)}
@@ -203,7 +218,7 @@ class TestEncodeCorpus:
             table.values, mean_pool_reference(docs, p), rtol=0, atol=1e-12
         )
         for i in (0, 13, 24):
-            alone, _ = encode_corpus([docs[i]], p)
+            alone, _ = encode_corpus(tokenize_corpus([docs[i]], p.vocab), p)
             np.testing.assert_allclose(alone.values[0], table.values[i],
                                        rtol=0, atol=1e-12)
 
@@ -334,7 +349,7 @@ class TestTrain:
         params, docs, ts = self.fixture()
         cfg = EncoderTrainConfig(epochs=3, learning_rate=0.0,
                                  effective_batch=1, seed=0)
-        out, trace = train(ts, docs, params, cfg)
+        out, trace = train(ts, corpus_rows(docs, params), params, cfg)
         np.testing.assert_array_equal(out.token_table, params.token_table)
         np.testing.assert_array_equal(out.projection, params.projection)
         np.testing.assert_array_equal(out.projection_bias, params.projection_bias)
@@ -371,7 +386,7 @@ class TestTrain:
                 flat[j] = orig
                 grad_flat[j] = (up - down) / (2 * eps)
 
-        out, trace = train(ts, docs, params, cfg)
+        out, trace = train(ts, corpus_rows(docs, params), params, cfg)
         assert abs(trace[0] - base) < 1e-12
         np.testing.assert_allclose(
             out.token_table, params.token_table - lr * grads[0], atol=1e-8
@@ -387,7 +402,7 @@ class TestTrain:
         params, docs, ts = self.fixture()
         cfg = EncoderTrainConfig(epochs=2, learning_rate=0.1,
                                  effective_batch=1, bias_only=True, seed=0)
-        out, trace = train(ts, docs, params, cfg)
+        out, trace = train(ts, corpus_rows(docs, params), params, cfg)
         np.testing.assert_array_equal(out.token_table, params.token_table)
         np.testing.assert_array_equal(out.projection, params.projection)
         # the loss is translation invariant, so the bias gradient is zero
@@ -415,7 +430,7 @@ class TestTrain:
                        config_snapshot=SamplingConfig())
         cfg = EncoderTrainConfig(epochs=1, learning_rate=0.5, effective_batch=1,
                                  slack=0.0, seed=0)
-        out, trace = train(ts, docs, params, cfg)
+        out, trace = train(ts, corpus_rows(docs, params), params, cfg)
         assert trace == [0.0]
         np.testing.assert_array_equal(out.token_table, params.token_table)
         np.testing.assert_array_equal(out.projection, params.projection)
@@ -426,7 +441,7 @@ class TestTrain:
         del docs["n"]
         cfg = EncoderTrainConfig(effective_batch=1)
         with pytest.raises(DataError, match="'n'"):
-            train(ts, docs, params, cfg)
+            train(ts, corpus_rows(docs, params), params, cfg)
 
     def reference_fixture(self):
         """Repeated words, an empty abstract and words outside the vocab."""
@@ -465,7 +480,7 @@ class TestTrain:
         cfg = EncoderTrainConfig(**{"epochs": 3, "learning_rate": 0.3,
                                     "effective_batch": 4, "slack": 1.0,
                                     "seed": 2, **overrides})
-        out, trace = train(ts, docs, p0, cfg)
+        out, trace = train(ts, corpus_rows(docs, p0), p0, cfg)
         table, projection, bias, expect_trace = dense_reference_train(
             ts, docs, p0, cfg
         )
@@ -478,7 +493,8 @@ class TestTrain:
             assert not np.array_equal(out.token_table, p0.token_table)
 
     def test_tokenizes_each_document_once(self, monkeypatch):
-        ts, docs, p0 = self.reference_fixture()
+        # encode-train's path: one split of the corpus, and training reads its rows
+        ts, docs, _ = self.reference_fixture()
         calls = []
         text_blocks = encoder._text_blocks
 
@@ -490,9 +506,10 @@ class TestTrain:
             return text_blocks(counted())
 
         monkeypatch.setattr(encoder, "_text_blocks", counting_blocks)
-        train(ts, docs, p0, EncoderTrainConfig(epochs=2, effective_batch=4))
-        used = {d for t in ts.triples for d in (t.query, t.positive, t.negative)}
-        assert sorted(calls) == sorted(used)
+        vocab, doc_rows = index_corpus(docs.values())
+        p0 = init_encoder(vocab, hidden_dim=6, out_dim=3, seed=4)
+        train(ts, doc_rows, p0, EncoderTrainConfig(epochs=2, effective_batch=4))
+        assert sorted(calls) == sorted(docs)
 
     @pytest.mark.parametrize("effective_batch", [0, -8])
     def test_effective_batch_below_one_rejected(self, effective_batch):
@@ -509,7 +526,8 @@ class TestTrain:
         """CSR token rows of the reference fixture and its triples as rows."""
         ts, docs, p0 = self.reference_fixture()
         ids = sorted(docs)
-        offsets, flat = encoder._token_rows([docs[d] for d in ids], p0.vocab)
+        doc_rows = tokenize_corpus([docs[d] for d in ids], p0.vocab)
+        offsets, flat = doc_rows.offsets, doc_rows.flat
         triples = np.array([[ids.index(d) for d in (t.query, t.positive, t.negative)]
                             for t in ts.triples])
         return p0, offsets, flat, triples
@@ -552,7 +570,7 @@ class TestTrain:
         cfg = EncoderTrainConfig(epochs=1, learning_rate=0.3,
                                  effective_batch=len(ts.triples), seed=2)
         pools.clear()
-        out, trace = train(ts, docs, p0, cfg)
+        out, trace = train(ts, corpus_rows(docs, p0), p0, cfg)
         assert pools == [6] * 5 + [3]
         table, projection, bias, expect_trace = dense_reference_train(
             ts, docs, p0, cfg
@@ -579,8 +597,8 @@ class TestTrain:
         p0 = init_encoder(vocab, hidden_dim=8, out_dim=4, seed=3)
         cfg = EncoderTrainConfig(epochs=2, learning_rate=0.1,
                                  effective_batch=8, seed=3)
-        a, trace_a = train(ts, docs, p0, cfg)
-        b, trace_b = train(ts, docs, p0, cfg)
+        a, trace_a = train(ts, corpus_rows(docs, p0), p0, cfg)
+        b, trace_b = train(ts, corpus_rows(docs, p0), p0, cfg)
         assert trace_a == trace_b
         np.testing.assert_array_equal(a.token_table, b.token_table)
         np.testing.assert_array_equal(a.projection, b.projection)
@@ -680,10 +698,10 @@ class TestTopicSeparation:
         p0 = init_encoder(vocab, hidden_dim=64, out_dim=32, seed=5)
         tcfg = EncoderTrainConfig(epochs=2, learning_rate=0.1,
                                   effective_batch=32, seed=5)
-        params, trace = train(ts, docs, p0, tcfg)
+        params, trace = train(ts, corpus_rows(docs, p0), p0, tcfg)
         assert trace[-1] < trace[0]
 
-        vectors, id_to_row = encode_corpus(docs_list, params)
+        vectors, id_to_row = encode_corpus(tokenize_corpus(docs_list, params.vocab), params)
         points = vectors.values
         same, diff = [], []
         ids = [d.id for d in docs_list]
@@ -692,6 +710,42 @@ class TestTopicSeparation:
                 dist = float(np.linalg.norm(points[i] - points[j]))
                 (same if labels[ids[i]] == labels[ids[j]] else diff).append(dist)
         assert np.mean(same) < np.mean(diff)
+
+
+class TestDocTokens:
+    def saved(self, tmp_path):
+        docs = [Document(id=pid, title="Alpha beta", abstract=text)
+                for pid, text in (("a\ud800", "gamma"), ("\u00e9", ""), ("c", "beta x"))]
+        _, doc_rows = index_corpus(docs)
+        path = tmp_path / "doc_tokens.bin"
+        save_doc_tokens(doc_rows, bytes(range(64)), path)
+        return doc_rows, path
+
+    def test_roundtrip(self, tmp_path):
+        doc_rows, path = self.saved(tmp_path)
+        loaded = load_doc_tokens(path, bytes(range(64)))
+        assert loaded.ids == doc_rows.ids == ("a\ud800", "\u00e9", "c")
+        np.testing.assert_array_equal(loaded.offsets, doc_rows.offsets)
+        np.testing.assert_array_equal(loaded.flat, doc_rows.flat)
+        assert loaded.flat.dtype == np.int32
+
+    def test_other_key_is_a_data_error(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        with pytest.raises(DataError, match="other documents"):
+            load_doc_tokens(path, bytes(64))
+
+    def test_every_truncation_and_flipped_byte_is_a_data_error(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        raw = path.read_bytes()
+        bad = tmp_path / "bad.bin"
+        for size in range(len(raw)):
+            bad.write_bytes(raw[:size])
+            with pytest.raises(DataError):
+                load_doc_tokens(bad, bytes(range(64)))
+        for i in range(len(raw)):
+            bad.write_bytes(raw[:i] + bytes([raw[i] ^ 1]) + raw[i + 1:])
+            with pytest.raises(DataError):
+                load_doc_tokens(bad, bytes(range(64)))
 
 
 class TestCheckpoint:

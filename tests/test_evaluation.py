@@ -338,6 +338,12 @@ class TestTaskFiles:
         ((("d0", "x", "train"), ("d1", "y", "train")), "no test items"),
         ((("d0", "x", "train"), ("d1", "y", "train"), ("d2", "z", "test")),
          "only in the test split"),
+        # an id in both splits, and a split that is neither train nor test
+        ((("d0", "x", "train"), ("d1", "y", "train"), ("d0", "x", "test")),
+         "line 3: id 'd0' is in both splits"),
+        ((("d0", "x", "train"), ("d1", "y", "train"), ("d2", "x", "test"),
+          ("d3", "y", "Test")),
+         "line 4: split must be 'train' or 'test', got 'Test'"),
     ])
     def test_labeled_set_errors_name_file(self, tmp_path, items, message):
         path = tmp_path / "labels.jsonl"

@@ -11,14 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nbcontrast import pipeline
+from nbcontrast import corpus, pipeline
 from nbcontrast.cli import DEFAULT_CONFIG, main
 from nbcontrast.encoder import EncoderTrainConfig
 from nbcontrast.evaluation import LabeledSet, ProbeConfig
 from nbcontrast.fixtures import FixtureConfig
 from nbcontrast.graph_embed import EmbeddingTable, GraphTrainConfig
 from nbcontrast.mining import SamplingConfig
-from nbcontrast.pipeline import ARTIFACTS, label_separation, load_config, run
+from nbcontrast.pipeline import ARTIFACTS, DOC_TOKENS, label_separation, load_config, run
+from nbcontrast.snapshot import read_snapshot
 
 
 def sha256(path):
@@ -99,7 +100,8 @@ class TestStages:
         main(["all", "--config", config])
         first = {
             name: sha256(workdir / name)
-            for name in (*ARTIFACTS.values(), "report.txt", "graph_metrics.json")
+            for name in (*ARTIFACTS.values(), "report.txt", "graph_metrics.json",
+                         DOC_TOKENS)
         }
         main(["all", "--config", config])
         second = {name: sha256(workdir / name) for name in first}
@@ -346,6 +348,26 @@ class TestExitCodes:
         triples.write_text(f"{header}\n{repeated}\n", encoding="utf-8")
         assert main(["encode-train", "--config", config]) == 3
 
+    def test_duplicate_document_id_exits_3_at_encode_train(self, workdir, capsys):
+        config = str(workdir / "config.ini")
+        for stage in ("fixture", "ingest", "graph-train", "mine"):
+            assert main([stage, "--config", config]) == 0
+        docs = workdir / "documents.jsonl"
+        lines = docs.read_text(encoding="utf-8").splitlines(keepends=True)
+        first = json.loads(lines[0])
+        assert first["id"] == "n00000"
+        again = json.dumps({**first, "title": "Another title"}) + "\n"
+        docs.write_text("".join(lines) + again, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["encode-train", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert (f"documents.jsonl: line {len(lines) + 1}: document id 'n00000' "
+                "already on line 1") in err
+        for name in (ARTIFACTS["encode-train"], DOC_TOKENS, "encoder_metrics.json",
+                     "encode-train.prov.json"):
+            assert not (workdir / name).exists(), name
+
     def test_zero_triples_exit_3_and_write_no_checkpoint(self, workdir, capsys):
         # a positive threshold above every score mines no triple at all
         empty = MINIMAL_CONFIG.replace(
@@ -563,6 +585,75 @@ class TestExitCodes:
     def test_unknown_stage_rejected_by_parser(self, workdir):
         with pytest.raises(SystemExit):
             main(["frobnicate", "--config", str(workdir / "config.ini")])
+
+
+class TestTokenCache:
+    """eval encodes from encode-train's ``doc_tokens.bin`` when it matches
+    the documents and the checkpoint, and from the documents otherwise."""
+
+    def trained(self, workdir):
+        config = str(workdir / "config.ini")
+        for stage in ("fixture", "ingest", "graph-train", "mine", "encode-train"):
+            assert main([stage, "--config", config]) == 0
+        return config
+
+    def eval_outputs(self, workdir, config):
+        """Digests of eval's artifacts, and whether it read the token cache."""
+        assert main(["eval", "--config", config]) == 0
+        inputs = json.loads((workdir / "eval.prov.json").read_text())["inputs"]
+        names = ("report.json", "report.txt", "doc_vectors.nbe")
+        return {name: sha256(workdir / name) for name in names}, DOC_TOKENS in inputs
+
+    def test_cached_eval_parses_no_documents(self, workdir, monkeypatch):
+        config = self.trained(workdir)
+
+        def refuse(path):
+            raise AssertionError(f"parsed {path}")
+
+        monkeypatch.setattr(corpus, "load_documents", refuse)
+        assert self.eval_outputs(workdir, config)[1]
+
+    def test_fallback_writes_the_same_bytes(self, workdir):
+        config = self.trained(workdir)
+        cached, used = self.eval_outputs(workdir, config)
+        assert used
+        (workdir / DOC_TOKENS).unlink()
+        assert self.eval_outputs(workdir, config) == (cached, False)
+
+    def test_edited_documents_are_encoded_anew(self, workdir):
+        config = self.trained(workdir)
+        self.eval_outputs(workdir, config)
+        before = read_snapshot(workdir / "doc_vectors.nbe").values
+        docs = workdir / "documents.jsonl"
+        first, *rest = docs.read_text(encoding="utf-8").splitlines(keepends=True)
+        edited = json.loads(first)
+        edited["abstract"] = "an abstract of other words entirely"
+        docs.write_text(json.dumps(edited) + "\n" + "".join(rest), encoding="utf-8")
+        fallback, used = self.eval_outputs(workdir, config)
+        assert not used
+        after = read_snapshot(workdir / "doc_vectors.nbe").values
+        assert not np.array_equal(after[0], before[0])
+        np.testing.assert_array_equal(after[1:], before[1:])
+        (workdir / DOC_TOKENS).unlink()
+        assert self.eval_outputs(workdir, config) == (fallback, False)
+
+    def test_damaged_cache_changes_no_report(self, workdir):
+        config = self.trained(workdir)
+        expect, used = self.eval_outputs(workdir, config)
+        assert used
+        path = workdir / DOC_TOKENS
+        raw = path.read_bytes()
+        # magic, checksum, then the 64-byte key and the document and token counts
+        n_docs, n_tokens = np.frombuffer(raw, "<u8", 2, 100)
+        offsets = 116
+        tokens = offsets + 8 * (int(n_docs) + 1)
+        id_list = tokens + 4 * int(n_tokens)
+        regions = {"header": (0, offsets), "offsets": (offsets, tokens),
+                   "token ids": (tokens, id_list), "id list": (id_list, len(raw))}
+        for region, (start, end) in regions.items():
+            at = (start + end) // 2
+            path.write_bytes(raw[:at] + bytes([raw[at] ^ 0x20]) + raw[at + 1:])
+            assert self.eval_outputs(workdir, config) == (expect, False), region
 
 
 class TestConfigLoading:
