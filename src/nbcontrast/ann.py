@@ -10,12 +10,13 @@ queries share the call, but no rank depends on anything else.
 
 :func:`batch_neighbors` scans a block of queries at a time: ``SCAN_CAP``
 bounds both the block's score cells and the multiply-adds of each
-``graph_embed.scores`` product, which keeps every BLAS call small enough
-to run on the calling thread. As in a FAISS flat index (Johnson et al.
-2017, arXiv:1702.08734), :func:`smallest_k` then partitions each row to
-depth k and sorts only the survivors (every candidate at least as good
-as the k-th), so it returns the full sort's first k, tie order included.
-The threshold and sorted-random samplers in ``mining`` share it.
+``graph_embed.scores`` product. That bounds memory, and product size for
+direct library callers; the pipeline's stages fix the BLAS thread count
+themselves. As in a FAISS flat index (Johnson et al. 2017,
+arXiv:1702.08734), :func:`smallest_k` then partitions each row to depth k
+and sorts only the survivors (every candidate at least as good as the
+k-th), so it returns the full sort's first k, tie order included. The
+threshold and sorted-random samplers in ``mining`` share it.
 """
 
 from __future__ import annotations

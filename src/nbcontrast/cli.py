@@ -113,9 +113,11 @@ def main(argv: list[str] | None = None) -> int:
                 # bootstrap: write a default config next to the fixture data
                 args.stage_dir.mkdir(parents=True, exist_ok=True)
                 config_path = args.stage_dir / "config.ini"
-                if not config_path.exists():
+                if config_path.exists():
+                    print(f"fixture: using existing config {config_path}")
+                else:
                     config_path.write_text(DEFAULT_CONFIG, encoding="utf-8")
-                print(f"fixture: wrote default config {config_path}")
+                    print(f"fixture: wrote default config {config_path}")
             else:
                 raise ValidationError("--config is required (or use fixture --stage-dir)")
         cfg = load_config(config_path, stage_dir=args.stage_dir, seed=args.seed)

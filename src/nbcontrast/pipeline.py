@@ -10,6 +10,9 @@ mutated in place.
 from __future__ import annotations
 
 import configparser
+import contextlib
+import ctypes
+import functools
 import hashlib
 import json
 import logging
@@ -227,6 +230,45 @@ def _write_provenance(
     _write_json(cfg.workdir / f"{stage}.prov.json", payload)
 
 
+@functools.cache
+def _openblas_threads():
+    """The ``(get, set)`` thread-count functions of the OpenBLAS that numpy
+    loaded, found through ``/proc/self/maps``; None where there is none."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+        libs = [ctypes.CDLL(path) for path in sorted(paths)]
+    except OSError:
+        return None
+    for lib in libs:
+        # numpy 2 wheels, numpy 1.x wheels, system builds
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            calls = tuple(getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+            if all(calls):
+                calls[0].argtypes, calls[0].restype = [], ctypes.c_int
+                calls[1].argtypes, calls[1].restype = [ctypes.c_int], None
+                return calls
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run OpenBLAS on the calling thread, then restore the caller's count: a
+    product's last bits can depend on how many threads share it."""
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def _require(path: Path | None, what: str) -> Path:
     if path is None or not path.is_file():
         raise DependencyError(f"missing {what}: {path}")
@@ -246,6 +288,7 @@ def _write_json(path: Path, payload: dict) -> None:
     )
 
 
+@_one_blas_thread()
 def run_fixture(cfg: PipelineConfig) -> list[Path]:
     """Generate the synthetic corpus files named in the config."""
     fc = cfg.fixture_cfg
@@ -272,6 +315,7 @@ def run_fixture(cfg: PipelineConfig) -> list[Path]:
     return outputs
 
 
+@_one_blas_thread()
 def run_ingest(cfg: PipelineConfig) -> Path:
     """Edge file to graph snapshot, with optional filtering and symmetrizing."""
     edges = _require(cfg.edges_path, "edge file")
@@ -292,6 +336,7 @@ def run_ingest(cfg: PipelineConfig) -> Path:
     return out
 
 
+@_one_blas_thread()
 def run_graph_train(cfg: PipelineConfig) -> Path:
     """Train node embeddings and report link prediction on held-out edges."""
     graph_path = _require(cfg.workdir / ARTIFACTS["ingest"], "graph snapshot")
@@ -326,6 +371,7 @@ def run_graph_train(cfg: PipelineConfig) -> Path:
     return out
 
 
+@_one_blas_thread()
 def run_mine(cfg: PipelineConfig) -> Path:
     """Mine contrastive triples from the trained citation embeddings."""
     graph_path = _require(cfg.workdir / ARTIFACTS["ingest"], "graph snapshot")
@@ -367,6 +413,7 @@ def run_mine(cfg: PipelineConfig) -> Path:
     return out
 
 
+@_one_blas_thread()
 def run_encode_train(cfg: PipelineConfig) -> Path:
     """Train the document encoder on the mined triples."""
     triples_path = _require(cfg.workdir / ARTIFACTS["mine"], "triple file")
@@ -401,6 +448,7 @@ def run_encode_train(cfg: PipelineConfig) -> Path:
     return out
 
 
+@_one_blas_thread()
 def run_eval(cfg: PipelineConfig) -> Path:
     """Encode documents and score every configured evaluation task."""
     ckpt_path = _require(cfg.workdir / ARTIFACTS["encode-train"], "encoder checkpoint")

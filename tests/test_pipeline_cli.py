@@ -1,9 +1,11 @@
 """Pipeline stages, CLI exit codes, artifact determinism, provenance."""
 
 import configparser
+import contextlib
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import json
 import sys
 from pathlib import Path
@@ -11,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nbcontrast import corpus, pipeline
+from nbcontrast import corpus, encoder, fixtures, graph_embed, mining, pipeline
 from nbcontrast.cli import DEFAULT_CONFIG, main
 from nbcontrast.encoder import EncoderTrainConfig
+from nbcontrast.errors import DependencyError
 from nbcontrast.evaluation import LabeledSet, ProbeConfig
 from nbcontrast.fixtures import FixtureConfig
 from nbcontrast.graph_embed import EmbeddingTable, GraphTrainConfig
@@ -885,11 +888,104 @@ class TestFixtureBootstrap:
         rc = main(["all", "--config", str(target / "config.ini")])
         assert rc == 0
 
+    def test_fixture_says_whether_it_wrote_the_config(self, tmp_path, capsys):
+        target = tmp_path / "fresh"
+        assert main(["fixture", "--stage-dir", str(target)]) == 0
+        config = target / "config.ini"
+        assert f"wrote default config {config}" in capsys.readouterr().out
+        config.write_text(DEFAULT_CONFIG.replace("seed = 7", "seed = 3"), encoding="utf-8")
+        kept = config.read_bytes()
+        assert main(["fixture", "--stage-dir", str(target)]) == 0
+        out = capsys.readouterr().out
+        assert "wrote" not in out
+        assert f"using existing config {config}" in out
+        assert config.read_bytes() == kept
+
     def test_run_rejects_unknown_stage_name(self, workdir):
         from nbcontrast.errors import ValidationError
         cfg = load_config(workdir / "config.ini")
         with pytest.raises(ValidationError):
             run("bogus", cfg)
+
+
+def numpy_uses_openblas() -> bool:
+    try:
+        name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except TypeError:  # numpy < 1.26 only prints its config
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            np.show_config()
+        name = out.getvalue()
+    return "openblas" in name.lower()
+
+
+class TestBlasThreads:
+    """Stages run OpenBLAS on the calling thread, so what they write does not
+    depend on the machine's thread count, and the caller's count survives."""
+
+    @pytest.fixture()
+    def blas(self):
+        if not numpy_uses_openblas():
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        calls = pipeline._openblas_threads()
+        assert calls is not None, "numpy reports OpenBLAS, but no thread control found"
+        get, set_ = calls
+        before = get()
+        yield get, set_
+        set_(before)
+
+    def test_artifacts_do_not_depend_on_thread_count(self, workdir, blas):
+        _, set_ = blas
+        config = str(workdir / "config.ini")
+        for stage in ("fixture", "ingest", "graph-train", "mine"):
+            assert main([stage, "--config", config]) == 0
+        # a vocabulary of a few thousand words makes the encoder's pooling
+        # products large enough for OpenBLAS to split them over threads
+        docs = corpus.load_documents(workdir / "documents.jsonl")
+        rng = np.random.default_rng(0)
+        words = rng.integers(0, 3000, size=(len(docs), 36))
+        corpus.save_documents(
+            [corpus.Document(pid, " ".join(f"w{k}" for k in row[:6]),
+                             " ".join(f"w{k}" for k in row[6:]))
+             for pid, row in zip(sorted(docs), words)],
+            workdir / "documents.jsonl",
+        )
+        names = (ARTIFACTS["encode-train"], "doc_vectors.nbe", ARTIFACTS["eval"])
+        digests = []
+        for threads in (2, 1):
+            set_(threads)
+            for stage in ("encode-train", "eval"):
+                assert main([stage, "--config", config]) == 0
+            digests.append({name: sha256(workdir / name) for name in names})
+        assert digests[0] == digests[1]
+
+    def test_each_stage_runs_on_one_thread_and_restores_the_count(
+        self, workdir, blas, monkeypatch
+    ):
+        get, set_ = blas
+        seen = {}
+        kernels = {
+            "fixture": (fixtures, "planted_partition_graph"),
+            "ingest": (corpus, "ingest_edges"),
+            "graph-train": (graph_embed, "train_graph_embeddings"),
+            "mine": (mining, "batch_neighbors"),
+            "encode-train": (encoder, "train"),
+            "eval": (encoder, "encode_corpus"),
+        }
+        for stage, (module, attr) in kernels.items():
+            def recording(*args, _stage=stage, _fn=getattr(module, attr), **kwargs):
+                seen[_stage] = get()
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, attr, recording)
+        cfg = load_config(workdir / "config.ini")
+        set_(2)
+        for stage in kernels:
+            getattr(pipeline, "run_" + stage.replace("-", "_"))(cfg)
+            assert get() == 2, stage
+        assert seen == dict.fromkeys(kernels, 1)
+        (workdir / ARTIFACTS["graph-train"]).unlink()
+        with pytest.raises(DependencyError):
+            pipeline.run_mine(cfg)
+        assert get() == 2
 
 
 class TestLabelSeparation:
