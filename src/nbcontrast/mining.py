@@ -52,8 +52,8 @@ class SamplingConfig:
     easy_strategy: str = "filtered_random"
     sorted_random_candidates: int = 100
     n_queries: int = 0  # seeded sample of query nodes; 0 = every node
-    subsample_fraction: float = 1.0  # share of mined triples kept
-    subsample_by_query: bool = True  # keep whole queries, not single triples
+    subsample_fraction: float = 1.0  # share of queries (or triples) kept
+    subsample_by_query: bool = True  # draw queries before mining, not triples
     seed: int = 0
 
     def validate(self) -> None:
@@ -396,7 +396,8 @@ def mine_triples(
     next is scanned; each band is a range selection in a query's neighbor
     list. Queries whose samplers cannot fill a band are skipped and
     recorded; queries with partially filled bands emit fewer triples and
-    are flagged.
+    are flagged. The pipeline mines what :func:`select_queries` keeps, so a
+    by-query subsample is drawn before the scan, not applied here.
     """
     cfg.validate()
     ext_of = {p.index: p.external_id for p in corpus}
@@ -445,6 +446,43 @@ def mine_triples(
     )
 
 
+def _draw(n: int, k: int, seed: int) -> list[int]:
+    """``k`` seeded picks from ``range(n)`` without replacement, ascending."""
+    picks = np.random.default_rng(seed).choice(n, size=k, replace=False)
+    return sorted(int(i) for i in picks)
+
+
+def _draw_fraction(n: int, fraction: float, seed: int) -> list[int]:
+    """The floor of ``fraction * n`` picks of :func:`_draw`."""
+    return _draw(n, int(np.floor(fraction * n + 1e-9)), seed)
+
+
+def select_queries(papers: Sequence[PaperId], cfg: SamplingConfig) -> list[PaperId]:
+    """The queries to mine, in ``papers`` order.
+
+    ``n_queries`` seeded picks, then, with ``subsample_by_query``, the draw
+    :func:`subsample_triples` makes, over the selected papers before any
+    scan: a selected query that mining skips counts and yields nothing.
+
+    >>> papers = [PaperId(f"p{i}", i) for i in range(10)]
+    >>> cfg = SamplingConfig(n_queries=6, subsample_fraction=0.5, seed=1)
+    >>> [p.external_id for p in select_queries(papers, cfg)]
+    ['p3', 'p4', 'p7']
+    """
+    cfg.validate()
+    queries = list(papers)
+    if 0 < cfg.n_queries < len(queries):
+        seed = derive_seed(cfg.seed, "query-selection")
+        queries = [queries[i] for i in _draw(len(queries), cfg.n_queries, seed)]
+    if cfg.subsample_by_query and cfg.subsample_fraction < 1.0:
+        kept = _draw_fraction(len(queries), cfg.subsample_fraction, cfg.seed)
+        if not kept:
+            raise DataError(f"subsample_fraction = {cfg.subsample_fraction} keeps "
+                            f"none of {len(queries)} selected queries")
+        queries = [queries[i] for i in kept]
+    return queries
+
+
 def subsample_triples(
     ts: TripleSet, fraction: float, by_query: bool, seed: int
 ) -> TripleSet:
@@ -457,19 +495,12 @@ def subsample_triples(
         raise ValueError(f"fraction must be in (0, 1]: {fraction}")
     if fraction == 1.0:
         return ts
-    rng = np.random.default_rng(seed)
     if by_query:
         queries = ts.query_ids()
-        n_keep = int(np.floor(fraction * len(queries) + 1e-9))
-        chosen = {queries[int(i)] for i in
-                  rng.choice(len(queries), size=n_keep, replace=False)}
+        chosen = {queries[i] for i in _draw_fraction(len(queries), fraction, seed)}
         kept = tuple(t for t in ts.triples if t.query in chosen)
     else:
-        n_keep = int(np.floor(fraction * len(ts.triples) + 1e-9))
-        picked = set(
-            int(i) for i in rng.choice(len(ts.triples), size=n_keep, replace=False)
-        )
-        kept = tuple(t for i, t in enumerate(ts.triples) if i in picked)
+        kept = tuple(ts.triples[i] for i in _draw_fraction(len(ts), fraction, seed))
     return replace(ts, triples=kept)
 
 

@@ -16,6 +16,7 @@ import functools
 import hashlib
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -386,23 +387,18 @@ def run_mine(cfg: PipelineConfig) -> Path:
 
     sc = cfg.sampling_cfg
     all_papers = graph.paper_ids()
-    if sc.n_queries and sc.n_queries < len(all_papers):
-        rng = np.random.default_rng(mining.derive_seed(sc.seed, "query-selection"))
-        picked = sorted(
-            int(i) for i in
-            rng.choice(len(all_papers), size=sc.n_queries, replace=False)
-        )
-        queries = [all_papers[i] for i in picked]
-    else:
-        queries = all_papers
-
+    queries = mining.select_queries(all_papers, sc)
     triples = mining.mine_triples(queries, table, all_papers, sc)
-    if sc.subsample_fraction < 1.0:
+    if not triples:
+        skips = dict(Counter(reason for _, reason in triples.skipped))
+        raise DataError(f"no triple mined from {len(queries)} queries, skipped: {skips}")
+    if not sc.subsample_by_query and sc.subsample_fraction < 1.0:
         before = len(triples)
-        triples = mining.subsample_triples(
-            triples, sc.subsample_fraction, sc.subsample_by_query, seed=sc.seed
-        )
+        triples = mining.subsample_triples(triples, sc.subsample_fraction, False, sc.seed)
         print(f"mine: subsampled {before} -> {len(triples)} triples")
+        if not triples:
+            raise DataError(f"subsample_fraction = {sc.subsample_fraction} keeps "
+                            f"none of {before} mined triples")
     out = cfg.workdir / ARTIFACTS["mine"]
     mining.save_triples(triples, out)
     _write_provenance(cfg, "mine", [graph_path, table_path], [out])

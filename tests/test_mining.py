@@ -1,12 +1,16 @@
 """Triple mining: rank bands, samplers, collision freedom, determinism."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from nbcontrast.ann import NeighborList, batch_neighbors, range_by_rank
-from nbcontrast.corpus import PaperId
+from nbcontrast.cli import main
+from nbcontrast.corpus import PaperId, load_graph
 from nbcontrast.errors import ValidationError
-from nbcontrast import mining
+from nbcontrast import mining, pipeline
 from nbcontrast.graph_embed import EmbeddingTable, init_embeddings, scores
 from nbcontrast.mining import (
     MiningFailure,
@@ -20,8 +24,10 @@ from nbcontrast.mining import (
     sample_random,
     sample_sorted_random,
     save_triples,
+    select_queries,
     subsample_triples,
 )
+from nbcontrast.snapshot import read_snapshot
 
 TUNED_CONFIG = SamplingConfig(k_pos=25, k_hard=4000, c_pos=5, c_hard=2, c_easy=3)
 
@@ -621,6 +627,99 @@ class TestSubsample:
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 subsample_triples(ts, bad, by_query=False, seed=0)
+
+
+class TestSelectQueries:
+    @pytest.mark.parametrize("n, fraction", [(120, 0.1), (100, 0.29), (10, 0.3), (57, 0.5)])
+    def test_ordered_subset_of_floor_size(self, n, fraction):
+        _, papers = desk_papers(n)
+        cfg = SamplingConfig(subsample_fraction=fraction, seed=4)
+        picked = select_queries(papers, cfg)
+        # 0.29 * 100 and 0.3 * 10 sit just off whole numbers in binary
+        assert len(picked) == math.floor(fraction * n + 1e-9) == round(fraction * n)
+        positions = [papers.index(p) for p in picked]
+        assert positions == sorted(set(positions))
+        assert select_queries(papers, cfg) == picked
+        assert select_queries(papers, dataclasses.replace(cfg, seed=5)) != picked
+
+    @pytest.mark.parametrize("fraction, seed", [(0.1, 0), (0.3, 7), (0.01, 5)])
+    def test_by_query_picks_equal_subsample_triples(self, fraction, seed):
+        ts = synthetic_tripleset(1000)
+        papers = [PaperId(q, i) for i, q in enumerate(ts.query_ids())]
+        cfg = SamplingConfig(subsample_fraction=fraction, seed=seed)
+        kept = subsample_triples(ts, fraction, by_query=True, seed=seed)
+        assert [p.external_id for p in select_queries(papers, cfg)] == kept.query_ids()
+
+    def test_n_queries_draw_comes_first(self):
+        _, papers = desk_papers(100)
+        cfg = SamplingConfig(n_queries=40, subsample_fraction=0.25, seed=2)
+        selected = select_queries(papers, dataclasses.replace(cfg, subsample_fraction=1.0))
+        assert len(selected) == 40
+        kept = select_queries(papers, cfg)
+        assert len(kept) == 10 and set(kept) <= set(selected)
+        by_triple = dataclasses.replace(cfg, subsample_by_query=False)
+        assert select_queries(papers, by_triple) == selected
+
+    def test_fraction_counts_skipped_queries(self):
+        table, papers = desk_papers(100)
+        others = ~np.eye(100, dtype=bool)
+        best = [scores(table, i, measure="cosine")[others[i]].max() for i in range(100)]
+        # about half the queries have no positive above the threshold
+        cfg = dataclasses.replace(DESK_CONFIG, pos_strategy="sim",
+                                  t_pos=float(np.median(best)),
+                                  subsample_fraction=0.3)
+        selected = select_queries(papers, cfg)
+        assert len(selected) == 30
+        ts = mine_triples(selected, table, papers, cfg)
+        skipped = {q for q, _ in ts.skipped}
+        assert skipped and skipped < {p.external_id for p in selected}
+        emitting = [p.external_id for p in selected if p.external_id not in skipped]
+        assert ts.query_ids() == emitting
+
+
+@pytest.fixture(scope="module")
+def trained_fixture(tmp_path_factory):
+    """The bundled fixture after ingest and graph-train."""
+    work = tmp_path_factory.mktemp("fixture")
+    assert main(["fixture", "--stage-dir", str(work)]) == 0
+    for stage in ("ingest", "graph-train"):
+        assert main([stage, "--config", str(work / "config.ini")]) == 0
+    return work
+
+
+class TestRunMineSelectsBeforeScanning:
+    @pytest.mark.parametrize("fraction, n_queries", [(0.1, 0), (0.5, 150)])
+    def test_writes_the_bytes_of_mining_every_selected_query(
+        self, trained_fixture, monkeypatch, tmp_path, fraction, n_queries
+    ):
+        cfg = pipeline.load_config(trained_fixture / "config.ini")
+        sc = dataclasses.replace(cfg.sampling_cfg, subsample_fraction=fraction,
+                                 n_queries=n_queries)
+        cfg = dataclasses.replace(cfg, sampling_cfg=sc)
+        papers = load_graph(trained_fixture / "graph.json").paper_ids()
+        table = read_snapshot(trained_fixture / "graph_embeddings.nbe")
+        # the selection run_mine made before it scanned only kept queries
+        selected = papers
+        if n_queries:
+            rng = np.random.default_rng(mining.derive_seed(sc.seed, "query-selection"))
+            selected = [papers[int(i)] for i in
+                        sorted(rng.choice(len(papers), size=n_queries, replace=False))]
+        with pipeline._one_blas_thread():
+            every = mine_triples(selected, table, papers, sc)
+        assert not every.skipped
+        save_triples(subsample_triples(every, fraction, True, sc.seed),
+                     tmp_path / "expected.tsv")
+
+        scanned = []
+
+        def spy(t, queries, depth):
+            scanned.extend(queries)
+            return batch_neighbors(t, queries, depth)
+
+        monkeypatch.setattr(mining, "batch_neighbors", spy)
+        out = pipeline.run_mine(cfg)
+        assert len(scanned) == math.floor(fraction * len(selected))
+        assert out.read_bytes() == (tmp_path / "expected.tsv").read_bytes()
 
 
 class TestTripleFileRoundtrip:

@@ -372,18 +372,62 @@ class TestExitCodes:
             assert not (workdir / name).exists(), name
 
     def test_zero_triples_exit_3_and_write_no_checkpoint(self, workdir, capsys):
-        # a positive threshold above every score mines no triple at all
-        empty = MINIMAL_CONFIG.replace(
-            "[sampling]", "[sampling]\npos_strategy = sim\nt_pos = 2.0"
-        )
-        config = workdir / "empty.ini"
-        config.write_text(empty, encoding="utf-8")
-        for stage in ("fixture", "ingest", "graph-train", "mine"):
-            assert main([stage, "--config", str(config)]) == 0
+        # mine refuses to write an empty triple file, so write one by hand
+        config = workdir / "config.ini"
+        assert main(["fixture", "--config", str(config)]) == 0
+        mining.save_triples(mining.TripleSet((), SamplingConfig()),
+                            workdir / ARTIFACTS["mine"])
         capsys.readouterr()
         assert main(["encode-train", "--config", str(config)]) == 3
         assert ARTIFACTS["mine"] in capsys.readouterr().err
         assert not (workdir / ARTIFACTS["encode-train"]).exists()
+
+    def test_selection_of_no_query_exits_3_before_the_scan(
+        self, workdir, capsys, monkeypatch
+    ):
+        config = str(workdir / "config.ini")
+        for stage in ("fixture", "ingest", "graph-train"):
+            assert main([stage, "--config", config]) == 0
+        capsys.readouterr()
+        none = MINIMAL_CONFIG.replace("[sampling]", "[sampling]\nsubsample_fraction = 0.001")
+        (workdir / "none.ini").write_text(none, encoding="utf-8")
+
+        def no_scan(*args):
+            raise AssertionError("scanned although no query is kept")
+
+        monkeypatch.setattr(mining, "batch_neighbors", no_scan)
+        assert main(["mine", "--config", str(workdir / "none.ini")]) == 3
+        err = capsys.readouterr().err
+        assert err == ("data error: subsample_fraction = 0.001 keeps none of "
+                       "120 selected queries\n")
+        assert not (workdir / ARTIFACTS["mine"]).exists()
+
+    @pytest.mark.parametrize("sampling, cause", [
+        # every neighbour list is shorter than k_hard
+        ({"k_hard": "400"}, "no triple mined from 120 queries, skipped: "
+                            "{'insufficient neighbors for k=400': 120}"),
+        # a positive threshold above every score
+        ({"pos_strategy": "sim", "t_pos": "2.0"}, "no triple mined from 120 "
+         "queries, skipped: {'no candidates above threshold 2.0': 120}"),
+        # by-triple draws floor(0.001 * 600) = 0 of the mined triples
+        ({"subsample_by_query": "false", "subsample_fraction": "0.001"},
+         "subsample_fraction = 0.001 keeps none of 600 mined triples"),
+    ])
+    def test_no_triple_mined_exits_3_and_writes_nothing(
+        self, workdir, capsys, sampling, cause
+    ):
+        config = str(workdir / "config.ini")
+        for stage in ("fixture", "ingest", "graph-train"):
+            assert main([stage, "--config", config]) == 0
+        capsys.readouterr()
+        bad = configparser.ConfigParser()
+        bad.read_string(MINIMAL_CONFIG)
+        bad["sampling"].update(sampling)
+        with (workdir / "bad.ini").open("w", encoding="utf-8") as fh:
+            bad.write(fh)
+        assert main(["mine", "--config", str(workdir / "bad.ini")]) == 3
+        assert capsys.readouterr().err == f"data error: {cause}\n"
+        assert not (workdir / ARTIFACTS["mine"]).exists()
 
     @pytest.mark.parametrize("name, lines", [
         ("labels.jsonl", [
