@@ -1,6 +1,6 @@
 """Neighborhood-contrastive triple mining over citation-graph embeddings."""
 
-from .ann import NeighborList, batch_neighbors, range_by_rank
+from .ann import NeighborList, batch_neighbors
 from .corpus import (
     CitationGraph,
     Document,
@@ -24,6 +24,7 @@ from .mining import (
     Triple,
     TripleSet,
     mine_triples,
+    range_by_rank,
     subsample_triples,
 )
 

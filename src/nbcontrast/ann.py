@@ -8,15 +8,16 @@ with respect to the scores of the ``graph_embed.scores`` call that made
 them: BLAS may round a score in the last bit differently when other
 queries share the call, but no rank depends on anything else.
 
-:func:`batch_neighbors` scans a block of queries at a time: ``SCAN_CAP``
-bounds both the block's score cells and the multiply-adds of each
-``graph_embed.scores`` product. That bounds memory, and product size for
-direct library callers; the pipeline's stages fix the BLAS thread count
-themselves. As in a FAISS flat index (Johnson et al. 2017,
-arXiv:1702.08734), :func:`smallest_k` then partitions each row to depth k
-and sorts only the survivors (every candidate at least as good as the
-k-th), so it returns the full sort's first k, tie order included. The
-threshold and sorted-random samplers in ``mining`` share it.
+:func:`batch_neighbors` scans a block of queries at a time:
+``graph_embed.CELL_CAP`` bounds both the block's score cells and the
+multiply-adds of each ``graph_embed.scores`` product. That bounds memory,
+and product size for direct library callers; the pipeline's stages fix the
+BLAS thread count themselves. As in a FAISS flat index (Johnson et al.
+2017, arXiv:1702.08734), :func:`smallest_k` then partitions each row to
+depth k and sorts only the survivors (every candidate at least as good as
+the k-th), so it returns the full sort's first k, tie order included. The
+threshold and sorted-random samplers in ``mining`` share it; ``mining``
+also reads the rank bands out of the lists.
 """
 
 from __future__ import annotations
@@ -27,12 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InsufficientNeighborsError
+from . import graph_embed
 from .graph_embed import EmbeddingTable, scores
-
-# Score cells of one query block, and multiply-adds (rows x columns x dim)
-# of one product within it.
-SCAN_CAP = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,24 +74,10 @@ def smallest_k(key: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     return np.lexsort((ids, key))[:k]
 
 
-def range_by_rank(n: NeighborList, k: int, c: int) -> list[int]:
-    """Nodes at 1-based neighbor ranks k-c+1 .. k.
-
-    This is the band ``(k-c, k]``: the c neighbors descending from the
-    k-th nearest.
-    """
-    if c < 1:
-        raise ValueError(f"c must be >= 1: {c}")
-    if k < c:
-        raise ValueError(f"k must be >= c: k={k}, c={c}")
-    if len(n) < k:
-        raise InsufficientNeighborsError(query=n.query, k=k, available=len(n))
-    return n.ids[k - c:k].tolist()
-
-
 def query_block(t: EmbeddingTable) -> int:
-    """Queries whose scores against every row fit in SCAN_CAP, at least one."""
-    return max(1, SCAN_CAP // max(t.rows, 1))
+    """Queries whose scores against every row fit in ``graph_embed.CELL_CAP``,
+    at least one."""
+    return max(1, graph_embed.CELL_CAP // max(t.rows, 1))
 
 
 def batch_neighbors(
@@ -105,9 +88,9 @@ def batch_neighbors(
     A list holds ``min(k_max, rows - 1)`` neighbours ordered by score
     descending, ties toward the smaller node index, NaN last, and never
     the query. Queries are scored ``query_block(t)`` at a time, in
-    products of at most SCAN_CAP multiply-adds; ranks are exact for the
-    scores of the block's own call, which may differ in the last bit from
-    a one-query call. The query's own key is set to +inf, so each row
+    products of at most ``graph_embed.CELL_CAP`` multiply-adds; ranks are
+    exact for the scores of the block's own call, which may differ in the
+    last bit from a one-query call. The query's own key is set to +inf, so each row
     takes ``min(k_max + 1, rows)`` smallest and drops the query.
     """
     if k_max < 1:
@@ -124,7 +107,7 @@ def batch_neighbors(
     for start in range(0, len(queries), per_block):
         block = queries[start:start + per_block]
         key = np.empty((len(block), t.rows))
-        step = max(1, SCAN_CAP // (len(block) * max(t.dim, 1)))
+        step = max(1, graph_embed.CELL_CAP // (len(block) * max(t.dim, 1)))
         for lo in range(0, t.rows, step):
             key[:, lo:lo + step] = scores(t, block, slice(lo, lo + step))
         np.negative(key, out=key)

@@ -25,6 +25,7 @@ from typing import Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
+from . import graph_embed
 from .corpus import Document
 from .errors import DataError, ValidationError
 from .graph_embed import EmbeddingTable
@@ -195,11 +196,6 @@ def triplet_loss(
     ))
 
 
-# Cells (documents x distinct tokens) of one token count matrix: documents
-# are pooled, and batches differentiated, in chunks that stay within it.
-CELL_CAP = 1 << 18
-
-
 # Characters tokenized at once: a block's words leave memory arenas partly used
 TEXT_CAP = 1 << 14
 
@@ -247,11 +243,12 @@ def _pool_chunks(
     matrix ``C`` (a row per document, a column per token, counts over the
     document's length) and ``C @ token_table[tokens]``. A chunk of ``k``
     items has ``r = k * width`` rows and at most ``min(vocab, r * max_tokens)``
-    columns; it takes as many items as fit in CELL_CAP, and at least one."""
+    columns; it takes as many items as fit in ``graph_embed.CELL_CAP``, and at
+    least one."""
     width = items.shape[1]
     max_tokens = int((offsets[items + 1] - offsets[items]).max())
-    step = max(1, CELL_CAP // (width * len(p.vocab)),
-               math.isqrt(CELL_CAP // max_tokens) // width)
+    cap = graph_embed.CELL_CAP
+    step = max(1, cap // (width * len(p.vocab)), math.isqrt(cap // max_tokens) // width)
     for start in range(0, len(items), step):
         docs = items[start:start + step].T.reshape(-1)
         starts = offsets[docs]

@@ -17,15 +17,3 @@ class DataError(Exception):
 
 class DependencyError(Exception):
     """A required upstream artifact is missing."""
-
-
-class InsufficientNeighborsError(LookupError):
-    """A neighbor list is shorter than the requested rank depth."""
-
-    def __init__(self, query: int, k: int, available: int):
-        self.query = query
-        self.k = k
-        self.available = available
-        super().__init__(
-            f"query {query}: needs {k} neighbors, only {available} available"
-        )

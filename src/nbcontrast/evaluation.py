@@ -32,7 +32,13 @@ class RankingQuery:
     def __post_init__(self):
         if not self.candidates:
             raise DataError(f"query {self.query!r}: empty candidate list")
-        if not self.relevant <= set(self.candidates):
+        seen: set[str] = set()
+        for candidate in self.candidates:
+            if candidate in seen:
+                raise DataError(f"query {self.query!r}: candidate {candidate!r} "
+                                "listed twice")
+            seen.add(candidate)
+        if not self.relevant <= seen:
             raise DataError(f"query {self.query!r}: relevant not within candidates")
 
 
@@ -284,7 +290,11 @@ def overlap_report(
 
 
 def load_ranking_task(path: str | Path) -> RankingTask:
-    """Read a JSON-lines ranking task (query, candidates, relevant)."""
+    """Read a JSON-lines ranking task (query, candidates, relevant).
+
+    A record with no candidate, a candidate listed twice or a relevant id
+    outside its candidates is a :class:`DataError` naming the line.
+    """
     path = Path(path)
     queries: list[RankingQuery] = []
     for lineno, record in read_jsonl(path, ("query", "candidates", "relevant")):
@@ -318,19 +328,23 @@ def load_labeled_set(path: str | Path) -> LabeledSet:
     """Read a JSON-lines labeled set (id, label, split).
 
     A split other than ``train`` or ``test``, or an id in both, is a
-    :class:`DataError` naming the line.
+    :class:`DataError` naming the line; an id on two lines of one split
+    names both lines.
     """
     path = Path(path)
     items = []
-    split_of: dict[str, str] = {}
+    first_of: dict[str, tuple[int, str]] = {}
     for lineno, record in read_jsonl(path, ("id", "label", "split")):
         pid, split = str(record["id"]), str(record["split"])
         if split not in ("train", "test"):
             raise DataError(
                 f"{path}: line {lineno}: split must be 'train' or 'test', got {split!r}"
             )
-        if split_of.setdefault(pid, split) != split:
+        first, first_split = first_of.setdefault(pid, (lineno, split))
+        if first_split != split:
             raise DataError(f"{path}: line {lineno}: id {pid!r} is in both splits")
+        if first != lineno:
+            raise DataError(f"{path}: line {lineno}: id {pid!r} already on line {first}")
         items.append((pid, str(record["label"]), split))
     if not items:
         raise DataError(f"{path}: empty labeled set")

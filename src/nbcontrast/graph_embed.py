@@ -26,6 +26,12 @@ MEASURES = ("dot", "cosine")
 # edges per SGD step of :func:`train_epoch`
 EDGE_BATCH = 64
 
+# Float64 cells of one temporary block: the neighbour scan's score block and
+# the multiply-adds of each product in it (``ann``), the encoder's token count
+# matrices (``encoder``) and label separation's differences (``pipeline``).
+# Users read it at call time, so one setting reaches all three.
+CELL_CAP = 1 << 18
+
 
 @dataclass
 class EmbeddingTable:

@@ -19,9 +19,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ann import NeighborList, batch_neighbors, query_block, range_by_rank, smallest_k
+from .ann import NeighborList, batch_neighbors, query_block, smallest_k
 from .corpus import PaperId, open_text
-from .errors import DataError, InsufficientNeighborsError, ValidationError
+from .errors import DataError, ValidationError
 from .graph_embed import EmbeddingTable, scores
 
 POS_STRATEGIES = ("knn", "sim")
@@ -163,13 +163,6 @@ class TripleSet:
     def __len__(self) -> int:
         return len(self.triples)
 
-    def query_ids(self) -> list[str]:
-        """Unique query ids in first-appearance order."""
-        seen: dict[str, None] = {}
-        for t in self.triples:
-            seen.setdefault(t.query, None)
-        return list(seen)
-
 
 class MiningFailure(Exception):
     """A sampler could not fill its quota for one query.
@@ -181,6 +174,21 @@ class MiningFailure(Exception):
     def __init__(self, reason: str):
         self.reason = reason
         super().__init__(reason)
+
+
+def range_by_rank(n: NeighborList, k: int, c: int) -> list[int]:
+    """Nodes at 1-based neighbor ranks k-c+1 .. k.
+
+    This is the band ``(k-c, k]``: the c neighbors descending from the
+    k-th nearest. A list shorter than k is a :class:`MiningFailure`.
+    """
+    if c < 1:
+        raise ValueError(f"c must be >= 1: {c}")
+    if k < c:
+        raise ValueError(f"k must be >= c: k={k}, c={c}")
+    if len(n) < k:
+        raise MiningFailure(f"insufficient neighbors for k={k}")
+    return n.ids[k - c:k].tolist()
 
 
 def derive_seed(seed: int, *parts: str) -> int:
@@ -270,17 +278,14 @@ def sample_sorted_random(
     corpus: Sequence[int] | np.ndarray,
     n_candidates: int,
     c: int,
-    direction: str,
     seed: int,
     exclude: set[int] | frozenset[int] = frozenset(),
 ) -> list[int]:
-    """Draw candidates uniformly, then keep the c closest or furthest.
+    """Draw candidates uniformly, then keep the c furthest.
 
-    Closeness is the table's own measure against the query; ties break
-    toward the smaller index.
+    Distance is the table's own score against the query, lowest first;
+    ties break toward the smaller index.
     """
-    if direction not in ("closest", "furthest"):
-        raise ValueError(f"direction must be 'closest' or 'furthest': {direction!r}")
     if n_candidates < c:
         raise ValueError(f"n_candidates must be >= c: {n_candidates} < {c}")
     pool = _without(corpus, np.array([query, *exclude], dtype=np.int64))
@@ -291,9 +296,7 @@ def sample_sorted_random(
     rng = np.random.default_rng(seed)
     take = min(n_candidates, len(pool))
     drawn = pool[rng.choice(len(pool), size=take, replace=False)]
-    scored = scores(t, query, drawn)
-    key = -scored if direction == "closest" else scored
-    return drawn[smallest_k(key, drawn, c)].tolist()
+    return drawn[smallest_k(scores(t, query, drawn), drawn, c)].tolist()
 
 
 def _mine_one_query(
@@ -350,7 +353,6 @@ def _mine_one_query(
             corpus_idx,
             cfg.sorted_random_candidates,
             cfg.c_easy,
-            direction="furthest",
             seed=easy_seed,
             exclude=taken,
         )
@@ -429,11 +431,6 @@ def mine_triples(
             except MiningFailure as skip:
                 skipped.append((query.external_id, skip.reason))
                 continue
-            except InsufficientNeighborsError as err:
-                skipped.append(
-                    (query.external_id, f"insufficient neighbors for k={err.k}")
-                )
-                continue
             triples.extend(mined)
             if partial:
                 partials.append(query.external_id)
@@ -460,9 +457,10 @@ def _draw_fraction(n: int, fraction: float, seed: int) -> list[int]:
 def select_queries(papers: Sequence[PaperId], cfg: SamplingConfig) -> list[PaperId]:
     """The queries to mine, in ``papers`` order.
 
-    ``n_queries`` seeded picks, then, with ``subsample_by_query``, the draw
-    :func:`subsample_triples` makes, over the selected papers before any
-    scan: a selected query that mining skips counts and yields nothing.
+    ``n_queries`` seeded picks, then, with ``subsample_by_query``, the
+    floor of ``subsample_fraction`` times their count, drawn with the
+    sampling seed before any scan: a selected query that mining skips
+    counts and yields nothing.
 
     >>> papers = [PaperId(f"p{i}", i) for i in range(10)]
     >>> cfg = SamplingConfig(n_queries=6, subsample_fraction=0.5, seed=1)
@@ -483,24 +481,18 @@ def select_queries(papers: Sequence[PaperId], cfg: SamplingConfig) -> list[Paper
     return queries
 
 
-def subsample_triples(
-    ts: TripleSet, fraction: float, by_query: bool, seed: int
-) -> TripleSet:
-    """Keep a seeded uniform fraction of triples, or of whole queries.
+def subsample_triples(ts: TripleSet, fraction: float, seed: int) -> TripleSet:
+    """Keep a seeded uniform fraction of the triples, in their order.
 
-    The kept count is the floor of ``fraction * total``; original order is
-    preserved.
+    The kept count is the floor of ``fraction * len(ts)``. This is the
+    ``subsample_by_query = false`` draw; a by-query subsample is drawn by
+    :func:`select_queries` before mining.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1]: {fraction}")
     if fraction == 1.0:
         return ts
-    if by_query:
-        queries = ts.query_ids()
-        chosen = {queries[i] for i in _draw_fraction(len(queries), fraction, seed)}
-        kept = tuple(t for t in ts.triples if t.query in chosen)
-    else:
-        kept = tuple(ts.triples[i] for i in _draw_fraction(len(ts), fraction, seed))
+    kept = tuple(ts.triples[i] for i in _draw_fraction(len(ts), fraction, seed))
     return replace(ts, triples=kept)
 
 

@@ -1,6 +1,8 @@
 """Pipeline stages driven by one INI config, with provenance sidecars.
 
-Every stage reads its inputs, writes a fixed-name artifact into the work
+Every stage past ``fixture`` first removes the outputs and sidecar of its
+previous run, so a failed run leaves none for the next stage to read. It
+then reads its inputs, writes fixed-name artifacts into the work
 directory, and drops a ``<stage>.prov.json`` sidecar recording the config
 hash, effective seed, and input/output content hashes. Reruns with
 unchanged inputs reproduce byte-identical artifacts; nothing is ever
@@ -30,17 +32,18 @@ logger = logging.getLogger(__name__)
 
 STAGES = ("fixture", "ingest", "graph-train", "mine", "encode-train", "eval")
 
-ARTIFACTS = {
-    "ingest": "graph.json",
-    "graph-train": "graph_embeddings.nbe",
-    "mine": "triples.tsv",
-    "encode-train": "encoder.bin",
-    "eval": "report.json",
-}
-
 # Written by encode-train beside the checkpoint, read by eval: the corpus's
 # token rows, keyed by the document file and the checkpoint it was split for.
 DOC_TOKENS = "doc_tokens.bin"
+
+# Every file each stage writes into the work directory, its main artifact first.
+ARTIFACTS = {
+    "ingest": ("graph.json",),
+    "graph-train": ("graph_embeddings.nbe", "graph_metrics.json"),
+    "mine": ("triples.tsv",),
+    "encode-train": ("encoder.bin", "encoder_metrics.json", DOC_TOKENS),
+    "eval": ("report.json", "report.txt", "doc_vectors.nbe"),
+}
 
 # The INI sections that each read into one config dataclass, a key per field.
 CONFIG_SECTIONS = {
@@ -270,6 +273,14 @@ def _one_blas_thread():
         set_(before)
 
 
+def _fresh_outputs(cfg: PipelineConfig, stage: str) -> list[Path]:
+    """The stage's output paths, once its earlier outputs and sidecar are gone."""
+    outputs = [cfg.workdir / name for name in ARTIFACTS[stage]]
+    for path in (*outputs, cfg.workdir / f"{stage}.prov.json"):
+        path.unlink(missing_ok=True)
+    return outputs
+
+
 def _require(path: Path | None, what: str) -> Path:
     if path is None or not path.is_file():
         raise DependencyError(f"missing {what}: {path}")
@@ -319,6 +330,7 @@ def run_fixture(cfg: PipelineConfig) -> list[Path]:
 @_one_blas_thread()
 def run_ingest(cfg: PipelineConfig) -> Path:
     """Edge file to graph snapshot, with optional filtering and symmetrizing."""
+    [out] = _fresh_outputs(cfg, "ingest")
     edges = _require(cfg.edges_path, "edge file")
     graph = corpus.ingest_edges(edges)
     if cfg.exclude_ids_path:
@@ -329,7 +341,6 @@ def run_ingest(cfg: PipelineConfig) -> Path:
     if not graph.edge_count:
         raise DataError(f"{edges}: no edge left after dropping self-loops, "
                         "duplicates and excluded ids")
-    out = cfg.workdir / ARTIFACTS["ingest"]
     cfg.workdir.mkdir(parents=True, exist_ok=True)
     corpus.save_graph(graph, out)
     _write_provenance(cfg, "ingest", [edges], [out])
@@ -340,7 +351,8 @@ def run_ingest(cfg: PipelineConfig) -> Path:
 @_one_blas_thread()
 def run_graph_train(cfg: PipelineConfig) -> Path:
     """Train node embeddings and report link prediction on held-out edges."""
-    graph_path = _require(cfg.workdir / ARTIFACTS["ingest"], "graph snapshot")
+    out, metrics_path = _fresh_outputs(cfg, "graph-train")
+    graph_path = _require(cfg.workdir / ARTIFACTS["ingest"][0], "graph snapshot")
     graph = corpus.load_graph(graph_path)
     if not graph.edge_count:
         raise DataError(f"{graph_path}: graph has no edges to train on")
@@ -363,9 +375,7 @@ def run_graph_train(cfg: PipelineConfig) -> Path:
             + " ".join(f"{k}={v:.4f}" for k, v in sorted(metrics.items()))
         )
 
-    out = cfg.workdir / ARTIFACTS["graph-train"]
     snapshot.write_snapshot(table, out)
-    metrics_path = cfg.workdir / "graph_metrics.json"
     _write_json(metrics_path, {"link_prediction": metrics, "loss_trace": losses})
     _write_provenance(cfg, "graph-train", [graph_path], [out, metrics_path])
     print(f"graph-train: {len(losses)} epochs, final loss {losses[-1]:.6f} -> {out}")
@@ -375,8 +385,9 @@ def run_graph_train(cfg: PipelineConfig) -> Path:
 @_one_blas_thread()
 def run_mine(cfg: PipelineConfig) -> Path:
     """Mine contrastive triples from the trained citation embeddings."""
-    graph_path = _require(cfg.workdir / ARTIFACTS["ingest"], "graph snapshot")
-    table_path = _require(cfg.workdir / ARTIFACTS["graph-train"], "embedding snapshot")
+    [out] = _fresh_outputs(cfg, "mine")
+    graph_path = _require(cfg.workdir / ARTIFACTS["ingest"][0], "graph snapshot")
+    table_path = _require(cfg.workdir / ARTIFACTS["graph-train"][0], "embedding snapshot")
     graph = corpus.load_graph(graph_path)
     table = snapshot.read_snapshot(table_path)
     if table.rows != graph.node_count:
@@ -394,12 +405,11 @@ def run_mine(cfg: PipelineConfig) -> Path:
         raise DataError(f"no triple mined from {len(queries)} queries, skipped: {skips}")
     if not sc.subsample_by_query and sc.subsample_fraction < 1.0:
         before = len(triples)
-        triples = mining.subsample_triples(triples, sc.subsample_fraction, False, sc.seed)
+        triples = mining.subsample_triples(triples, sc.subsample_fraction, sc.seed)
         print(f"mine: subsampled {before} -> {len(triples)} triples")
         if not triples:
             raise DataError(f"subsample_fraction = {sc.subsample_fraction} keeps "
                             f"none of {before} mined triples")
-    out = cfg.workdir / ARTIFACTS["mine"]
     mining.save_triples(triples, out)
     _write_provenance(cfg, "mine", [graph_path, table_path], [out])
     print(
@@ -412,7 +422,8 @@ def run_mine(cfg: PipelineConfig) -> Path:
 @_one_blas_thread()
 def run_encode_train(cfg: PipelineConfig) -> Path:
     """Train the document encoder on the mined triples."""
-    triples_path = _require(cfg.workdir / ARTIFACTS["mine"], "triple file")
+    out, metrics_path, tokens_path = _fresh_outputs(cfg, "encode-train")
+    triples_path = _require(cfg.workdir / ARTIFACTS["mine"][0], "triple file")
     docs_path = _require(cfg.documents_path, "document file")
     triples = mining.load_triples(triples_path, cfg.sampling_cfg)
     if not triples.triples:
@@ -427,12 +438,9 @@ def run_encode_train(cfg: PipelineConfig) -> Path:
     except DataError as exc:
         raise DataError(f"{triples_path}: {exc} (documents: {docs_path})") from None
 
-    out = cfg.workdir / ARTIFACTS["encode-train"]
     encoder.save_encoder(params, out)
-    tokens_path = cfg.workdir / DOC_TOKENS
     key, digests = _tokens_key(docs_path, out)
     encoder.save_doc_tokens(tokens, key, tokens_path)
-    metrics_path = cfg.workdir / "encoder_metrics.json"
     _write_json(metrics_path, {"loss_trace": trace})
     _write_provenance(cfg, "encode-train", [triples_path, docs_path],
                       [out, metrics_path, tokens_path], digests)
@@ -447,7 +455,8 @@ def run_encode_train(cfg: PipelineConfig) -> Path:
 @_one_blas_thread()
 def run_eval(cfg: PipelineConfig) -> Path:
     """Encode documents and score every configured evaluation task."""
-    ckpt_path = _require(cfg.workdir / ARTIFACTS["encode-train"], "encoder checkpoint")
+    out, text_path, vectors_path = _fresh_outputs(cfg, "eval")
+    ckpt_path = _require(cfg.workdir / ARTIFACTS["encode-train"][0], "encoder checkpoint")
     docs_path = _require(cfg.documents_path, "document file")
     inputs = [ckpt_path, docs_path]
     # every input is checked before any artifact is written, so a bad one
@@ -500,7 +509,7 @@ def run_eval(cfg: PipelineConfig) -> Path:
         metrics["separation.topics.inter_l2"] = inter
 
     if cfg.overlap_paths:
-        graph_path = _require(cfg.workdir / ARTIFACTS["ingest"], "graph snapshot")
+        graph_path = _require(cfg.workdir / ARTIFACTS["ingest"][0], "graph snapshot")
         inputs.append(graph_path)
         train_ids = set(corpus.load_graph(graph_path).ids)
         eval_ids = {}
@@ -512,20 +521,13 @@ def run_eval(cfg: PipelineConfig) -> Path:
         for key, value in report.as_dict().items():
             metrics[f"leakage.{key}"] = value
 
-    vectors_path = cfg.workdir / "doc_vectors.nbe"
     snapshot.write_snapshot(vectors, vectors_path)
-    out = cfg.workdir / ARTIFACTS["eval"]
     _write_json(out, metrics)
     text = render_report(metrics)
-    text_path = cfg.workdir / "report.txt"
     text_path.write_text(text, encoding="utf-8")
     print(text, end="")
     _write_provenance(cfg, "eval", inputs, [out, text_path, vectors_path], digests)
     return out
-
-
-# Elements (rows x later rows x dim) of one block in label_separation
-PAIR_CAP = 1 << 18
 
 
 def label_separation(
@@ -536,14 +538,15 @@ def label_separation(
     """Mean pairwise L2 distance within and across label groups.
 
     Each row is compared with the rows after it, a block of at most
-    PAIR_CAP differences at a time, and only the distances' sums are kept.
+    ``graph_embed.CELL_CAP`` differences (rows x later rows x dim) at a
+    time, and only the distances' sums are kept.
     """
     ids = [pid for pid, _, _ in labeled.items if pid in id_to_row]
     labels = {pid: label for pid, label, _ in labeled.items}
     points = np.stack([vectors.values[id_to_row[pid]] for pid in ids])
     _, codes = np.unique([labels[pid] for pid in ids], return_inverse=True)
     sums, counts = np.zeros(2), np.zeros(2)
-    step = max(1, PAIR_CAP // points.size)
+    step = max(1, graph_embed.CELL_CAP // points.size)
     for start in range(0, len(points) - 1, step):
         block = points[start:start + step]
         dists = np.sqrt(((block[:, None] - points[start + 1:]) ** 2).sum(axis=-1))

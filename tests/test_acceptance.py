@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see every line.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from nbcontrast.ann import SCAN_CAP, batch_neighbors, range_by_rank
+from nbcontrast.ann import batch_neighbors
 from nbcontrast.cli import main
 from nbcontrast.corpus import Document, PaperId, load_documents, split_edges
 from nbcontrast.encoder import (
@@ -33,6 +34,7 @@ from nbcontrast.evaluation import (
 )
 from nbcontrast.fixtures import planted_partition_graph
 from nbcontrast.graph_embed import (
+    CELL_CAP,
     EmbeddingTable,
     GraphTrainConfig,
     eval_link_prediction,
@@ -44,8 +46,9 @@ from nbcontrast.graph_embed import (
 from nbcontrast.mining import (
     SamplingConfig,
     mine_triples,
+    range_by_rank,
     sample_by_similarity,
-    subsample_triples,
+    select_queries,
 )
 
 TUNED_SAMPLING = SamplingConfig(
@@ -112,7 +115,7 @@ def test_criterion_1_exact_knn_oracle():
         block = rng.integers(0, n, size=8)
         k = int(rng.integers(1, n + 1))
         # the whole block fits one query block and one column product
-        ok = ok and len(block) * n * dim <= SCAN_CAP
+        ok = ok and len(block) * n * dim <= CELL_CAP
         got = batch_neighbors(table, block.tolist(), k)
         for nl, row in zip(got, scores(table, np.asarray(block)), strict=True):
             expect = naive_full_sort(row, nl.query, k)
@@ -152,7 +155,7 @@ def test_criterion_2_band_arithmetic(band_mining):
 
 
 def test_criterion_3_triple_composition(band_mining):
-    _, _, queries, triples = band_mining
+    table, papers, queries, triples = band_mining
     ok = len(triples.triples) == 5000
     per_query = {}
     for t in triples.triples:
@@ -162,10 +165,15 @@ def test_criterion_3_triple_composition(band_mining):
         sorted(kinds) == ["easy", "easy", "easy", "hard", "hard"]
         for kinds in per_query.values()
     )
-    sub = subsample_triples(triples, 0.01, by_query=True, seed=0)
-    ok = ok and len(sub.triples) == 50
+    # the by-query subsample the mine stage draws before it scans
+    cfg = dataclasses.replace(TUNED_SAMPLING, subsample_fraction=0.01)
+    kept = select_queries(queries, cfg)
+    ok = ok and len(kept) == 10
+    sub = mine_triples(kept, table, papers, cfg)
+    ok = ok and len(sub.triples) == 50 and not sub.skipped
+    ok = ok and {t.query for t in sub.triples} == {q.external_id for q in kept}
     report(3, "1000 queries -> 5000 triples with {hard x2, easy x3}; "
-              "1% by-query subsample -> 50", ok)
+              "1% by-query selection -> 10 queries -> 50 triples", ok)
 
 
 def test_criterion_4_documented_band_examples():

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbcontrast import ann
-from nbcontrast.ann import NeighborList, batch_neighbors, range_by_rank, smallest_k
-from nbcontrast.errors import InsufficientNeighborsError
+from nbcontrast import ann, graph_embed
+from nbcontrast.ann import NeighborList, batch_neighbors, smallest_k
 from nbcontrast.graph_embed import EmbeddingTable, scores
+from nbcontrast.mining import MiningFailure, range_by_rank
 
 
 def score_edge(table, src, dst):
@@ -166,10 +166,10 @@ class TestRangeByRank:
         assert range_by_rank(fake_neighbors(3), k=1, c=1) == [1]
 
     def test_insufficient_neighbors_names_query_and_k(self):
-        with pytest.raises(InsufficientNeighborsError) as err:
+        # the skip record pairs this reason with the query's id
+        with pytest.raises(MiningFailure) as err:
             range_by_rank(fake_neighbors(5), k=9, c=2)
-        assert err.value.query == 0
-        assert err.value.k == 9
+        assert err.value.reason == "insufficient neighbors for k=9"
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -241,14 +241,14 @@ class TestBatchNeighbors:
     @pytest.mark.parametrize("measure", ["dot", "cosine"])
     def test_several_blocks_and_column_chunks(self, monkeypatch, measure):
         # 200 // 30 = 6 queries a block, 200 // (6 * 3) = 11 columns a product
-        monkeypatch.setattr(ann, "SCAN_CAP", 200)
+        monkeypatch.setattr(graph_embed, "CELL_CAP", 200)
         values = np.random.default_rng(3).integers(-3, 4, size=(30, 3)).astype(float)
         table = EmbeddingTable(values, measure)
         assert ann.query_block(table) == 6
         self.assert_top_k_ids(table, [*range(20), 29, 0], 9, exact_scores=True)
 
     def test_duplicate_queries_across_blocks(self, monkeypatch):
-        monkeypatch.setattr(ann, "SCAN_CAP", 40)
+        monkeypatch.setattr(graph_embed, "CELL_CAP", 40)
         table = EmbeddingTable(np.random.default_rng(4).normal(size=(20, 2)))
         got = batch_neighbors(table, [7, 2, 7, 7, 2, 7], 5)
         assert len({nl.ids.tobytes() for nl in got if nl.query == 7}) == 1
@@ -261,13 +261,14 @@ class TestBatchNeighbors:
         assert all(len(nl) == 9 for nl in got)
         self.assert_top_k_ids(table, range(10), k_max)
 
-    @given(scan=scans(), cap=st.sampled_from([1, 7, 64, ann.SCAN_CAP]), data=st.data())
+    @given(scan=scans(), cap=st.sampled_from([1, 7, 64, graph_embed.CELL_CAP]),
+           data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_block_scan_equals_top_k(self, scan, cap, data):
         # CELLS products are exact, so block and single scores agree exactly
         table, _, k = scan
         queries = data.draw(st.lists(st.integers(0, table.rows - 1), max_size=8))
-        with mock.patch.object(ann, "SCAN_CAP", cap):
+        with mock.patch.object(graph_embed, "CELL_CAP", cap):
             self.assert_top_k_ids(table, queries, k, exact_scores=True)
 
 

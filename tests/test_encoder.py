@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbcontrast import encoder
+from nbcontrast import encoder, graph_embed
 from nbcontrast.corpus import Document
 from nbcontrast.encoder import (
     CHECKPOINT_MAGIC,
@@ -206,7 +206,7 @@ class TestEncodeCorpus:
     def test_matches_per_document_reference(self, monkeypatch, cap, block):
         docs, p = self.corpus()
         if cap is not None:
-            monkeypatch.setattr(encoder, "CELL_CAP", cap)
+            monkeypatch.setattr(graph_embed, "CELL_CAP", cap)
         sizes = []
         monkeypatch.setattr(encoder, "_pool_chunks",
                             counting(encoder._pool_chunks, sizes))
@@ -549,7 +549,7 @@ class TestTrain:
         monkeypatch.setattr(encoder, "_pool_chunks",
                             counting(encoder._pool_chunks, pools))
         # 2 triples per chunk: 6 rows by at most the vocab's 8 columns
-        monkeypatch.setattr(encoder, "CELL_CAP", 6 * 8)
+        monkeypatch.setattr(graph_embed, "CELL_CAP", 6 * 8)
         chunked = encoder._batch_loss_and_grads(p0, offsets, flat, triples, 1.0)
         assert pools == [6] * 5 + [3]
         assert len(whole[1]) == 1 and len(chunked[1]) == 6

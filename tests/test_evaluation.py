@@ -326,6 +326,12 @@ class TestTaskFiles:
         with pytest.raises(DataError):
             RankingQuery(query="q", candidates=("a",), relevant=frozenset({"z"}))
 
+    def test_candidates_must_be_distinct(self):
+        # a repeat would count twice in MAP
+        with pytest.raises(DataError, match="candidate 'b' listed twice"):
+            RankingQuery(query="q", candidates=("b", "b", "c"),
+                         relevant=frozenset({"b"}))
+
     def test_labeled_roundtrip(self, tmp_path):
         data = LabeledSet(items=(
             ("d0", "x", "train"), ("d1", "y", "train"), ("d2", "x", "test"),
@@ -344,6 +350,10 @@ class TestTaskFiles:
         ((("d0", "x", "train"), ("d1", "y", "train"), ("d2", "x", "test"),
           ("d3", "y", "Test")),
          "line 4: split must be 'train' or 'test', got 'Test'"),
+        # an id on two lines of one split, even with another label
+        ((("d0", "x", "train"), ("d1", "y", "train"), ("d2", "x", "test"),
+          ("d0", "y", "train")),
+         "line 4: id 'd0' already on line 1"),
     ])
     def test_labeled_set_errors_name_file(self, tmp_path, items, message):
         path = tmp_path / "labels.jsonl"

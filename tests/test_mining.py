@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nbcontrast.ann import NeighborList, batch_neighbors, range_by_rank
+from nbcontrast.ann import NeighborList, batch_neighbors
 from nbcontrast.cli import main
 from nbcontrast.corpus import PaperId, load_graph
 from nbcontrast.errors import ValidationError
@@ -19,6 +19,7 @@ from nbcontrast.mining import (
     TripleSet,
     load_triples,
     mine_triples,
+    range_by_rank,
     sample_by_similarity,
     sample_filtered_random,
     sample_random,
@@ -232,32 +233,30 @@ class TestSampleSortedRandom:
     def test_exhaustive_draw_reduces_to_sort(self):
         table = self.make_table()
         corpus = list(range(5))
-        got = sample_sorted_random(table, 0, corpus, n_candidates=5, c=2,
-                                   direction="closest", seed=0)
+        got = sample_sorted_random(table, 0, corpus, n_candidates=5, c=2, seed=0)
         scores = sorted(
             ((i, score_edge(table, 0, i)) for i in corpus if i != 0),
-            key=lambda p: (-p[1], p[0]),
+            key=lambda p: (p[1], p[0]),
         )
-        assert got == [i for i, _ in scores[:2]]
+        assert got == [i for i, _ in scores[:2]] == [3, 4]
 
     def test_c_equals_candidates_returns_drawn_set(self):
         table = self.make_table()
         got = sample_sorted_random(table, 0, list(range(5)), n_candidates=4, c=4,
-                                   direction="closest", seed=3)
+                                   seed=3)
         assert sorted(got) == [1, 2, 3, 4]
 
     def test_furthest_single_is_minimum_score(self):
         table = self.make_table()
         got = sample_sorted_random(table, 0, list(range(5)), n_candidates=4, c=1,
-                                   direction="furthest", seed=1)
+                                   seed=1)
         scores = {i: score_edge(table, 0, i) for i in range(1, 5)}
         assert got == [min(scores, key=lambda i: (scores[i], i))] == [3]
 
     def test_insufficient_candidates(self):
         table = self.make_table()
         with pytest.raises(MiningFailure):
-            sample_sorted_random(table, 0, [0, 1], n_candidates=3, c=3,
-                                 direction="closest", seed=0)
+            sample_sorted_random(table, 0, [0, 1], n_candidates=3, c=3, seed=0)
 
 
 def reference_sample_random(corpus, c, exclude, seed):
@@ -278,8 +277,8 @@ def reference_sample_filtered_random(corpus, c, n, k_filter, seed,
     return reference_sample_random(corpus, c, exclude, seed)
 
 
-def reference_sample_sorted_random(t, query, corpus, n_candidates, c, direction,
-                                   seed, exclude=frozenset()):
+def reference_sample_sorted_random(t, query, corpus, n_candidates, c, seed,
+                                   exclude=frozenset()):
     pool = [i for i in corpus if i != query and i not in exclude]
     if len(pool) < c:
         raise MiningFailure("too few candidates")
@@ -287,7 +286,7 @@ def reference_sample_sorted_random(t, query, corpus, n_candidates, c, direction,
     take = min(n_candidates, len(pool))
     drawn = np.asarray(pool)[rng.choice(len(pool), size=take, replace=False)]
     scored = scores(t, query, drawn)
-    order = np.lexsort((drawn, -scored if direction == "closest" else scored))
+    order = np.lexsort((drawn, scored))
     return drawn[order[:c]].tolist()
 
 
@@ -370,8 +369,7 @@ class TestSamplersMatchListReference:
                 sample_by_similarity, corpus, scores, c + 1, t, mode
             ) == outcome(reference_sample_by_similarity, pairs, c + 1, t, mode)
 
-    @pytest.mark.parametrize("direction", ["closest", "furthest"])
-    def test_sample_sorted_random(self, direction):
+    def test_sample_sorted_random(self):
         # integer-valued rows tie often; -0.0 entries and NaN rows ride along
         values = np.array([-1.0, -0.0, 0.0, 1.0, np.nan])
         for trial, n, corpus, exclude, c in self.corpora(3):
@@ -380,7 +378,7 @@ class TestSamplersMatchListReference:
                 rng.choice(values, size=(n, 2), p=[0.3, 0.15, 0.15, 0.3, 0.1])
             )
             query, n_candidates = trial % n, c + trial % 4
-            args = (table, query, corpus, n_candidates, c, direction, trial, exclude)
+            args = (table, query, corpus, n_candidates, c, trial, exclude)
             assert outcome(sample_sorted_random, *args) == outcome(
                 reference_sample_sorted_random, *args
             )
@@ -585,40 +583,44 @@ def synthetic_tripleset(n_queries, per_query=5):
     return TripleSet(triples=tuple(triples), config_snapshot=SamplingConfig())
 
 
+def query_ids(ts):
+    """Unique query ids of a triple set in first-appearance order."""
+    return list(dict.fromkeys(t.query for t in ts.triples))
+
+
+def reference_subsample_by_query(ts, fraction, seed):
+    """The by-query draw over mined triples: the floor of ``fraction`` times
+    the emitting queries, seeded, kept whole and in order. ``select_queries``
+    must pick the same queries before any is mined."""
+    queries = query_ids(ts)
+    k = math.floor(fraction * len(queries) + 1e-9)
+    picks = np.random.default_rng(seed).choice(len(queries), size=k, replace=False)
+    chosen = {queries[int(i)] for i in picks}
+    return dataclasses.replace(
+        ts, triples=tuple(t for t in ts.triples if t.query in chosen)
+    )
+
+
 class TestSubsample:
     def test_identity_at_fraction_one(self):
         ts = synthetic_tripleset(10)
-        assert subsample_triples(ts, 1.0, by_query=False, seed=0) == ts
-
-    def test_by_query_keeps_whole_queries(self):
-        ts = synthetic_tripleset(1000)
-        kept = subsample_triples(ts, 0.1, by_query=True, seed=0)
-        assert len(kept) == 100 * 5
-        per_query = {}
-        for t in kept.triples:
-            per_query[t.query] = per_query.get(t.query, 0) + 1
-        assert all(v == 5 for v in per_query.values())
+        assert subsample_triples(ts, 1.0, seed=0) == ts
 
     def test_floor_convention_on_triple_count(self):
         # 68410 triples at 10% floors to exactly 6841
         ts = synthetic_tripleset(13682)
-        kept = subsample_triples(ts, 0.1, by_query=False, seed=1)
+        kept = subsample_triples(ts, 0.1, seed=1)
         assert len(kept) == 6841
-
-    def test_one_percent_by_query_of_1000(self):
-        ts = synthetic_tripleset(1000)
-        kept = subsample_triples(ts, 0.01, by_query=True, seed=5)
-        assert len(kept) == 50
 
     def test_deterministic(self):
         ts = synthetic_tripleset(100)
-        a = subsample_triples(ts, 0.3, by_query=False, seed=7)
-        b = subsample_triples(ts, 0.3, by_query=False, seed=7)
+        a = subsample_triples(ts, 0.3, seed=7)
+        b = subsample_triples(ts, 0.3, seed=7)
         assert a == b
 
     def test_order_preserved(self):
         ts = synthetic_tripleset(50)
-        kept = subsample_triples(ts, 0.5, by_query=False, seed=2)
+        kept = subsample_triples(ts, 0.5, seed=2)
         positions = [ts.triples.index(t) for t in kept.triples]
         assert positions == sorted(positions)
 
@@ -626,7 +628,7 @@ class TestSubsample:
         ts = synthetic_tripleset(5)
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                subsample_triples(ts, bad, by_query=False, seed=0)
+                subsample_triples(ts, bad, seed=0)
 
 
 class TestSelectQueries:
@@ -645,10 +647,10 @@ class TestSelectQueries:
     @pytest.mark.parametrize("fraction, seed", [(0.1, 0), (0.3, 7), (0.01, 5)])
     def test_by_query_picks_equal_subsample_triples(self, fraction, seed):
         ts = synthetic_tripleset(1000)
-        papers = [PaperId(q, i) for i, q in enumerate(ts.query_ids())]
+        papers = [PaperId(q, i) for i, q in enumerate(query_ids(ts))]
         cfg = SamplingConfig(subsample_fraction=fraction, seed=seed)
-        kept = subsample_triples(ts, fraction, by_query=True, seed=seed)
-        assert [p.external_id for p in select_queries(papers, cfg)] == kept.query_ids()
+        kept = reference_subsample_by_query(ts, fraction, seed)
+        assert [p.external_id for p in select_queries(papers, cfg)] == query_ids(kept)
 
     def test_n_queries_draw_comes_first(self):
         _, papers = desk_papers(100)
@@ -674,7 +676,7 @@ class TestSelectQueries:
         skipped = {q for q, _ in ts.skipped}
         assert skipped and skipped < {p.external_id for p in selected}
         emitting = [p.external_id for p in selected if p.external_id not in skipped]
-        assert ts.query_ids() == emitting
+        assert query_ids(ts) == emitting
 
 
 @pytest.fixture(scope="module")
@@ -707,7 +709,7 @@ class TestRunMineSelectsBeforeScanning:
         with pipeline._one_blas_thread():
             every = mine_triples(selected, table, papers, sc)
         assert not every.skipped
-        save_triples(subsample_triples(every, fraction, True, sc.seed),
+        save_triples(reference_subsample_by_query(every, fraction, sc.seed),
                      tmp_path / "expected.tsv")
 
         scanned = []

@@ -1,9 +1,11 @@
 """The top-level package: what ``__init__`` imports is what ``__all__`` exports."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import nbcontrast
+from nbcontrast import mining
 
 
 def imported_names():
@@ -28,3 +30,17 @@ def test_every_imported_public_name_is_exported():
     names = imported_names()
     assert names
     assert names == set(nbcontrast.__all__)
+
+
+def test_benchmark_probes_resolve(monkeypatch):
+    """Every module attribute the benchmark's tracer patches still exists."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    original = mining.mine_triples
+    try:
+        spans.install(tracer)
+        assert mining.mine_triples is not original
+    finally:
+        tracer.remove()
+    assert mining.mine_triples is original

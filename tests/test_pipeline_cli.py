@@ -78,9 +78,9 @@ class TestStages:
     def test_all_produces_every_artifact(self, workdir):
         rc = main(["all", "--config", str(workdir / "config.ini")])
         assert rc == 0
-        for name in ARTIFACTS.values():
-            assert (workdir / name).is_file(), name
-        assert (workdir / "report.txt").is_file()
+        for names in ARTIFACTS.values():
+            for name in names:
+                assert (workdir / name).is_file(), name
         report = json.loads((workdir / "report.json").read_text())
         assert any(key.startswith("ranking.") for key in report)
         assert any(key.startswith("classification.") for key in report)
@@ -103,8 +103,7 @@ class TestStages:
         main(["all", "--config", config])
         first = {
             name: sha256(workdir / name)
-            for name in (*ARTIFACTS.values(), "report.txt", "graph_metrics.json",
-                         DOC_TOKENS)
+            for names in ARTIFACTS.values() for name in names
         }
         main(["all", "--config", config])
         second = {name: sha256(workdir / name) for name in first}
@@ -134,9 +133,9 @@ class TestStages:
     def test_seed_override_changes_artifacts(self, workdir):
         config = str(workdir / "config.ini")
         main(["all", "--config", config])
-        triples_a = sha256(workdir / ARTIFACTS["mine"])
+        triples_a = sha256(workdir / ARTIFACTS["mine"][0])
         main(["all", "--config", config, "--seed", "99"])
-        triples_b = sha256(workdir / ARTIFACTS["mine"])
+        triples_b = sha256(workdir / ARTIFACTS["mine"][0])
         assert triples_a != triples_b
 
     @pytest.mark.parametrize("ingest, extra", [
@@ -152,7 +151,7 @@ class TestStages:
         config = workdir / "ingest.ini"
         config.write_text(MINIMAL_CONFIG + f"\n[ingest]\n{ingest}\n", encoding="utf-8")
         assert main(["ingest", "--config", str(config)]) == 0
-        graph = json.loads((workdir / ARTIFACTS["ingest"]).read_text(encoding="utf-8"))
+        graph = json.loads((workdir / ARTIFACTS["ingest"][0]).read_text(encoding="utf-8"))
         assert graph["stats"] == {
             "duplicate_edges_dropped": 1, "self_loops_dropped": 1, **extra
         }
@@ -165,7 +164,7 @@ class TestExitCodes:
         config.write_text(bad, encoding="utf-8")
         rc = main(["mine", "--config", str(config)])
         assert rc == 2
-        assert not (workdir / ARTIFACTS["mine"]).exists()
+        assert not (workdir / ARTIFACTS["mine"][0]).exists()
 
     def test_non_finite_threshold_exits_2(self, workdir):
         config = str(workdir / "config.ini")
@@ -176,7 +175,7 @@ class TestExitCodes:
         )
         (workdir / "bad.ini").write_text(bad, encoding="utf-8")
         assert main(["mine", "--config", str(workdir / "bad.ini")]) == 2
-        assert not (workdir / ARTIFACTS["mine"]).exists()
+        assert not (workdir / ARTIFACTS["mine"][0]).exists()
 
     @pytest.mark.parametrize("sampling", [
         # sim bands read no neighbor list, so a negative k scanned nothing
@@ -198,14 +197,14 @@ class TestExitCodes:
         assert main(["mine", "--config", str(workdir / "bad.ini")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("validation error: ") and err.count("\n") == 1
-        assert not (workdir / ARTIFACTS["mine"]).exists()
+        assert not (workdir / ARTIFACTS["mine"][0]).exists()
 
     def test_effective_batch_zero_exits_2(self, workdir):
         bad = MINIMAL_CONFIG.replace("[encoder]", "[encoder]\neffective_batch = 0")
         config = workdir / "bad.ini"
         config.write_text(bad, encoding="utf-8")
         assert main(["encode-train", "--config", str(config)]) == 2
-        assert not (workdir / ARTIFACTS["encode-train"]).exists()
+        assert not (workdir / ARTIFACTS["encode-train"][0]).exists()
 
     @pytest.mark.parametrize("section, key, value", [
         ("graph", "margin", "nan"),
@@ -273,8 +272,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("name, stage, code", [
         ("edges.tsv", "ingest", 3),
         ("exclude.txt", "ingest", 3),
-        (ARTIFACTS["ingest"], "graph-train", 3),
-        (ARTIFACTS["mine"], "encode-train", 3),
+        (ARTIFACTS["ingest"][0], "graph-train", 3),
+        (ARTIFACTS["mine"][0], "encode-train", 3),
         ("documents.jsonl", "encode-train", 3),
         ("ranking.jsonl", "eval", 3),
         ("overlap.txt", "eval", 3),
@@ -294,7 +293,7 @@ class TestExitCodes:
         stages = ["fixture", "ingest", "graph-train", "mine", "encode-train", "eval"]
         for upstream in stages[:stages.index(stage)]:
             assert main([upstream, "--config", str(config)]) == 0
-        out = workdir / ARTIFACTS[stage]
+        out = workdir / ARTIFACTS[stage][0]
         out.unlink(missing_ok=True)
         data = (workdir / name).read_bytes()
         half = len(data) // 2
@@ -323,14 +322,14 @@ class TestExitCodes:
     def test_truncated_encoder_checkpoint_exits_3(self, workdir):
         config = str(workdir / "config.ini")
         assert main(["all", "--config", config]) == 0
-        ckpt = workdir / ARTIFACTS["encode-train"]
+        ckpt = workdir / ARTIFACTS["encode-train"][0]
         ckpt.write_bytes(ckpt.read_bytes()[:-1])
         assert main(["eval", "--config", config]) == 3
 
     def test_checkpoint_without_sep_exits_3(self, workdir, capsys):
         config = str(workdir / "config.ini")
         assert main(["all", "--config", config]) == 0
-        ckpt = workdir / ARTIFACTS["encode-train"]
+        ckpt = workdir / ARTIFACTS["encode-train"][0]
         raw = ckpt.read_bytes()
         assert raw.count(b"<sep>") == 1
         ckpt.write_bytes(raw.replace(b"<sep>", b"[sep]"))
@@ -338,13 +337,13 @@ class TestExitCodes:
         assert main(["eval", "--config", config]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
-        assert ARTIFACTS["encode-train"] in err and "<sep>" in err
+        assert ARTIFACTS["encode-train"][0] in err and "<sep>" in err
 
     def test_triple_with_repeated_ids_exits_3(self, workdir):
         config = str(workdir / "config.ini")
         for stage in ("fixture", "ingest", "graph-train", "mine"):
             assert main([stage, "--config", config]) == 0
-        triples = workdir / ARTIFACTS["mine"]
+        triples = workdir / ARTIFACTS["mine"][0]
         header, first, *_ = triples.read_text(encoding="utf-8").splitlines()
         query, _, negative, kind, strategy = first.split("\t")
         repeated = "\t".join([query, query, negative, kind, strategy])
@@ -367,7 +366,7 @@ class TestExitCodes:
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert (f"documents.jsonl: line {len(lines) + 1}: document id 'n00000' "
                 "already on line 1") in err
-        for name in (ARTIFACTS["encode-train"], DOC_TOKENS, "encoder_metrics.json",
+        for name in (ARTIFACTS["encode-train"][0], DOC_TOKENS, "encoder_metrics.json",
                      "encode-train.prov.json"):
             assert not (workdir / name).exists(), name
 
@@ -376,11 +375,11 @@ class TestExitCodes:
         config = workdir / "config.ini"
         assert main(["fixture", "--config", str(config)]) == 0
         mining.save_triples(mining.TripleSet((), SamplingConfig()),
-                            workdir / ARTIFACTS["mine"])
+                            workdir / ARTIFACTS["mine"][0])
         capsys.readouterr()
         assert main(["encode-train", "--config", str(config)]) == 3
-        assert ARTIFACTS["mine"] in capsys.readouterr().err
-        assert not (workdir / ARTIFACTS["encode-train"]).exists()
+        assert ARTIFACTS["mine"][0] in capsys.readouterr().err
+        assert not (workdir / ARTIFACTS["encode-train"][0]).exists()
 
     def test_selection_of_no_query_exits_3_before_the_scan(
         self, workdir, capsys, monkeypatch
@@ -400,7 +399,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == ("data error: subsample_fraction = 0.001 keeps none of "
                        "120 selected queries\n")
-        assert not (workdir / ARTIFACTS["mine"]).exists()
+        assert not (workdir / ARTIFACTS["mine"][0]).exists()
+
+    def test_failed_mine_leaves_no_triples_behind(self, workdir):
+        config = str(workdir / "config.ini")
+        for stage in ("fixture", "ingest", "graph-train", "mine"):
+            assert main([stage, "--config", config]) == 0
+        none = workdir / "none.ini"
+        none.write_text(MINIMAL_CONFIG.replace(
+            "[sampling]", "[sampling]\nsubsample_fraction = 0.001"), encoding="utf-8")
+        assert main(["mine", "--config", str(none)]) == 3
+        assert not (workdir / ARTIFACTS["mine"][0]).exists()
+        assert main(["encode-train", "--config", str(none)]) == 4
+
+    @pytest.mark.parametrize("stage, upstream", [
+        ("ingest", "edges.tsv"),
+        ("graph-train", ARTIFACTS["ingest"][0]),
+        ("mine", ARTIFACTS["graph-train"][0]),
+        ("encode-train", ARTIFACTS["mine"][0]),
+        ("eval", ARTIFACTS["encode-train"][0]),
+    ])
+    def test_failed_stage_removes_its_earlier_outputs(self, workdir, stage, upstream):
+        config = str(workdir / "config.ini")
+        assert main(["all", "--config", config]) == 0
+        (workdir / upstream).unlink()
+        assert main([stage, "--config", config]) == 4
+        for name in (*ARTIFACTS[stage], f"{stage}.prov.json"):
+            assert not (workdir / name).exists(), name
 
     @pytest.mark.parametrize("sampling, cause", [
         # every neighbour list is shorter than k_hard
@@ -427,7 +452,7 @@ class TestExitCodes:
             bad.write(fh)
         assert main(["mine", "--config", str(workdir / "bad.ini")]) == 3
         assert capsys.readouterr().err == f"data error: {cause}\n"
-        assert not (workdir / ARTIFACTS["mine"]).exists()
+        assert not (workdir / ARTIFACTS["mine"][0]).exists()
 
     @pytest.mark.parametrize("name, lines", [
         ("labels.jsonl", [
@@ -451,7 +476,7 @@ class TestExitCodes:
         assert main(["eval", "--config", config]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and name in err
-        assert not (workdir / ARTIFACTS["eval"]).exists()
+        assert not (workdir / ARTIFACTS["eval"][0]).exists()
         assert not (workdir / "doc_vectors.nbe").exists()
 
     @pytest.mark.parametrize("name, stage", [
@@ -466,13 +491,13 @@ class TestExitCodes:
         good = (workdir / name).read_text(encoding="utf-8")
         for bad in ("5", "[1, 2]", '"x"'):
             (workdir / name).write_text(f"{bad}\n{good}", encoding="utf-8")
-            (workdir / ARTIFACTS[stage]).unlink(missing_ok=True)
+            (workdir / ARTIFACTS[stage][0]).unlink(missing_ok=True)
             capsys.readouterr()
             assert main([stage, "--config", config]) == 3, bad
             err = capsys.readouterr().err
             assert err.startswith("data error: ") and err.count("\n") == 1
             assert name in err and "line 1" in err and "object" in err
-            assert not (workdir / ARTIFACTS[stage]).exists()
+            assert not (workdir / ARTIFACTS[stage][0]).exists()
 
     @pytest.mark.parametrize("field, value", [
         ("candidates", "n00001"),
@@ -493,13 +518,15 @@ class TestExitCodes:
         assert main(["eval", "--config", config]) == 3
         err = capsys.readouterr().err
         assert "ranking.jsonl" in err and "line 1" in err and field in err
-        assert not (workdir / ARTIFACTS["eval"]).exists()
+        assert not (workdir / ARTIFACTS["eval"][0]).exists()
 
     @pytest.mark.parametrize("record, message", [
         ({"query": "n00000", "candidates": ["n00001"], "relevant": ["n00002"]},
          "relevant not within candidates"),
         ({"query": "n00000", "candidates": [], "relevant": []},
          "empty candidate list"),
+        ({"query": "n00000", "candidates": ["n00001", "n00001", "n00002"],
+          "relevant": ["n00001"]}, "candidate 'n00001' listed twice"),
     ])
     def test_bad_ranking_record_names_file_and_line(
         self, workdir, capsys, record, message
@@ -516,7 +543,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert f"ranking.jsonl: line 2: query 'n00000': {message}" in err
-        assert not (workdir / ARTIFACTS["eval"]).exists()
+        assert not (workdir / ARTIFACTS["eval"][0]).exists()
 
     def test_train_only_labels_error_names_file(self, workdir, capsys):
         config = str(workdir / "config.ini")
@@ -536,7 +563,7 @@ class TestExitCodes:
         config = str(workdir / "config.ini")
         for stage in ("fixture", "ingest", "graph-train", "mine"):
             assert main([stage, "--config", config]) == 0
-        triples = (workdir / ARTIFACTS["mine"]).read_text(encoding="utf-8")
+        triples = (workdir / ARTIFACTS["mine"][0]).read_text(encoding="utf-8")
         query = triples.splitlines()[1].split("\t")[0]
         docs = workdir / "documents.jsonl"
         kept = [line for line in docs.read_text(encoding="utf-8").splitlines()
@@ -546,9 +573,9 @@ class TestExitCodes:
         assert main(["encode-train", "--config", config]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
-        assert ARTIFACTS["mine"] in err and "documents.jsonl" in err
+        assert ARTIFACTS["mine"][0] in err and "documents.jsonl" in err
         assert f"missing document {query!r}" in err
-        assert not (workdir / ARTIFACTS["encode-train"]).exists()
+        assert not (workdir / ARTIFACTS["encode-train"][0]).exists()
 
     @pytest.mark.parametrize("name", ["ranking.jsonl", "labels.jsonl"])
     def test_eval_id_without_vector_names_both_files(self, workdir, capsys, name):
@@ -566,7 +593,7 @@ class TestExitCodes:
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert name in err and "documents.jsonl" in err
         assert "id 'ghost' has no vector" in err
-        assert not (workdir / ARTIFACTS["eval"]).exists()
+        assert not (workdir / ARTIFACTS["eval"][0]).exists()
         assert not (workdir / "doc_vectors.nbe").exists()
 
     @pytest.mark.parametrize("edges", [
@@ -579,7 +606,7 @@ class TestExitCodes:
         )
         assert main(["ingest", "--config", str(workdir / "config.ini")]) == 3
         assert "edges.tsv" in capsys.readouterr().err
-        assert not (workdir / ARTIFACTS["ingest"]).exists()
+        assert not (workdir / ARTIFACTS["ingest"][0]).exists()
 
     def test_excluding_every_node_exits_3_at_ingest(self, workdir, capsys):
         config = str(workdir / "config.ini")
@@ -598,7 +625,7 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["ingest", "--config", str(excluding)]) == 3
         assert "edges.tsv" in capsys.readouterr().err
-        assert not (workdir / ARTIFACTS["ingest"]).exists()
+        assert not (workdir / ARTIFACTS["ingest"][0]).exists()
 
     def test_too_few_edges_for_holdout_exits_3(self, workdir, capsys):
         # 5% of 3 edges floors to zero held-out edges
@@ -607,8 +634,8 @@ class TestExitCodes:
         assert main(["ingest", "--config", config]) == 0
         capsys.readouterr()
         assert main(["graph-train", "--config", config]) == 3
-        assert ARTIFACTS["ingest"] in capsys.readouterr().err
-        assert not (workdir / ARTIFACTS["graph-train"]).exists()
+        assert ARTIFACTS["ingest"][0] in capsys.readouterr().err
+        assert not (workdir / ARTIFACTS["graph-train"][0]).exists()
 
     @pytest.mark.parametrize("payload", [
         {"ids": ["a", "b"], "edges": [], "directed": True},
@@ -623,11 +650,11 @@ class TestExitCodes:
         {"ids": [1, 2], "edges": [[0, 1], [1, 0]] * 20, "directed": True},
     ])
     def test_malformed_graph_snapshot_exits_3(self, workdir, capsys, payload):
-        (workdir / ARTIFACTS["ingest"]).write_text(json.dumps(payload))
+        (workdir / ARTIFACTS["ingest"][0]).write_text(json.dumps(payload))
         assert main(["graph-train", "--config", str(workdir / "config.ini")]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("data error: ") and ARTIFACTS["ingest"] in err
-        assert not (workdir / ARTIFACTS["graph-train"]).exists()
+        assert err.startswith("data error: ") and ARTIFACTS["ingest"][0] in err
+        assert not (workdir / ARTIFACTS["graph-train"][0]).exists()
 
     def test_unknown_stage_rejected_by_parser(self, workdir):
         with pytest.raises(SystemExit):
@@ -906,7 +933,7 @@ class TestConfigLoading:
         )
         for stage in ("fixture", "ingest", "graph-train", "mine"):
             assert main([stage, "--config", str(config)]) == 0
-        lines = (workdir / ARTIFACTS["mine"]).read_text().splitlines()
+        lines = (workdir / ARTIFACTS["mine"][0]).read_text().splitlines()
         # 120 queries x 5 triples, 10% of queries kept -> 12 x 5 + header
         assert len(lines) == 12 * 5 + 1
 
@@ -915,9 +942,9 @@ class TestConfigLoading:
         for stage in ("fixture", "ingest", "graph-train"):
             assert main([stage, "--config", config]) == 0
         assert main(["mine", "--config", config]) == 0
-        a = sha256(workdir / ARTIFACTS["mine"])
+        a = sha256(workdir / ARTIFACTS["mine"][0])
         assert main(["mine", "--config", config]) == 0
-        assert a == sha256(workdir / ARTIFACTS["mine"])
+        assert a == sha256(workdir / ARTIFACTS["mine"][0])
 
 
 class TestFixtureBootstrap:
@@ -993,7 +1020,7 @@ class TestBlasThreads:
              for pid, row in zip(sorted(docs), words)],
             workdir / "documents.jsonl",
         )
-        names = (ARTIFACTS["encode-train"], "doc_vectors.nbe", ARTIFACTS["eval"])
+        names = (ARTIFACTS["encode-train"][0], "doc_vectors.nbe", ARTIFACTS["eval"][0])
         digests = []
         for threads in (2, 1):
             set_(threads)
@@ -1026,7 +1053,7 @@ class TestBlasThreads:
             getattr(pipeline, "run_" + stage.replace("-", "_"))(cfg)
             assert get() == 2, stage
         assert seen == dict.fromkeys(kernels, 1)
-        (workdir / ARTIFACTS["graph-train"]).unlink()
+        (workdir / ARTIFACTS["graph-train"][0]).unlink()
         with pytest.raises(DependencyError):
             pipeline.run_mine(cfg)
         assert get() == 2
@@ -1052,7 +1079,7 @@ class TestLabelSeparation:
         expect = (float(dists[same & upper].mean()), float(dists[~same & upper].mean()))
         # one block, blocks of a few rows, and a row per block below the cap;
         # the block sums add in another order than the full matrix's mean
-        for cap in (pipeline.PAIR_CAP, 59 * 7 * 4, 1):
-            monkeypatch.setattr(pipeline, "PAIR_CAP", cap)
+        for cap in (graph_embed.CELL_CAP, 59 * 7 * 4, 1):
+            monkeypatch.setattr(graph_embed, "CELL_CAP", cap)
             got = label_separation(vectors, labeled, id_to_row)
             np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0)
