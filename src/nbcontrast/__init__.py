@@ -4,7 +4,6 @@ from .ann import NeighborList, batch_neighbors
 from .corpus import (
     CitationGraph,
     Document,
-    PaperId,
     filter_nodes,
     ingest_edges,
     split_edges,
@@ -39,7 +38,6 @@ __all__ = [
     "GraphTrainConfig",
     "LinkPredMetrics",
     "NeighborList",
-    "PaperId",
     "SamplingConfig",
     "Triple",
     "TripleSet",

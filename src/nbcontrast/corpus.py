@@ -21,14 +21,6 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class PaperId:
-    """A paper's opaque external identifier plus its dense corpus index."""
-
-    external_id: str
-    index: int
-
-
-@dataclass(frozen=True)
 class Document:
     """Title and abstract of one paper, keyed by its external ID."""
 
@@ -65,9 +57,6 @@ class CitationGraph:
     @property
     def edge_count(self) -> int:
         return int(self.edges.shape[0])
-
-    def paper_ids(self) -> list[PaperId]:
-        return [PaperId(ext, i) for i, ext in enumerate(self.ids)]
 
 
 def _dedup_edges(edges: np.ndarray, n: int) -> tuple[np.ndarray, int, int]:

@@ -2,8 +2,9 @@
 
 Rankings order candidates by L2 distance to the query vector. MAP, nDCG
 (binary relevance, log2 discount, untruncated) and P@1 follow their
-textbook definitions; the probe is a seeded multinomial logistic
-regression trained by plain gradient descent on frozen vectors.
+textbook definitions; the probe is a multinomial logistic regression
+trained by full-batch gradient descent from zero weights on frozen
+vectors, so it needs no seed.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ class LabeledSet:
 class ProbeConfig:
     epochs: int = 300
     learning_rate: float = 0.5
-    seed: int = 0
 
     def validate(self) -> None:
         if self.epochs < 1:

@@ -3,9 +3,10 @@
 Positives come from a close rank band around the query, hard negatives
 from a distant band, and the gap between the bands is a tunable margin
 that keeps the two sample sets collision-free by construction. Easy
-negatives come from (filtered or sorted) random corpus draws. Every
-query's randomness is derived from the global seed and its external ID,
-so mining is reproducible and order-independent.
+negatives come from (filtered or sorted) random draws over every table
+row, i.e. every graph node. Every query's randomness is derived from the
+global seed and its external ID, so mining is reproducible and
+order-independent.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
 from .ann import NeighborList, batch_neighbors, query_block, smallest_k
-from .corpus import PaperId, open_text
+from .corpus import open_text
 from .errors import DataError, ValidationError
 from .graph_embed import EmbeddingTable, scores
 
@@ -73,6 +74,11 @@ class SamplingConfig:
             # filtered_random scans max(k_pos, k_hard) deep whatever the bands
             raise ValidationError(
                 f"k_pos and k_hard must be >= 1: k_pos={self.k_pos}, k_hard={self.k_hard}"
+            )
+        if self.c_pos < 1 or self.c_hard + self.c_easy < 1:
+            raise ValidationError(  # no triple without a positive and a negative
+                "c_pos and c_hard + c_easy must be >= 1: "
+                f"c_pos={self.c_pos}, c_hard={self.c_hard}, c_easy={self.c_easy}"
             )
         if self.pos_strategy == "knn" and self.k_pos < self.c_pos:
             raise ValidationError(
@@ -224,33 +230,25 @@ def sample_by_similarity(
     return ids[smallest_k(-scores, ids, c)].tolist()
 
 
-def _without(
-    corpus: Sequence[int] | np.ndarray,
-    exclude: set[int] | frozenset[int] | np.ndarray,
-) -> np.ndarray:
-    """Corpus ids not in ``exclude``, in corpus order with repeats kept."""
-    corpus = np.asarray(corpus, dtype=np.int64)
-    if not corpus.size:
-        return corpus
+def _rows_minus(n: int, exclude: Collection[int]) -> np.ndarray:
+    """Rows ``0 .. n-1`` not in ``exclude``, ascending.
+
+    An excluded row outside ``[0, n)`` is a ``ValueError``.
+    """
     if isinstance(exclude, (set, frozenset)):
         exclude = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
     exclude = np.asarray(exclude, dtype=np.int64)
-    if corpus.min() < 0:
-        raise ValueError(f"corpus id {corpus.min()} is negative")
-    keep = np.ones(int(corpus.max()) + 1, dtype=bool)
-    # ids outside the corpus's range exclude nothing
-    keep[exclude[(exclude >= 0) & (exclude < len(keep))]] = False
-    return np.compress(keep[corpus], corpus)
+    outside = exclude[(exclude < 0) | (exclude >= n)]
+    if outside.size:
+        raise ValueError(f"excluded row {outside[0]} not in [0, {n})")
+    keep = np.ones(n, dtype=bool)
+    keep[exclude] = False
+    return np.flatnonzero(keep)
 
 
-def sample_random(
-    corpus: Sequence[int] | np.ndarray,
-    c: int,
-    exclude: set[int] | frozenset[int] | np.ndarray,
-    seed: int,
-) -> list[int]:
-    """Seeded uniform sample without replacement from corpus minus exclude."""
-    candidates = _without(corpus, exclude)
+def sample_random(n: int, c: int, exclude: Collection[int], seed: int) -> list[int]:
+    """Seeded uniform sample without replacement from rows ``0 .. n-1`` minus exclude."""
+    candidates = _rows_minus(n, exclude)
     if len(candidates) < c:
         raise MiningFailure(
             f"random sampler needs {c} candidates, {len(candidates)} available"
@@ -260,35 +258,34 @@ def sample_random(
 
 
 def sample_filtered_random(
-    corpus: Sequence[int] | np.ndarray,
+    n: int,
     c: int,
-    n: NeighborList,
+    nl: NeighborList,
     k_filter: int,
     seed: int,
     extra_exclude: set[int] | frozenset[int] = frozenset(),
 ) -> list[int]:
-    """Random sample excluding the query's first ``k_filter`` neighbors."""
-    exclude = np.array([n.query, *extra_exclude], dtype=np.int64)
-    return sample_random(corpus, c, np.concatenate([n.ids[:k_filter], exclude]), seed)
+    """Random rows excluding the query's first ``k_filter`` neighbors."""
+    exclude = np.array([nl.query, *extra_exclude], dtype=np.int64)
+    return sample_random(n, c, np.concatenate([nl.ids[:k_filter], exclude]), seed)
 
 
 def sample_sorted_random(
     t: EmbeddingTable,
     query: int,
-    corpus: Sequence[int] | np.ndarray,
     n_candidates: int,
     c: int,
     seed: int,
     exclude: set[int] | frozenset[int] = frozenset(),
 ) -> list[int]:
-    """Draw candidates uniformly, then keep the c furthest.
+    """Draw candidate rows uniformly, then keep the c furthest.
 
     Distance is the table's own score against the query, lowest first;
     ties break toward the smaller index.
     """
     if n_candidates < c:
         raise ValueError(f"n_candidates must be >= c: {n_candidates} < {c}")
-    pool = _without(corpus, np.array([query, *exclude], dtype=np.int64))
+    pool = _rows_minus(t.rows, np.array([query, *exclude], dtype=np.int64))
     if len(pool) < c:
         raise MiningFailure(
             f"sorted-random sampler needs {c} candidates, {len(pool)} available"
@@ -300,23 +297,20 @@ def sample_sorted_random(
 
 
 def _mine_one_query(
-    query: PaperId,
+    query: int,
     t: EmbeddingTable,
-    corpus_idx: np.ndarray,
-    ext_of: Mapping[int, str],
+    ids: Sequence[str],
     neighbors: NeighborList | None,
     cfg: SamplingConfig,
 ) -> tuple[list[Triple], bool]:
-    """Sample one query's triples; returns (triples, was_partial)."""
+    """Sample one query row's triples; returns (triples, was_partial)."""
     if "sim" in (cfg.pos_strategy, cfg.hard_strategy):
         # every node but the query: the threshold samplers are defined on
         # cosine whatever the table's own measure
-        others = np.delete(np.arange(t.rows), query.index)
-        cosine = scores(t, query.index, measure="cosine")[others]
+        others = np.delete(np.arange(t.rows), query)
+        cosine = scores(t, query, measure="cosine")[others]
 
-    if cfg.c_pos == 0:
-        positives: list[int] = []
-    elif cfg.pos_strategy == "knn":
+    if cfg.pos_strategy == "knn":
         assert neighbors is not None
         positives = range_by_rank(neighbors, cfg.k_pos, cfg.c_pos)
     else:
@@ -330,16 +324,17 @@ def _mine_one_query(
     else:
         hard = sample_by_similarity(others, cosine, cfg.c_hard, cfg.t_neg, "below")
 
-    taken = {query.index, *positives, *hard}
-    easy_seed = derive_seed(cfg.seed, "easy", query.external_id)
+    taken = {query, *positives, *hard}
+    qid = ids[query]
+    easy_seed = derive_seed(cfg.seed, "easy", qid)
     if cfg.c_easy == 0:
         easy: list[int] = []
     elif cfg.easy_strategy == "random":
-        easy = sample_random(corpus_idx, cfg.c_easy, taken, easy_seed)
+        easy = sample_random(t.rows, cfg.c_easy, taken, easy_seed)
     elif cfg.easy_strategy == "filtered_random":
         assert neighbors is not None
         easy = sample_filtered_random(
-            corpus_idx,
+            t.rows,
             cfg.c_easy,
             neighbors,
             k_filter=cfg.easy_filter_depth(),
@@ -349,35 +344,26 @@ def _mine_one_query(
     else:
         easy = sample_sorted_random(
             t,
-            query.index,
-            corpus_idx,
+            query,
             cfg.sorted_random_candidates,
             cfg.c_easy,
             seed=easy_seed,
             exclude=taken,
         )
 
+    # validate() and the samplers keep both lists nonempty
     negatives = [(i, "hard", cfg.hard_strategy) for i in hard]
     negatives += [(i, "easy", cfg.easy_strategy) for i in easy]
-    if not positives or not negatives:
-        raise MiningFailure("no positives or no negatives sampled")
-
-    rng = np.random.default_rng(derive_seed(cfg.seed, "pair", query.external_id))
+    rng = np.random.default_rng(derive_seed(cfg.seed, "pair", qid))
     shuffled = [negatives[int(i)] for i in rng.permutation(len(negatives))]
-
-    def ext(index: int) -> str:
-        try:
-            return ext_of[index]
-        except KeyError:
-            raise DataError(f"node index {index} has no external id") from None
 
     n_emit = min(len(positives), len(shuffled))
     partial = n_emit < cfg.c_pos or len(shuffled) < cfg.c_hard + cfg.c_easy
     return [
         Triple(
-            query=query.external_id,
-            positive=ext(positives[j]),
-            negative=ext(shuffled[j][0]),
+            query=qid,
+            positive=ids[positives[j]],
+            negative=ids[shuffled[j][0]],
             negative_kind=shuffled[j][1],
             strategy=shuffled[j][2],
         )
@@ -386,34 +372,29 @@ def _mine_one_query(
 
 
 def mine_triples(
-    queries: Sequence[PaperId],
+    queries: Sequence[int],
     t: EmbeddingTable,
-    corpus: Sequence[PaperId],
+    ids: Sequence[str],
     cfg: SamplingConfig,
 ) -> TripleSet:
-    """Mine (query, positive, negative) triples for every query paper.
+    """Mine (query, positive, negative) triples for every query row.
 
+    ``ids[i]`` is the external id that names table row ``i`` in the output.
     Queries are scanned a block at a time (``ann.query_block``) at the
     maximum depth any strategy needs, and each block is mined before the
     next is scanned; each band is a range selection in a query's neighbor
     list. Queries whose samplers cannot fill a band are skipped and
     recorded; queries with partially filled bands emit fewer triples and
-    are flagged. The pipeline mines what :func:`select_queries` keeps, so a
-    by-query subsample is drawn before the scan, not applied here.
+    are flagged. The pipeline mines what :func:`select_queries` keeps.
     """
     cfg.validate()
-    ext_of = {p.index: p.external_id for p in corpus}
-    for q in queries:
-        ext_of.setdefault(q.index, q.external_id)
-
-    corpus_idx = np.array([p.index for p in corpus], dtype=np.int64)
-    depth = cfg.neighbor_depth()
+    if len(ids) != t.rows:
+        raise ValueError(f"{len(ids)} ids for a table of {t.rows} rows")
     for query in queries:
-        if not 0 <= query.index < t.rows:
-            raise ValueError(
-                f"query {query.external_id!r} index {query.index} not in table"
-            )
+        if not 0 <= query < t.rows:
+            raise ValueError(f"query row {query} not in a table of {t.rows} rows")
 
+    depth = cfg.neighbor_depth()
     triples: list[Triple] = []
     skipped: list[tuple[str, str]] = []
     partials: list[str] = []
@@ -422,18 +403,16 @@ def mine_triples(
         block = queries[start:start + per_block]
         lists: Sequence[NeighborList | None] = [None] * len(block)
         if depth:
-            lists = batch_neighbors(t, [q.index for q in block], depth)
+            lists = batch_neighbors(t, block, depth)
         for query, neighbors in zip(block, lists):
             try:
-                mined, partial = _mine_one_query(
-                    query, t, corpus_idx, ext_of, neighbors, cfg
-                )
+                mined, partial = _mine_one_query(query, t, ids, neighbors, cfg)
             except MiningFailure as skip:
-                skipped.append((query.external_id, skip.reason))
+                skipped.append((ids[query], skip.reason))
                 continue
             triples.extend(mined)
             if partial:
-                partials.append(query.external_id)
+                partials.append(ids[query])
 
     return TripleSet(
         triples=tuple(triples),
@@ -454,24 +433,21 @@ def _draw_fraction(n: int, fraction: float, seed: int) -> list[int]:
     return _draw(n, int(np.floor(fraction * n + 1e-9)), seed)
 
 
-def select_queries(papers: Sequence[PaperId], cfg: SamplingConfig) -> list[PaperId]:
-    """The queries to mine, in ``papers`` order.
+def select_queries(n: int, cfg: SamplingConfig) -> list[int]:
+    """The query rows to mine out of rows ``0 .. n-1``, ascending.
 
     ``n_queries`` seeded picks, then, with ``subsample_by_query``, the
     floor of ``subsample_fraction`` times their count, drawn with the
     sampling seed before any scan: a selected query that mining skips
     counts and yields nothing.
 
-    >>> papers = [PaperId(f"p{i}", i) for i in range(10)]
-    >>> cfg = SamplingConfig(n_queries=6, subsample_fraction=0.5, seed=1)
-    >>> [p.external_id for p in select_queries(papers, cfg)]
-    ['p3', 'p4', 'p7']
+    >>> select_queries(10, SamplingConfig(n_queries=6, subsample_fraction=0.5, seed=1))
+    [3, 4, 7]
     """
     cfg.validate()
-    queries = list(papers)
-    if 0 < cfg.n_queries < len(queries):
-        seed = derive_seed(cfg.seed, "query-selection")
-        queries = [queries[i] for i in _draw(len(queries), cfg.n_queries, seed)]
+    queries = list(range(n))
+    if 0 < cfg.n_queries < n:
+        queries = _draw(n, cfg.n_queries, derive_seed(cfg.seed, "query-selection"))
     if cfg.subsample_by_query and cfg.subsample_fraction < 1.0:
         kept = _draw_fraction(len(queries), cfg.subsample_fraction, cfg.seed)
         if not kept:

@@ -62,9 +62,10 @@ PLAIN_KEYS = {
     "eval": {"ranking_task", "labels"},
 }
 
-# Accepted and ignored. ``[encoder] batch_size`` never changed results and is
-# no longer read, but the benchmark's workload configs still write it.
-RETIRED_KEYS = {("encoder", "batch_size")}
+# Accepted and ignored. Neither ``[encoder] batch_size`` nor ``[probe] seed``
+# ever changed results, and neither is read, but the benchmark's workload
+# configs still write both.
+RETIRED_KEYS = {("encoder", "batch_size"), ("probe", "seed")}
 
 
 @dataclass
@@ -181,7 +182,7 @@ def _read_section(cls, sec: configparser.SectionProxy, global_seed: int):
     """A validated ``cls``, each field set from the key of the same name in ``sec``.
 
     The field's type picks the reader; a missing key keeps the field's
-    default, except ``seed``, which falls back to the global seed.
+    default, except a ``seed`` field, which falls back to the global seed.
     """
     readers = {
         int: sec.getint, float: sec.getfloat, bool: sec.getboolean, str: sec.get
@@ -190,7 +191,8 @@ def _read_section(cls, sec: configparser.SectionProxy, global_seed: int):
     try:
         values = {f.name: readers[types[f.name]](f.name)
                   for f in fields(cls) if f.name in sec}
-        values.setdefault("seed", global_seed)
+        if "seed" in types:
+            values.setdefault("seed", global_seed)
         cfg = cls(**values)
         cfg.validate()
     except ValueError as exc:
@@ -392,14 +394,13 @@ def run_mine(cfg: PipelineConfig) -> Path:
     table = snapshot.read_snapshot(table_path)
     if table.rows != graph.node_count:
         raise DataError(
-            f"embedding snapshot has {table.rows} rows, graph has "
-            f"{graph.node_count} nodes"
+            f"embedding snapshot {table_path} has {table.rows} rows, graph "
+            f"{graph_path} has {graph.node_count} nodes"
         )
 
     sc = cfg.sampling_cfg
-    all_papers = graph.paper_ids()
-    queries = mining.select_queries(all_papers, sc)
-    triples = mining.mine_triples(queries, table, all_papers, sc)
+    queries = mining.select_queries(graph.node_count, sc)
+    triples = mining.mine_triples(queries, table, graph.ids, sc)
     if not triples:
         skips = dict(Counter(reason for _, reason in triples.skipped))
         raise DataError(f"no triple mined from {len(queries)} queries, skipped: {skips}")

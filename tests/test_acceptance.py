@@ -14,7 +14,7 @@ import pytest
 
 from nbcontrast.ann import batch_neighbors
 from nbcontrast.cli import main
-from nbcontrast.corpus import Document, PaperId, load_documents, split_edges
+from nbcontrast.corpus import Document, load_documents, split_edges
 from nbcontrast.encoder import (
     SEP,
     UNK,
@@ -67,10 +67,10 @@ def report(criterion, description, ok):
 def band_mining():
     """1,000 queries mined with the tuned configuration over 4,101 nodes."""
     table = init_embeddings(4101, 8, seed=1)
-    papers = [PaperId(f"p{i:05d}", i) for i in range(4101)]
-    queries = papers[:1000]
-    triples = mine_triples(queries, table, papers, TUNED_SAMPLING)
-    return table, papers, queries, triples
+    ids = tuple(f"p{i:05d}" for i in range(4101))
+    queries = range(1000)
+    triples = mine_triples(queries, table, ids, TUNED_SAMPLING)
+    return table, ids, queries, triples
 
 
 @pytest.fixture(scope="module")
@@ -127,14 +127,14 @@ def test_criterion_1_exact_knn_oracle():
 
 
 def test_criterion_2_band_arithmetic(band_mining):
-    table, papers, queries, triples = band_mining
-    ext_to_idx = {p.external_id: p.index for p in papers}
+    table, ids, queries, triples = band_mining
+    ext_to_idx = {ext: i for i, ext in enumerate(ids)}
     ok = len(triples.skipped) == 0
     # one call splits its query blocks exactly as mine_triples does
     neighbors = batch_neighbors(table, range(1000), TUNED_SAMPLING.k_hard)
     for query, nl in zip(queries, neighbors, strict=True):
         ranks = {node: r for r, node in enumerate(nl.ids.tolist(), start=1)}
-        mine = [t for t in triples.triples if t.query == query.external_id]
+        mine = [t for t in triples.triples if t.query == ids[query]]
         pos_ranks = sorted(ranks[ext_to_idx[t.positive]] for t in mine)
         hard_ranks = sorted(
             ranks[ext_to_idx[t.negative]]
@@ -155,7 +155,7 @@ def test_criterion_2_band_arithmetic(band_mining):
 
 
 def test_criterion_3_triple_composition(band_mining):
-    table, papers, queries, triples = band_mining
+    table, ids, queries, triples = band_mining
     ok = len(triples.triples) == 5000
     per_query = {}
     for t in triples.triples:
@@ -167,11 +167,11 @@ def test_criterion_3_triple_composition(band_mining):
     )
     # the by-query subsample the mine stage draws before it scans
     cfg = dataclasses.replace(TUNED_SAMPLING, subsample_fraction=0.01)
-    kept = select_queries(queries, cfg)
+    kept = select_queries(len(queries), cfg)
     ok = ok and len(kept) == 10
-    sub = mine_triples(kept, table, papers, cfg)
+    sub = mine_triples(kept, table, ids, cfg)
     ok = ok and len(sub.triples) == 50 and not sub.skipped
-    ok = ok and {t.query for t in sub.triples} == {q.external_id for q in kept}
+    ok = ok and {t.query for t in sub.triples} == {ids[q] for q in kept}
     report(3, "1000 queries -> 5000 triples with {hard x2, easy x3}; "
               "1% by-query selection -> 10 queries -> 50 triples", ok)
 

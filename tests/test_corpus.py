@@ -65,9 +65,8 @@ class TestIngest:
 
     def test_index_mapping_is_bijection(self, tmp_path):
         g = ingest_edges(write_edges(tmp_path, [("x", "y"), ("y", "z"), ("z", "x")]))
-        papers = g.paper_ids()
-        assert [p.index for p in papers] == list(range(g.node_count))
-        assert {p.external_id: p.index for p in papers} == {"x": 0, "y": 1, "z": 2}
+        assert len(set(g.ids)) == g.node_count == 3
+        assert {ext: i for i, ext in enumerate(g.ids)} == {"x": 0, "y": 1, "z": 2}
 
 
 class TestFilterNodes:

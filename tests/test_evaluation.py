@@ -257,12 +257,12 @@ class TestLinearProbe:
 
     def test_separable_reaches_perfect_f1(self):
         table, data, id_to_row = self.separable_fixture()
-        assert linear_probe_f1(table, data, id_to_row, ProbeConfig(seed=0)) == 1.0
+        assert linear_probe_f1(table, data, id_to_row, ProbeConfig()) == 1.0
 
     def test_deterministic(self):
         table, data, id_to_row = self.separable_fixture()
-        a = linear_probe_f1(table, data, id_to_row, ProbeConfig(seed=1))
-        b = linear_probe_f1(table, data, id_to_row, ProbeConfig(seed=1))
+        a = linear_probe_f1(table, data, id_to_row, ProbeConfig())
+        b = linear_probe_f1(table, data, id_to_row, ProbeConfig())
         assert a == b
 
     def test_single_label_rejected(self):

@@ -8,7 +8,7 @@ import pytest
 
 from nbcontrast.ann import NeighborList, batch_neighbors
 from nbcontrast.cli import main
-from nbcontrast.corpus import PaperId, load_graph
+from nbcontrast.corpus import load_graph
 from nbcontrast.errors import ValidationError
 from nbcontrast import mining, pipeline
 from nbcontrast.graph_embed import EmbeddingTable, init_embeddings, scores
@@ -59,6 +59,28 @@ class TestConfigValidation:
             SamplingConfig(k_pos=3, c_pos=5).validate()
         with pytest.raises(ValidationError):
             SamplingConfig(k_hard=1, c_hard=2).validate()
+
+    @pytest.mark.parametrize("counts, message", [
+        ({"c_pos": 0}, "c_pos=0, c_hard=2, c_easy=3"),
+        ({"c_hard": 0, "c_easy": 0}, "c_pos=5, c_hard=0, c_easy=0"),
+    ])
+    def test_config_that_mines_nothing_rejected(self, counts, message):
+        with pytest.raises(ValidationError,
+                           match=f"c_pos and c_hard \\+ c_easy must be >= 1: {message}"):
+            SamplingConfig(**counts).validate()
+
+    @pytest.mark.parametrize("kind", ["c_hard", "c_easy"])
+    def test_one_kind_of_negative_suffices(self, kind):
+        table, ids = desk_papers()
+        cfg = dataclasses.replace(DESK_CONFIG, **{kind: 0})
+        ts = mine_triples(range(4), table, ids, cfg)
+        kept = "easy" if kind == "c_hard" else "hard"
+        assert {t.negative_kind for t in ts.triples} == {kept}
+        # fewer negatives than positives: each query pairs off what it has
+        # and is flagged partial
+        per_query = 3 if kept == "easy" else 2
+        assert len(ts) == 4 * per_query and not ts.skipped
+        assert ts.partial == ids[:4]
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValidationError):
@@ -168,53 +190,48 @@ class TestSampleBySimilarity:
 
 class TestSampleRandom:
     def test_exhaustive_draw_covers_corpus(self):
-        corpus = list(range(10))
-        got = sample_random(corpus, c=10, exclude=set(), seed=1)
-        assert sorted(got) == corpus
+        got = sample_random(10, c=10, exclude=set(), seed=1)
+        assert sorted(got) == list(range(10))
 
     def test_forced_outcome(self):
-        corpus = list(range(10))
         exclude = set(range(10)) - {2, 5, 7}
-        assert sorted(sample_random(corpus, 3, exclude, seed=0)) == [2, 5, 7]
+        assert sorted(sample_random(10, 3, exclude, seed=0)) == [2, 5, 7]
 
     def test_deterministic(self):
-        corpus = list(range(50))
-        a = sample_random(corpus, 5, {1, 2}, seed=9)
-        b = sample_random(corpus, 5, {1, 2}, seed=9)
+        a = sample_random(50, 5, {1, 2}, seed=9)
+        b = sample_random(50, 5, {1, 2}, seed=9)
         assert a == b
 
     def test_insufficient_candidates(self):
         with pytest.raises(MiningFailure):
-            sample_random([1, 2], 3, set(), seed=0)
+            sample_random(2, 3, set(), seed=0)
 
-    def test_negative_corpus_id_rejected(self):
-        # the keep-mask is indexed by corpus id, where -1 would wrap around
-        with pytest.raises(ValueError, match="corpus id -1"):
-            sample_random([3, -1, 2], 1, {2}, seed=0)
+    @pytest.mark.parametrize("row", [-1, 5])
+    def test_excluded_row_outside_the_rows_rejected(self, row):
+        # the keep-mask is indexed by row, where -1 would wrap around
+        with pytest.raises(ValueError, match=f"excluded row {row} not in \\[0, 5\\)"):
+            sample_random(5, 1, {2, row}, seed=0)
 
 
 class TestSampleFilteredRandom:
     def test_excludes_leading_neighbors(self):
         n = fake_neighbors(3)
-        corpus = list(range(7))
         for seed in range(10):
-            got = sample_filtered_random(corpus, 2, n, k_filter=3, seed=seed)
+            got = sample_filtered_random(7, 2, n, k_filter=3, seed=seed)
             assert not set(got) & {0, 1, 2, 3}  # query 0 plus neighbors 1..3
 
     def test_zero_filter_matches_plain_random_with_self_exclusion(self):
         n = fake_neighbors(5)
-        corpus = list(range(12))
         for seed in range(5):
-            filtered = sample_filtered_random(corpus, 4, n, k_filter=0, seed=seed)
-            plain = sample_random(corpus, 4, {n.query}, seed=seed)
+            filtered = sample_filtered_random(12, 4, n, k_filter=0, seed=seed)
+            plain = sample_random(12, 4, {n.query}, seed=seed)
             assert filtered == plain
 
     def test_production_scale_exclusion_set(self):
         n = fake_neighbors(4000)
         exclusion = set(n.ids[:4000].tolist()) | {n.query}
         assert len(exclusion) == 4001
-        corpus = list(range(4101))
-        got = sample_filtered_random(corpus, 3, n, k_filter=4000, seed=0)
+        got = sample_filtered_random(4101, 3, n, k_filter=4000, seed=0)
         assert not set(got) & exclusion
 
 
@@ -232,36 +249,34 @@ class TestSampleSortedRandom:
 
     def test_exhaustive_draw_reduces_to_sort(self):
         table = self.make_table()
-        corpus = list(range(5))
-        got = sample_sorted_random(table, 0, corpus, n_candidates=5, c=2, seed=0)
+        got = sample_sorted_random(table, 0, n_candidates=5, c=2, seed=0)
         scores = sorted(
-            ((i, score_edge(table, 0, i)) for i in corpus if i != 0),
+            ((i, score_edge(table, 0, i)) for i in range(1, 5)),
             key=lambda p: (p[1], p[0]),
         )
         assert got == [i for i, _ in scores[:2]] == [3, 4]
 
     def test_c_equals_candidates_returns_drawn_set(self):
         table = self.make_table()
-        got = sample_sorted_random(table, 0, list(range(5)), n_candidates=4, c=4,
-                                   seed=3)
+        got = sample_sorted_random(table, 0, n_candidates=4, c=4, seed=3)
         assert sorted(got) == [1, 2, 3, 4]
 
     def test_furthest_single_is_minimum_score(self):
         table = self.make_table()
-        got = sample_sorted_random(table, 0, list(range(5)), n_candidates=4, c=1,
-                                   seed=1)
+        got = sample_sorted_random(table, 0, n_candidates=4, c=1, seed=1)
         scores = {i: score_edge(table, 0, i) for i in range(1, 5)}
         assert got == [min(scores, key=lambda i: (scores[i], i))] == [3]
 
     def test_insufficient_candidates(self):
         table = self.make_table()
         with pytest.raises(MiningFailure):
-            sample_sorted_random(table, 0, [0, 1], n_candidates=3, c=3, seed=0)
+            sample_sorted_random(table, 0, n_candidates=3, c=3, seed=0,
+                                 exclude={2, 3})
 
 
-def reference_sample_random(corpus, c, exclude, seed):
+def reference_sample_random(n, c, exclude, seed):
     """List-based sampler the numpy candidate path must reproduce."""
-    candidates = [i for i in corpus if i not in exclude]
+    candidates = [i for i in range(n) if i not in exclude]
     if len(candidates) < c:
         raise MiningFailure("too few candidates")
     rng = np.random.default_rng(seed)
@@ -269,17 +284,17 @@ def reference_sample_random(corpus, c, exclude, seed):
     return [candidates[int(i)] for i in picked]
 
 
-def reference_sample_filtered_random(corpus, c, n, k_filter, seed,
+def reference_sample_filtered_random(n, c, neighbors, k_filter, seed,
                                      extra_exclude=frozenset()):
-    exclude = set(n.ids[:k_filter].tolist())
-    exclude.add(n.query)
+    exclude = set(neighbors.ids[:k_filter].tolist())
+    exclude.add(neighbors.query)
     exclude.update(extra_exclude)
-    return reference_sample_random(corpus, c, exclude, seed)
+    return reference_sample_random(n, c, exclude, seed)
 
 
-def reference_sample_sorted_random(t, query, corpus, n_candidates, c, seed,
+def reference_sample_sorted_random(t, query, n_candidates, c, seed,
                                    exclude=frozenset()):
-    pool = [i for i in corpus if i != query and i not in exclude]
+    pool = [i for i in range(t.rows) if i != query and i not in exclude]
     if len(pool) < c:
         raise MiningFailure("too few candidates")
     rng = np.random.default_rng(seed)
@@ -325,60 +340,59 @@ def outcome(sampler, *args, **kwargs):
 
 
 class TestSamplersMatchListReference:
-    """Picks equal the list-based samplers' on awkward corpora."""
+    """Picks equal the list-based samplers' on row ranges of every size."""
 
-    def corpora(self, seed):
+    def row_ranges(self, seed):
         rng = np.random.default_rng(seed)
         for trial in range(40):
             n = int(rng.integers(1, 60))
-            # repeated corpus entries, and exclude ids outside the corpus
-            corpus = rng.integers(0, n, size=int(rng.integers(0, 2 * n))).tolist()
-            outside = rng.integers(-3, n + 3, size=int(rng.integers(0, n)))
-            exclude = set(outside.tolist())
+            # repeated excludes, none to all rows excluded
+            exclude = set(rng.integers(0, n, size=int(rng.integers(0, 2 * n))).tolist())
             c = int(rng.integers(0, 6))
-            yield trial, n, corpus, exclude, c
+            yield trial, n, exclude, c
 
     def test_sample_random(self):
-        for trial, _, corpus, exclude, c in self.corpora(1):
-            for pool in (corpus, np.asarray(corpus, dtype=np.int64)):
-                assert outcome(sample_random, pool, c, exclude, trial) == outcome(
-                    reference_sample_random, corpus, c, exclude, trial
+        for trial, n, exclude, c in self.row_ranges(1):
+            as_array = np.fromiter(exclude, dtype=np.int64)
+            for rows in (exclude, as_array, as_array.tolist()):
+                assert outcome(sample_random, n, c, rows, trial) == outcome(
+                    reference_sample_random, n, c, exclude, trial
                 )
 
     def test_sample_filtered_random(self):
-        for trial, n, corpus, exclude, c in self.corpora(2):
+        for trial, n, exclude, c in self.row_ranges(2):
             nl = reference_batch_neighbors(init_embeddings(n, 3, trial), [0], n)[0]
             k_filter = trial % (n + 2)
             assert outcome(
-                sample_filtered_random, corpus, c, nl, k_filter, trial, exclude
+                sample_filtered_random, n, c, nl, k_filter, trial, exclude
             ) == outcome(
-                reference_sample_filtered_random, corpus, c, nl, k_filter, trial,
-                exclude,
+                reference_sample_filtered_random, n, c, nl, k_filter, trial, exclude
             )
 
     @pytest.mark.parametrize("mode", ["above", "below"])
     def test_sample_by_similarity(self, mode):
         # repeated ids and scores, -0.0 beside 0.0, and NaN candidates
         values = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, np.nan])
-        for trial, _, corpus, _, c in self.corpora(4):
+        for trial, n, _, c in self.row_ranges(4):
             rng = np.random.default_rng(trial)
-            scores = rng.choice(values, size=len(corpus))
+            ids = rng.integers(0, n, size=int(rng.integers(0, 2 * n))).tolist()
+            scores = rng.choice(values, size=len(ids))
             t = float(rng.choice([-0.5, -0.0, 0.0, 0.5]))
-            pairs = list(zip(corpus, scores.tolist()))
+            pairs = list(zip(ids, scores.tolist()))
             assert outcome(
-                sample_by_similarity, corpus, scores, c + 1, t, mode
+                sample_by_similarity, ids, scores, c + 1, t, mode
             ) == outcome(reference_sample_by_similarity, pairs, c + 1, t, mode)
 
     def test_sample_sorted_random(self):
         # integer-valued rows tie often; -0.0 entries and NaN rows ride along
         values = np.array([-1.0, -0.0, 0.0, 1.0, np.nan])
-        for trial, n, corpus, exclude, c in self.corpora(3):
+        for trial, n, exclude, c in self.row_ranges(3):
             rng = np.random.default_rng(trial)
             table = EmbeddingTable(
                 rng.choice(values, size=(n, 2), p=[0.3, 0.15, 0.15, 0.3, 0.1])
             )
             query, n_candidates = trial % n, c + trial % 4
-            args = (table, query, corpus, n_candidates, c, trial, exclude)
+            args = (table, query, n_candidates, c, trial, exclude)
             assert outcome(sample_sorted_random, *args) == outcome(
                 reference_sample_sorted_random, *args
             )
@@ -391,11 +405,11 @@ class TestSamplersMatchListReference:
         ("sim", "knn", "filtered_random"),
     ])
     def test_mine_triples(self, monkeypatch, pos, hard, easy):
-        table, papers = desk_papers(3000, seed=4)
+        table, ids = desk_papers(3000, seed=4)
         cfg = SamplingConfig(k_pos=25, k_hard=1000, c_pos=5, c_hard=2, c_easy=3,
                              pos_strategy=pos, hard_strategy=hard,
                              easy_strategy=easy, seed=11)
-        got = mine_triples(papers[::50], table, papers, cfg)
+        got = mine_triples(range(0, 3000, 50), table, ids, cfg)
         assert len(got) == 60 * 5
         for name in ("sample_random", "sample_filtered_random",
                      "sample_sorted_random", "batch_neighbors"):
@@ -406,34 +420,34 @@ class TestSamplersMatchListReference:
                 list(zip(ids.tolist(), scores.tolist())), c, t, mode
             ),
         )
-        assert mine_triples(papers[::50], table, papers, cfg) == got
+        assert mine_triples(range(0, 3000, 50), table, ids, cfg) == got
 
     @pytest.mark.parametrize("easy", ["filtered_random", "sorted_random"])
     def test_mine_triples_cosine(self, monkeypatch, easy):
-        base, papers = desk_papers(3000, seed=5)
+        base, ids = desk_papers(3000, seed=5)
         values = base.values.copy()
         values[::97] = 0.0  # the first query and 30 other rows are zero
         table = EmbeddingTable(values, measure="cosine")
         cfg = SamplingConfig(k_pos=25, k_hard=1000, c_pos=5, c_hard=2, c_easy=3,
                              easy_strategy=easy, seed=11)
-        got = mine_triples(papers[::50], table, papers, cfg)
+        got = mine_triples(range(0, 3000, 50), table, ids, cfg)
         assert len(got) == 60 * 5
         for name in ("sample_random", "sample_filtered_random",
                      "sample_sorted_random", "batch_neighbors"):
             monkeypatch.setattr(mining, name, globals()["reference_" + name])
-        assert mine_triples(papers[::50], table, papers, cfg) == got
+        assert mine_triples(range(0, 3000, 50), table, ids, cfg) == got
 
 
 def desk_papers(n=100, seed=0):
+    """A random table and the external id of each of its rows."""
     table = init_embeddings(n, 8, seed=seed)
-    papers = [PaperId(f"p{i:04d}", i) for i in range(n)]
-    return table, papers
+    return table, tuple(f"p{i:04d}" for i in range(n))
 
 
 class TestMineTriples:
     def test_default_composition(self):
-        table, papers = desk_papers()
-        ts = mine_triples(papers[:20], table, papers, DESK_CONFIG)
+        table, ids = desk_papers()
+        ts = mine_triples(range(20), table, ids, DESK_CONFIG)
         assert len(ts) == 20 * 5
         assert not ts.skipped and not ts.partial
         by_query = {}
@@ -447,23 +461,21 @@ class TestMineTriples:
             negatives = [t.negative for t in triples]
             assert len(set(positives)) == 5
             assert len(set(negatives)) == 5
-            corpus_ids = {p.external_id for p in papers}
-            assert set(positives) <= corpus_ids
-            assert set(negatives) <= corpus_ids
+            assert set(positives) <= set(ids)
+            assert set(negatives) <= set(ids)
 
     def test_collision_freedom_and_exact_rank_gap(self):
-        table, papers = desk_papers()
+        table, ids = desk_papers()
         cfg = DESK_CONFIG
-        neighbors = batch_neighbors(table, [p.index for p in papers[:10]],
-                                    max(cfg.k_pos, cfg.k_hard))
-        ts = mine_triples(papers[:10], table, papers, cfg)
+        neighbors = batch_neighbors(table, range(10), max(cfg.k_pos, cfg.k_hard))
+        ts = mine_triples(range(10), table, ids, cfg)
         by_query = {}
         for t in ts.triples:
             by_query.setdefault(t.query, []).append(t)
-        for paper, nl in zip(papers[:10], neighbors):
+        ext_to_idx = {ext: i for i, ext in enumerate(ids)}
+        for query, nl in zip(range(10), neighbors):
             ranks = {node: r for r, node in enumerate(nl.ids.tolist(), start=1)}
-            triples = by_query[paper.external_id]
-            ext_to_idx = {p.external_id: p.index for p in papers}
+            triples = by_query[ids[query]]
             pos_ranks = [ranks[ext_to_idx[t.positive]] for t in triples]
             hard_ranks = [
                 ranks[ext_to_idx[t.negative]]
@@ -475,11 +487,11 @@ class TestMineTriples:
             assert not set(pos_ranks) & set(hard_ranks)
 
     def test_filtered_random_never_hits_leading_neighbors(self):
-        table, papers = desk_papers()
+        table, ids = desk_papers()
         cfg = DESK_CONFIG
         depth = max(cfg.k_pos, cfg.k_hard)
-        ts = mine_triples(papers[:15], table, papers, cfg)
-        ext_to_idx = {p.external_id: p.index for p in papers}
+        ts = mine_triples(range(15), table, ids, cfg)
+        ext_to_idx = {ext: i for i, ext in enumerate(ids)}
         for t in ts.triples:
             if t.negative_kind != "easy":
                 continue
@@ -488,29 +500,28 @@ class TestMineTriples:
             assert ext_to_idx[t.negative] not in set(nl.ids.tolist()[:depth])
 
     def test_negatives_are_shuffled_union_of_bands(self):
-        table, papers = desk_papers()
+        table, ids = desk_papers()
         cfg = DESK_CONFIG
-        ts = mine_triples(papers[:8], table, papers, cfg)
-        ext_to_idx = {p.external_id: p.index for p in papers}
-        for paper in papers[:8]:
-            nl = batch_neighbors(table, [paper.index], cfg.k_hard)[0]
+        ts = mine_triples(range(8), table, ids, cfg)
+        ext_to_idx = {ext: i for i, ext in enumerate(ids)}
+        for query in range(8):
+            nl = batch_neighbors(table, [query], cfg.k_hard)[0]
             hard_band = set(nl.ids.tolist()[cfg.k_hard - cfg.c_hard:cfg.k_hard])
-            triples = [t for t in ts.triples if t.query == paper.external_id]
+            triples = [t for t in ts.triples if t.query == ids[query]]
             got_hard = {ext_to_idx[t.negative]
                         for t in triples if t.negative_kind == "hard"}
             assert got_hard == hard_band
 
     def test_pure_function_of_inputs(self):
-        table, papers = desk_papers()
-        a = mine_triples(papers[:12], table, papers, DESK_CONFIG)
-        b = mine_triples(papers[:12], table, papers, DESK_CONFIG)
+        table, ids = desk_papers()
+        a = mine_triples(range(12), table, ids, DESK_CONFIG)
+        b = mine_triples(range(12), table, ids, DESK_CONFIG)
         assert a == b
 
     def test_per_query_seed_stable_under_reordering(self):
-        table, papers = desk_papers()
-        forward = mine_triples(papers[:6], table, papers, DESK_CONFIG)
-        backward = mine_triples(list(reversed(papers[:6])), table, papers,
-                                DESK_CONFIG)
+        table, ids = desk_papers()
+        forward = mine_triples(range(6), table, ids, DESK_CONFIG)
+        backward = mine_triples(range(5, -1, -1), table, ids, DESK_CONFIG)
         fwd = {t.query: t for t in forward.triples}
         bwd = {t.query: t for t in backward.triples}
         # first triple of each query identical regardless of query order
@@ -518,18 +529,29 @@ class TestMineTriples:
             assert fwd[query] == bwd[query]
 
     def test_short_neighbor_list_skips_query(self):
-        table, papers = desk_papers(n=30)  # fewer nodes than k_hard=50
-        ts = mine_triples(papers[:5], table, papers, DESK_CONFIG)
+        table, ids = desk_papers(n=30)  # fewer nodes than k_hard=50
+        ts = mine_triples(range(5), table, ids, DESK_CONFIG)
         assert len(ts) == 0
         assert len(ts.skipped) == 5
         for query, reason in ts.skipped:
             assert "neighbors" in reason
 
     def test_margin_violation_rejected_before_mining(self):
-        table, papers = desk_papers()
+        table, ids = desk_papers()
         bad = SamplingConfig(k_pos=30, k_hard=31, c_hard=2)
         with pytest.raises(ValidationError):
-            mine_triples(papers[:2], table, papers, bad)
+            mine_triples(range(2), table, ids, bad)
+
+    def test_one_id_per_row_required(self):
+        table, ids = desk_papers()
+        with pytest.raises(ValueError, match="99 ids for a table of 100 rows"):
+            mine_triples(range(2), table, ids[:-1], DESK_CONFIG)
+
+    @pytest.mark.parametrize("query", [-1, 100])
+    def test_query_outside_the_rows_rejected(self, query):
+        table, ids = desk_papers()
+        with pytest.raises(ValueError, match=f"query row {query} not in"):
+            mine_triples([0, query], table, ids, DESK_CONFIG)
 
     def test_triple_ids_always_distinct(self):
         with pytest.raises(ValidationError):
@@ -538,31 +560,31 @@ class TestMineTriples:
             Triple("a", "b", "b", "easy", "random")
 
     def test_random_easy_strategy_distinctness(self):
-        table, papers = desk_papers()
+        table, ids = desk_papers()
         cfg = SamplingConfig(k_pos=10, k_hard=50, c_pos=5, c_hard=2, c_easy=3,
                              easy_strategy="random", seed=1)
-        ts = mine_triples(papers[:10], table, papers, cfg)
+        ts = mine_triples(range(10), table, ids, cfg)
         for query in {t.query for t in ts.triples}:
             triples = [t for t in ts.triples if t.query == query]
             negatives = [t.negative for t in triples]
             assert len(set(negatives)) == len(negatives)
 
     def test_sorted_random_easy_strategy(self):
-        table, papers = desk_papers()
+        table, ids = desk_papers()
         cfg = SamplingConfig(k_pos=10, k_hard=50, c_pos=5, c_hard=2, c_easy=3,
                              easy_strategy="sorted_random",
                              sorted_random_candidates=30, seed=1)
-        ts = mine_triples(papers[:10], table, papers, cfg)
+        ts = mine_triples(range(10), table, ids, cfg)
         assert len(ts) == 50
         kinds = [t.strategy for t in ts.triples if t.negative_kind == "easy"]
         assert set(kinds) == {"sorted_random"}
 
     def test_sim_strategies_end_to_end(self):
-        table, papers = desk_papers()
+        table, ids = desk_papers()
         cfg = SamplingConfig(c_pos=3, c_hard=2, c_easy=2, pos_strategy="sim",
                              hard_strategy="sim", easy_strategy="random",
                              t_pos=0.0, t_neg=0.0, seed=2)
-        ts = mine_triples(papers[:10], table, papers, cfg)
+        ts = mine_triples(range(10), table, ids, cfg)
         assert len(ts) > 0
         # sim picks by cosine regardless of the table's dot measure
         for t in ts.triples[:6]:
@@ -634,48 +656,46 @@ class TestSubsample:
 class TestSelectQueries:
     @pytest.mark.parametrize("n, fraction", [(120, 0.1), (100, 0.29), (10, 0.3), (57, 0.5)])
     def test_ordered_subset_of_floor_size(self, n, fraction):
-        _, papers = desk_papers(n)
         cfg = SamplingConfig(subsample_fraction=fraction, seed=4)
-        picked = select_queries(papers, cfg)
+        picked = select_queries(n, cfg)
         # 0.29 * 100 and 0.3 * 10 sit just off whole numbers in binary
         assert len(picked) == math.floor(fraction * n + 1e-9) == round(fraction * n)
-        positions = [papers.index(p) for p in picked]
-        assert positions == sorted(set(positions))
-        assert select_queries(papers, cfg) == picked
-        assert select_queries(papers, dataclasses.replace(cfg, seed=5)) != picked
+        assert picked == sorted(set(picked)) and set(picked) <= set(range(n))
+        assert all(type(row) is int for row in picked)
+        assert select_queries(n, cfg) == picked
+        assert select_queries(n, dataclasses.replace(cfg, seed=5)) != picked
 
     @pytest.mark.parametrize("fraction, seed", [(0.1, 0), (0.3, 7), (0.01, 5)])
     def test_by_query_picks_equal_subsample_triples(self, fraction, seed):
         ts = synthetic_tripleset(1000)
-        papers = [PaperId(q, i) for i, q in enumerate(query_ids(ts))]
+        ids = query_ids(ts)
         cfg = SamplingConfig(subsample_fraction=fraction, seed=seed)
         kept = reference_subsample_by_query(ts, fraction, seed)
-        assert [p.external_id for p in select_queries(papers, cfg)] == query_ids(kept)
+        assert [ids[q] for q in select_queries(len(ids), cfg)] == query_ids(kept)
 
     def test_n_queries_draw_comes_first(self):
-        _, papers = desk_papers(100)
         cfg = SamplingConfig(n_queries=40, subsample_fraction=0.25, seed=2)
-        selected = select_queries(papers, dataclasses.replace(cfg, subsample_fraction=1.0))
+        selected = select_queries(100, dataclasses.replace(cfg, subsample_fraction=1.0))
         assert len(selected) == 40
-        kept = select_queries(papers, cfg)
+        kept = select_queries(100, cfg)
         assert len(kept) == 10 and set(kept) <= set(selected)
         by_triple = dataclasses.replace(cfg, subsample_by_query=False)
-        assert select_queries(papers, by_triple) == selected
+        assert select_queries(100, by_triple) == selected
 
     def test_fraction_counts_skipped_queries(self):
-        table, papers = desk_papers(100)
+        table, ids = desk_papers(100)
         others = ~np.eye(100, dtype=bool)
         best = [scores(table, i, measure="cosine")[others[i]].max() for i in range(100)]
         # about half the queries have no positive above the threshold
         cfg = dataclasses.replace(DESK_CONFIG, pos_strategy="sim",
                                   t_pos=float(np.median(best)),
                                   subsample_fraction=0.3)
-        selected = select_queries(papers, cfg)
+        selected = select_queries(100, cfg)
         assert len(selected) == 30
-        ts = mine_triples(selected, table, papers, cfg)
+        ts = mine_triples(selected, table, ids, cfg)
         skipped = {q for q, _ in ts.skipped}
-        assert skipped and skipped < {p.external_id for p in selected}
-        emitting = [p.external_id for p in selected if p.external_id not in skipped]
+        assert skipped and skipped < {ids[q] for q in selected}
+        emitting = [ids[q] for q in selected if ids[q] not in skipped]
         assert query_ids(ts) == emitting
 
 
@@ -698,16 +718,15 @@ class TestRunMineSelectsBeforeScanning:
         sc = dataclasses.replace(cfg.sampling_cfg, subsample_fraction=fraction,
                                  n_queries=n_queries)
         cfg = dataclasses.replace(cfg, sampling_cfg=sc)
-        papers = load_graph(trained_fixture / "graph.json").paper_ids()
+        ids = load_graph(trained_fixture / "graph.json").ids
         table = read_snapshot(trained_fixture / "graph_embeddings.nbe")
         # the selection run_mine made before it scanned only kept queries
-        selected = papers
+        selected = range(len(ids))
         if n_queries:
             rng = np.random.default_rng(mining.derive_seed(sc.seed, "query-selection"))
-            selected = [papers[int(i)] for i in
-                        sorted(rng.choice(len(papers), size=n_queries, replace=False))]
+            selected = sorted(rng.choice(len(ids), size=n_queries, replace=False))
         with pipeline._one_blas_thread():
-            every = mine_triples(selected, table, papers, sc)
+            every = mine_triples(selected, table, ids, sc)
         assert not every.skipped
         save_triples(reference_subsample_by_query(every, fraction, sc.seed),
                      tmp_path / "expected.tsv")
@@ -726,8 +745,8 @@ class TestRunMineSelectsBeforeScanning:
 
 class TestTripleFileRoundtrip:
     def test_roundtrip(self, tmp_path):
-        table, papers = desk_papers()
-        ts = mine_triples(papers[:5], table, papers, DESK_CONFIG)
+        table, ids = desk_papers()
+        ts = mine_triples(range(5), table, ids, DESK_CONFIG)
         path = tmp_path / "triples.tsv"
         save_triples(ts, path)
         loaded = load_triples(path, DESK_CONFIG)

@@ -22,7 +22,7 @@ from nbcontrast.fixtures import FixtureConfig
 from nbcontrast.graph_embed import EmbeddingTable, GraphTrainConfig
 from nbcontrast.mining import SamplingConfig
 from nbcontrast.pipeline import ARTIFACTS, DOC_TOKENS, label_separation, load_config, run
-from nbcontrast.snapshot import read_snapshot
+from nbcontrast.snapshot import read_snapshot, write_snapshot
 
 
 def sha256(path):
@@ -84,6 +84,22 @@ class TestStages:
         report = json.loads((workdir / "report.json").read_text())
         assert any(key.startswith("ranking.") for key in report)
         assert any(key.startswith("classification.") for key in report)
+
+    def test_eval_reports_overlap_with_the_graph(self, tmp_path):
+        assert main(["fixture", "--stage-dir", str(tmp_path)]) == 0
+        config = tmp_path / "config.ini"
+        config.write_text(config.read_text(encoding="utf-8").replace(
+            "labels = labels.jsonl", "labels = labels.jsonl\noverlap_test = overlap.txt"
+        ), encoding="utf-8")
+        # two of the three ids are fixture nodes
+        (tmp_path / "overlap.txt").write_text("n00000\nnobody\nn00199\n", encoding="utf-8")
+        assert main(["all", "--config", str(config)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert report["leakage.train_size"] == 200
+        assert report["leakage.test.overlap"] == 2
+        assert report["leakage.test.percent"] == 1.0
+        prov = json.loads((tmp_path / "eval.prov.json").read_text(encoding="utf-8"))
+        assert {"graph.json", "overlap.txt"} <= set(prov["inputs"])
 
     def test_provenance_sidecars_written(self, workdir):
         main(["all", "--config", str(workdir / "config.ini")])
@@ -197,6 +213,40 @@ class TestExitCodes:
         assert main(["mine", "--config", str(workdir / "bad.ini")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("validation error: ") and err.count("\n") == 1
+        assert not (workdir / ARTIFACTS["mine"][0]).exists()
+
+    @pytest.mark.parametrize("sampling, named", [
+        ({"c_pos": "0"}, "c_pos=0, c_hard=2, c_easy=3"),
+        ({"c_hard": "0", "c_easy": "0"}, "c_pos=5, c_hard=0, c_easy=0"),
+    ])
+    def test_config_that_mines_nothing_exits_2_at_load(
+        self, workdir, capsys, sampling, named
+    ):
+        bad = configparser.ConfigParser()
+        bad.read_string(MINIMAL_CONFIG)
+        bad["sampling"].update(sampling)
+        with (workdir / "bad.ini").open("w", encoding="utf-8") as fh:
+            bad.write(fh)
+        for stage in ("fixture", "ingest", "mine"):
+            assert main([stage, "--config", str(workdir / "bad.ini")]) == 2, stage
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert f"[sampling] c_pos and c_hard + c_easy must be >= 1: {named}" in err
+        assert not (workdir / "edges.tsv").exists()
+
+    def test_snapshot_graph_row_mismatch_names_both_files(self, workdir, capsys):
+        config = str(workdir / "config.ini")
+        for stage in ("fixture", "ingest", "graph-train"):
+            assert main([stage, "--config", config]) == 0
+        table_path = workdir / ARTIFACTS["graph-train"][0]
+        table = read_snapshot(table_path)
+        write_snapshot(EmbeddingTable(table.values[:-1], table.measure), table_path)
+        capsys.readouterr()
+        assert main(["mine", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{table_path} has 119 rows" in err
+        assert f"{workdir / ARTIFACTS['ingest'][0]} has 120 nodes" in err
         assert not (workdir / ARTIFACTS["mine"][0]).exists()
 
     def test_effective_batch_zero_exits_2(self, workdir):
@@ -757,11 +807,15 @@ class TestConfigLoading:
         assert cfg.graph_cfg.seed == 42
 
     def test_legacy_batch_size_is_ignored(self, tmp_path):
+        # so is [probe] seed: the probe starts from zero weights
         config = tmp_path / "c.ini"
         config.write_text(
-            "[encoder]\nbatch_size = 8\neffective_batch = 20\n", encoding="utf-8"
+            "[encoder]\nbatch_size = 8\neffective_batch = 20\n"
+            "[probe]\nseed = 8\nepochs = 40\n", encoding="utf-8"
         )
-        assert load_config(config).encoder_cfg.effective_batch == 20
+        cfg = load_config(config)
+        assert cfg.encoder_cfg.effective_batch == 20
+        assert cfg.probe_cfg == ProbeConfig(epochs=40)
 
     @pytest.mark.parametrize("text, named", [
         ("[sampling]\nk_pso = 10\n", ("[sampling]", "k_pso")),
@@ -832,7 +886,7 @@ class TestConfigLoading:
                 "slack": 0.5, "bias_only": True, "hidden_dim": 12, "out_dim": 6,
                 "seed": 23,
             },
-            "probe": {"epochs": 50, "learning_rate": 0.3, "seed": 24},
+            "probe": {"epochs": 50, "learning_rate": 0.3},
             "fixture": {
                 "nodes": 50, "blocks": 3, "p_in": 0.3, "p_out": 0.05,
                 "ranking_queries": 5, "ranking_candidates": 10,
@@ -897,7 +951,7 @@ class TestConfigLoading:
         assert cfg.graph_cfg == GraphTrainConfig(seed=7)
         assert cfg.sampling_cfg == SamplingConfig(seed=7)
         assert cfg.encoder_cfg == EncoderTrainConfig(seed=7)
-        assert cfg.probe_cfg == ProbeConfig(seed=7)
+        assert cfg.probe_cfg == ProbeConfig()
         assert cfg.fixture_cfg == FixtureConfig(seed=7)
         graph, sampling, enc = cfg.graph_cfg, cfg.sampling_cfg, cfg.encoder_cfg
         assert (
