@@ -236,19 +236,20 @@ def tokenize_corpus(docs: Collection[Document], vocab: Mapping[str, int]) -> Doc
 
 
 def _pool_chunks(
-    p: EncoderParams, offsets: np.ndarray, flat: np.ndarray, items: np.ndarray
+    table: np.ndarray, offsets: np.ndarray, flat: np.ndarray, items: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Mean-pool ``items`` (rows of CSR documents, read column by column) a
     chunk at a time, yielding each chunk's distinct token ids, its count
     matrix ``C`` (a row per document, a column per token, counts over the
-    document's length) and ``C @ token_table[tokens]``. A chunk of ``k``
-    items has ``r = k * width`` rows and at most ``min(vocab, r * max_tokens)``
-    columns; it takes as many items as fit in ``graph_embed.CELL_CAP``, and at
-    least one."""
+    document's length) and ``C @ table[tokens]``, a table row per vocab id.
+    A chunk of ``k`` items has ``r = k * width`` rows and at most ``min(vocab,
+    r * max_tokens)`` columns; it takes as many items as fit in
+    ``graph_embed.CELL_CAP``, and at least one."""
     width = items.shape[1]
     max_tokens = int((offsets[items + 1] - offsets[items]).max())
     cap = graph_embed.CELL_CAP
-    step = max(1, cap // (width * len(p.vocab)), math.isqrt(cap // max_tokens) // width)
+    step = max(1, cap // (width * len(table)), math.isqrt(cap // max_tokens) // width)
+    mark, rank = np.zeros(len(table), dtype=bool), np.empty(len(table), dtype=np.intp)
     for start in range(0, len(items), step):
         docs = items[start:start + step].T.reshape(-1)
         starts = offsets[docs]
@@ -257,19 +258,25 @@ def _pool_chunks(
         # each token's position in ``flat``: its rank in ``row`` order,
         # shifted from its run's start there to its document's start
         shift = starts - np.cumsum(lengths) + lengths
-        pos = np.arange(row.size) + np.repeat(shift, lengths)
-        tokens, col = np.unique(flat[pos], return_inverse=True)
-        counts = np.bincount(row * len(tokens) + col, minlength=len(docs) * len(tokens))
-        c = counts.reshape(len(docs), len(tokens)) / lengths[:, None]
-        yield tokens, c, c @ p.token_table[tokens]
+        ids = flat[np.arange(row.size) + np.repeat(shift, lengths)]
+        # the chunk's distinct ids ascending, and each id's rank among them
+        mark[ids] = True
+        tokens = np.flatnonzero(mark)
+        mark[tokens] = False
+        rank[tokens] = np.arange(len(tokens))
+        col = rank[ids]
+        c = np.bincount(row * len(tokens) + col, minlength=len(docs) * len(tokens))
+        c = c.reshape(len(docs), len(tokens)) / lengths[:, None]
+        yield tokens, c, c @ table[tokens]
 
 
 def _encode_rows(p: EncoderParams, offsets: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """Encoded vectors of every CSR document."""
+    """Encoded vectors of every CSR document, pooled from the projected table."""
     out = np.empty((len(offsets) - 1, p.out_dim))
+    projected = p.token_table @ p.projection
     start = 0
-    for *_, pooled in _pool_chunks(p, offsets, flat, np.arange(len(out))[:, None]):
-        out[start:start + len(pooled)] = pooled @ p.projection + p.projection_bias
+    for *_, pooled in _pool_chunks(projected, offsets, flat, np.arange(len(out))[:, None]):
+        out[start:start + len(pooled)] = pooled + p.projection_bias
         start += len(pooled)
     return out
 
@@ -288,7 +295,7 @@ def _batch_loss_and_grads(
     row_grads = []
     d_projection = np.zeros_like(p.projection)
     d_bias = np.zeros_like(p.projection_bias)
-    for tokens, c, pooled in _pool_chunks(p, offsets, flat, triples):
+    for tokens, c, pooled in _pool_chunks(p.token_table, offsets, flat, triples):
         eq, ep, en = np.split(pooled @ p.projection + p.projection_bias, 3)
         diffs = np.stack([eq - ep, eq - en])
         norms = np.linalg.norm(diffs, axis=2)
@@ -345,10 +352,9 @@ def train(
             epoch_loss += loss
             factor = cfg.learning_rate / len(batch)
             params.projection_bias -= d_bias * factor
-            if not cfg.bias_only:
-                for rows, grads in row_grads:
-                    params.token_table[rows] -= grads * factor
-                params.projection -= d_projection * factor
+            for rows, grads in row_grads:
+                params.token_table[rows] -= grads * factor
+            params.projection -= d_projection * factor
         trace.append(epoch_loss / n_triples)
     return params, trace
 
@@ -413,6 +419,7 @@ def grad_check(
 # distinct from the ``NBE1`` embedding snapshot, so neither loader
 # misreads the other's files
 CHECKPOINT_MAGIC = b"NBC1"
+_U32 = struct.Struct("<I")  # a vocab entry's byte length, then its UTF-8 bytes
 
 
 def save_encoder(p: EncoderParams, path: str | Path) -> None:
@@ -426,10 +433,7 @@ def save_encoder(p: EncoderParams, path: str | Path) -> None:
         fh.write(np.ascontiguousarray(p.projection, dtype="<f4").tobytes())
         fh.write(np.ascontiguousarray(p.projection_bias, dtype="<f4").tobytes())
         fh.write(struct.pack("<I", len(tokens)))
-        for token in tokens:
-            raw = token.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
+        fh.write(b"".join(_U32.pack(len(raw)) + raw for raw in map(str.encode, tokens)))
 
 
 def load_encoder(path: str | Path) -> EncoderParams:
@@ -440,15 +444,15 @@ def load_encoder(path: str | Path) -> EncoderParams:
     :class:`DataError`.
     """
     path = Path(path)
-    raw = memoryview(path.read_bytes())
+    data = path.read_bytes()
     pos = 0
 
     def read(size: int) -> memoryview:
         nonlocal pos
-        if size > len(raw) - pos:
+        if size > len(data) - pos:
             raise DataError(f"{path}: truncated encoder checkpoint")
         pos += size
-        return raw[pos - size:pos]
+        return memoryview(data)[pos - size:pos]
 
     def floats(count: int) -> np.ndarray:
         return np.frombuffer(read(count * 4), dtype="<f4").astype(np.float64)
@@ -467,9 +471,12 @@ def load_encoder(path: str | Path) -> EncoderParams:
     vocab: dict[str, int] = {}
     try:
         for i in range(n_tokens):
-            (length,) = struct.unpack("<I", read(4))
-            vocab[str(read(length), "utf-8")] = i
-        if pos != len(raw):
+            (length,) = _U32.unpack_from(data, pos)
+            pos += 4 + length
+            if pos > len(data):
+                raise DataError(f"{path}: truncated encoder checkpoint")
+            vocab[data[pos - length:pos].decode("utf-8")] = i
+        if pos != len(data):
             raise DataError(f"{path}: trailing bytes after the vocab section")
         return EncoderParams(
             vocab=vocab,
@@ -477,7 +484,7 @@ def load_encoder(path: str | Path) -> EncoderParams:
             projection=projection,
             projection_bias=bias,
         )
-    except (UnicodeDecodeError, ValidationError) as exc:
+    except (struct.error, UnicodeDecodeError, ValidationError) as exc:
         raise DataError(f"{path}: bad vocab section: {exc}") from None
 
 

@@ -357,8 +357,8 @@ def _mine_one_query(
     rng = np.random.default_rng(derive_seed(cfg.seed, "pair", qid))
     shuffled = [negatives[int(i)] for i in rng.permutation(len(negatives))]
 
-    n_emit = min(len(positives), len(shuffled))
-    partial = n_emit < cfg.c_pos or len(shuffled) < cfg.c_hard + cfg.c_easy
+    partial = (len(positives) < cfg.c_pos or len(hard) < cfg.c_hard  # a short sampler
+               or len(easy) < cfg.c_easy)
     return [
         Triple(
             query=qid,
@@ -367,7 +367,7 @@ def _mine_one_query(
             negative_kind=shuffled[j][1],
             strategy=shuffled[j][2],
         )
-        for j in range(n_emit)
+        for j in range(min(len(positives), len(shuffled)))
     ], partial
 
 

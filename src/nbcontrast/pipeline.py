@@ -538,27 +538,30 @@ def label_separation(
 ) -> tuple[float, float]:
     """Mean pairwise L2 distance within and across label groups.
 
-    Each row is compared with the rows after it, a block of at most
-    ``graph_embed.CELL_CAP`` differences (rows x later rows x dim) at a
-    time, and only the distances' sums are kept.
+    Distances come a block of at most ``graph_embed.CELL_CAP`` at a time from
+    ``|a|^2 + |b|^2 - 2 a.b``, one matrix product, and a product with the
+    one-hot labels sums each row's distances per label: each pair twice.
     """
-    ids = [pid for pid, _, _ in labeled.items if pid in id_to_row]
-    labels = {pid: label for pid, label, _ in labeled.items}
-    points = np.stack([vectors.values[id_to_row[pid]] for pid in ids])
-    _, codes = np.unique([labels[pid] for pid in ids], return_inverse=True)
-    sums, counts = np.zeros(2), np.zeros(2)
-    step = max(1, graph_embed.CELL_CAP // points.size)
-    for start in range(0, len(points) - 1, step):
-        block = points[start:start + step]
-        dists = np.sqrt(((block[:, None] - points[start + 1:]) ** 2).sum(axis=-1))
-        # column j is row start + 1 + j, a later row than block row i if j >= i
-        later = np.arange(dists.shape[1]) >= np.arange(len(block))[:, None]
-        same = codes[start:start + step, None] == codes[start + 1:]
-        for k, pairs in enumerate((later & same, later & ~same)):
-            sums[k] += dists[pairs].sum()
-            counts[k] += pairs.sum()
-    intra, inter = sums / counts
-    return float(intra), float(inter)
+    kept = [(id_to_row[pid], label) for pid, label, _ in labeled.items if pid in id_to_row]
+    points = vectors.values[[row for row, _ in kept]]
+    _, codes = np.unique([label for _, label in kept], return_inverse=True)
+    onehot = (codes[:, None] == np.arange(codes.max() + 1)).astype(np.float64)
+    norms = np.einsum("ij,ij->i", points, points)
+    same = total = 0.0
+    step = max(1, graph_embed.CELL_CAP // len(points))
+    block = np.empty((min(step, len(points)), len(points)))
+    for start in range(0, len(points), step):
+        rows = np.arange(start, min(start + step, len(points)))
+        dists = np.matmul(points[rows], -2.0 * points.T, out=block[:len(rows)])
+        dists += norms[rows, None]
+        dists += norms
+        dists[rows - start, rows] = 0.0
+        by_label = np.sqrt(np.maximum(dists, 0.0, out=dists), out=dists) @ onehot
+        same += by_label[rows - start, codes[rows]].sum()
+        total += by_label.sum()
+    sizes = np.bincount(codes)
+    pairs = sizes @ sizes - len(points), len(points) ** 2 - sizes @ sizes
+    return float(same / pairs[0]), float((total - same) / pairs[1])
 
 
 def render_report(metrics: dict[str, float]) -> str:

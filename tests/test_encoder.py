@@ -223,6 +223,38 @@ class TestEncodeCorpus:
                                        rtol=0, atol=1e-12)
 
 
+class TestPoolChunks:
+    @pytest.mark.parametrize("cap", [None, 3 * 50 * 3, 1])  # 9, 3 and 1 items a chunk
+    def test_matches_a_sorting_reference(self, monkeypatch, cap):
+        vocab = 50
+        rng = np.random.default_rng(3)
+        rows = [rng.integers(0, vocab, size=int(rng.integers(1, 12))) for _ in range(20)]
+        rows[0] = np.array([vocab - 1, 0, 0, 7])  # the first and last vocab ids
+        rows[1] = rng.permutation(vocab)          # every vocab id
+        offsets = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+        flat = np.concatenate(rows).astype(np.int32)
+        items = rng.integers(2, 20, size=(9, 3))
+        items[0] = [4, 1, 0]  # the only item with row 1
+        table = rng.normal(size=(vocab, 4))
+        if cap is not None:
+            monkeypatch.setattr(graph_embed, "CELL_CAP", cap)
+        start, touched_all = 0, False
+        for tokens, c, pooled in encoder._pool_chunks(table, offsets, flat, items):
+            docs = items[start:start + len(c) // 3].T.reshape(-1)
+            start += len(docs) // 3
+            ids = [rows[d] for d in docs]
+            expect_tokens, col = np.unique(np.concatenate(ids), return_inverse=True)
+            row = np.repeat(np.arange(len(docs)), [len(r) for r in ids])
+            expect_c = np.zeros((len(docs), len(expect_tokens)))
+            np.add.at(expect_c, (row, col), 1.0)
+            expect_c /= np.array([len(r) for r in ids])[:, None]
+            np.testing.assert_array_equal(tokens, expect_tokens)
+            np.testing.assert_array_equal(c, expect_c)
+            np.testing.assert_allclose(pooled, expect_c @ table[expect_tokens], atol=1e-12)
+            touched_all |= len(tokens) == vocab
+        assert start == len(items) and touched_all
+
+
 class TestTripletLoss:
     def test_satisfied_margin_is_zero(self):
         q = np.array([0.0, 0.0])

@@ -76,11 +76,11 @@ class TestConfigValidation:
         ts = mine_triples(range(4), table, ids, cfg)
         kept = "easy" if kind == "c_hard" else "hard"
         assert {t.negative_kind for t in ts.triples} == {kept}
-        # fewer negatives than positives: each query pairs off what it has
-        # and is flagged partial
+        # fewer negatives than positives: each query pairs off what it has,
+        # and is not partial, as every sampler filled its quota
         per_query = 3 if kept == "easy" else 2
         assert len(ts) == 4 * per_query and not ts.skipped
-        assert ts.partial == ids[:4]
+        assert ts.partial == ()
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValidationError):

@@ -1137,3 +1137,24 @@ class TestLabelSeparation:
             monkeypatch.setattr(graph_embed, "CELL_CAP", cap)
             got = label_separation(vectors, labeled, id_to_row)
             np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0)
+
+    def test_duplicated_points_and_a_one_member_label(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(30, 6))
+        values[10:14] = values[3]  # four copies of row 3
+        vectors = EmbeddingTable(values=values)
+        # d30..d33 share row 7, and the label L9 has one member
+        id_to_row = {f"d{i}": i for i in range(30)} | {f"d{i}": 7 for i in range(30, 34)}
+        labels = [f"L{i % 2}" for i in range(34)]
+        labels[5] = "L9"
+        labeled = LabeledSet(items=tuple((f"d{i}", labels[i], "train") for i in range(34)))
+        points = values[[id_to_row[f"d{i}"] for i in range(34)]]
+        dists = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
+        same = np.array([[a == b for b in labels] for a in labels])
+        upper = np.triu(np.ones((34, 34), dtype=bool), k=1)
+        expect = (dists[same & upper].mean(), dists[~same & upper].mean())
+        for cap in (graph_embed.CELL_CAP, 34 * 5, 1):
+            monkeypatch.setattr(graph_embed, "CELL_CAP", cap)
+            got = label_separation(vectors, labeled, id_to_row)
+            assert np.isfinite(got).all()
+            np.testing.assert_allclose(got, expect, rtol=0, atol=1e-7)
