@@ -111,7 +111,11 @@ def main(argv: list[str] | None = None) -> int:
         if config_path is None:
             if args.stage == "fixture" and args.stage_dir is not None:
                 # bootstrap: write a default config next to the fixture data
-                args.stage_dir.mkdir(parents=True, exist_ok=True)
+                try:
+                    args.stage_dir.mkdir(parents=True, exist_ok=True)
+                except (FileExistsError, NotADirectoryError):
+                    raise ValidationError(
+                        f"work directory {args.stage_dir} is not a directory") from None
                 config_path = args.stage_dir / "config.ini"
                 if config_path.exists():
                     print(f"fixture: using existing config {config_path}")

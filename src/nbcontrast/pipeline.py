@@ -1,12 +1,13 @@
 """Pipeline stages driven by one INI config, with provenance sidecars.
 
-Every stage past ``fixture`` first removes the outputs and sidecar of its
-previous run, so a failed run leaves none for the next stage to read. It
-then reads its inputs, writes fixed-name artifacts into the work
-directory, and drops a ``<stage>.prov.json`` sidecar recording the config
-hash, effective seed, and input/output content hashes. Reruns with
-unchanged inputs reproduce byte-identical artifacts; nothing is ever
-mutated in place.
+Every stage past ``fixture`` runs in one frame, ``_stage``: it first
+removes the outputs and sidecar of its previous run, so a failed run leaves
+none for the next stage to read. The stage then reads its inputs and writes
+fixed-name artifacts into the work directory, and the frame drops a
+``<stage>.prov.json`` sidecar recording the config hash (of the bytes
+``load_config`` parsed), effective seed, and input/output content hashes.
+Reruns with unchanged inputs reproduce byte-identical artifacts; nothing is
+ever mutated in place.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import contextlib
 import ctypes
 import functools
 import hashlib
+import io
 import json
 import logging
 from collections import Counter
@@ -73,7 +75,7 @@ class PipelineConfig:
     """Everything the stages need, parsed and validated up front."""
 
     workdir: Path
-    config_path: Path
+    config_sha256: str
     seed: int
     edges_path: Path
     documents_path: Path
@@ -87,10 +89,6 @@ class PipelineConfig:
     ranking_task_path: Path | None
     labels_path: Path | None
     overlap_paths: dict[str, Path]
-
-    @property
-    def config_sha256(self) -> str:
-        return hashlib.sha256(self.config_path.read_bytes()).hexdigest()
 
 
 def load_config(
@@ -106,10 +104,12 @@ def load_config(
     path = Path(path)
     if not path.is_file():
         raise DependencyError(f"config file not found: {path}")
+    config_bytes = path.read_bytes()
     # no default section: [DEFAULT] is a section like any other, and unknown
     parser = configparser.ConfigParser(default_section="")
     try:
-        parser.read(path, encoding="utf-8")
+        text = io.TextIOWrapper(io.BytesIO(config_bytes), encoding="utf-8")
+        parser.read_file(text, path)
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: {exc}") from None
     known = {
@@ -137,6 +137,8 @@ def load_config(
             workdir = path.parent / workdir
     else:
         workdir = path.parent
+    if any(p.exists() and not p.is_dir() for p in (workdir, *workdir.parents)):
+        raise ValidationError(f"work directory {workdir} is not a directory")
 
     def resolve(raw: str | None) -> Path | None:
         if not raw:
@@ -165,7 +167,7 @@ def load_config(
 
     return PipelineConfig(
         workdir=workdir,
-        config_path=path,
+        config_sha256=hashlib.sha256(config_bytes).hexdigest(),
         seed=global_seed,
         edges_path=resolve(paths.get("edges", "edges.tsv")),
         documents_path=resolve(paths.get("documents", "documents.jsonl")),
@@ -200,7 +202,9 @@ def _read_section(cls, sec: configparser.SectionProxy, global_seed: int):
     return cfg
 
 
+@functools.cache
 def _sha256_file(path: Path) -> str:
+    """The file's digest, read at most once until ``_stage`` clears the memo."""
     h = hashlib.sha256()
     with path.open("rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -208,30 +212,21 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _tokens_key(docs_path: Path, ckpt_path: Path) -> tuple[bytes, dict[Path, str]]:
-    """Key of ``doc_tokens.bin``, the SHA-256 of the documents then of the
-    checkpoint, and the two digests by path."""
-    digests = {path: _sha256_file(path) for path in (docs_path, ckpt_path)}
-    return bytes.fromhex("".join(digests.values())), digests
+def _tokens_key(docs_path: Path, ckpt_path: Path) -> bytes:
+    """Key of ``doc_tokens.bin``: the documents' SHA-256, then the checkpoint's."""
+    return bytes.fromhex(_sha256_file(docs_path) + _sha256_file(ckpt_path))
 
 
 def _write_provenance(
-    cfg: PipelineConfig, stage: str, inputs: list[Path], outputs: list[Path],
-    digests: dict[Path, str] | None = None,
+    cfg: PipelineConfig, stage: str, inputs: list[Path], outputs: list[Path]
 ) -> None:
-    """Sidecar of the stage's config, seed and file digests; a file's digest
-    is read from ``digests`` when there."""
-    digests = digests or {}
-
-    def digest_of(paths: list[Path]) -> dict[str, str]:
-        return {p.name: digests.get(p) or _sha256_file(p) for p in paths}
-
+    """Sidecar of the stage's config, seed and file digests."""
     payload = {
         "stage": stage,
         "config_sha256": cfg.config_sha256,
         "seed": cfg.seed,
-        "inputs": digest_of(inputs),
-        "outputs": digest_of(outputs),
+        "inputs": {p.name: _sha256_file(p) for p in inputs},
+        "outputs": {p.name: _sha256_file(p) for p in outputs},
     }
     _write_json(cfg.workdir / f"{stage}.prov.json", payload)
 
@@ -275,12 +270,28 @@ def _one_blas_thread():
         set_(before)
 
 
-def _fresh_outputs(cfg: PipelineConfig, stage: str) -> list[Path]:
-    """The stage's output paths, once its earlier outputs and sidecar are gone."""
-    outputs = [cfg.workdir / name for name in ARTIFACTS[stage]]
-    for path in (*outputs, cfg.workdir / f"{stage}.prov.json"):
-        path.unlink(missing_ok=True)
-    return outputs
+def _stage(name: str):
+    """Make ``body(cfg, *outputs) -> inputs read`` into ``run_<stage>(cfg)``.
+
+    It runs OpenBLAS on one thread, deletes the stage's ``ARTIFACTS`` and
+    sidecar before the body reads anything, writes the sidecar last, and
+    returns the main artifact. Clearing the digest memo as the stage starts
+    and ends, it hashes each file at most once per stage."""
+    def frame(body):
+        @functools.wraps(body)
+        def runner(cfg: PipelineConfig) -> Path:
+            outputs = [cfg.workdir / file for file in ARTIFACTS[name]]
+            with _one_blas_thread():
+                _sha256_file.cache_clear()
+                try:
+                    for path in (*outputs, cfg.workdir / f"{name}.prov.json"):
+                        path.unlink(missing_ok=True)
+                    _write_provenance(cfg, name, body(cfg, *outputs), outputs)
+                finally:
+                    _sha256_file.cache_clear()
+            return outputs[0]
+        return runner
+    return frame
 
 
 def _require(path: Path | None, what: str) -> Path:
@@ -305,6 +316,8 @@ def _write_json(path: Path, payload: dict) -> None:
 @_one_blas_thread()
 def run_fixture(cfg: PipelineConfig) -> list[Path]:
     """Generate the synthetic corpus files named in the config."""
+    # outside ``_stage``: a digest of an earlier run's file would be stale
+    _sha256_file.cache_clear()
     fc = cfg.fixture_cfg
     graph, block_of = fixtures.planted_partition_graph(
         fc.nodes, fc.blocks, fc.p_in, fc.p_out, fc.seed
@@ -314,11 +327,9 @@ def run_fixture(cfg: PipelineConfig) -> list[Path]:
     labeled = fixtures.labeled_set_from_labels(labels, fc)
 
     cfg.workdir.mkdir(parents=True, exist_ok=True)
-    outputs = []
     fixtures.write_edge_file(graph, cfg.edges_path)
-    outputs.append(cfg.edges_path)
     corpus.save_documents(docs, cfg.documents_path)
-    outputs.append(cfg.documents_path)
+    outputs = [cfg.edges_path, cfg.documents_path]
     if cfg.ranking_task_path:
         evaluation.save_ranking_task(task, cfg.ranking_task_path)
         outputs.append(cfg.ranking_task_path)
@@ -329,10 +340,9 @@ def run_fixture(cfg: PipelineConfig) -> list[Path]:
     return outputs
 
 
-@_one_blas_thread()
-def run_ingest(cfg: PipelineConfig) -> Path:
+@_stage("ingest")
+def run_ingest(cfg: PipelineConfig, out: Path) -> list[Path]:
     """Edge file to graph snapshot, with optional filtering and symmetrizing."""
-    [out] = _fresh_outputs(cfg, "ingest")
     edges = _require(cfg.edges_path, "edge file")
     graph = corpus.ingest_edges(edges)
     if cfg.exclude_ids_path:
@@ -345,15 +355,13 @@ def run_ingest(cfg: PipelineConfig) -> Path:
                         "duplicates and excluded ids")
     cfg.workdir.mkdir(parents=True, exist_ok=True)
     corpus.save_graph(graph, out)
-    _write_provenance(cfg, "ingest", [edges], [out])
     print(f"ingest: {graph.node_count} nodes, {graph.edge_count} edges -> {out}")
-    return out
+    return [edges]
 
 
-@_one_blas_thread()
-def run_graph_train(cfg: PipelineConfig) -> Path:
+@_stage("graph-train")
+def run_graph_train(cfg: PipelineConfig, out: Path, metrics_path: Path) -> list[Path]:
     """Train node embeddings and report link prediction on held-out edges."""
-    out, metrics_path = _fresh_outputs(cfg, "graph-train")
     graph_path = _require(cfg.workdir / ARTIFACTS["ingest"][0], "graph snapshot")
     graph = corpus.load_graph(graph_path)
     if not graph.edge_count:
@@ -379,15 +387,13 @@ def run_graph_train(cfg: PipelineConfig) -> Path:
 
     snapshot.write_snapshot(table, out)
     _write_json(metrics_path, {"link_prediction": metrics, "loss_trace": losses})
-    _write_provenance(cfg, "graph-train", [graph_path], [out, metrics_path])
     print(f"graph-train: {len(losses)} epochs, final loss {losses[-1]:.6f} -> {out}")
-    return out
+    return [graph_path]
 
 
-@_one_blas_thread()
-def run_mine(cfg: PipelineConfig) -> Path:
+@_stage("mine")
+def run_mine(cfg: PipelineConfig, out: Path) -> list[Path]:
     """Mine contrastive triples from the trained citation embeddings."""
-    [out] = _fresh_outputs(cfg, "mine")
     graph_path = _require(cfg.workdir / ARTIFACTS["ingest"][0], "graph snapshot")
     table_path = _require(cfg.workdir / ARTIFACTS["graph-train"][0], "embedding snapshot")
     graph = corpus.load_graph(graph_path)
@@ -412,18 +418,18 @@ def run_mine(cfg: PipelineConfig) -> Path:
             raise DataError(f"subsample_fraction = {sc.subsample_fraction} keeps "
                             f"none of {before} mined triples")
     mining.save_triples(triples, out)
-    _write_provenance(cfg, "mine", [graph_path, table_path], [out])
     print(
         f"mine: {len(triples)} triples from {len(queries)} queries "
         f"({len(triples.skipped)} skipped, {len(triples.partial)} partial) -> {out}"
     )
-    return out
+    return [graph_path, table_path]
 
 
-@_one_blas_thread()
-def run_encode_train(cfg: PipelineConfig) -> Path:
+@_stage("encode-train")
+def run_encode_train(
+    cfg: PipelineConfig, out: Path, metrics_path: Path, tokens_path: Path
+) -> list[Path]:
     """Train the document encoder on the mined triples."""
-    out, metrics_path, tokens_path = _fresh_outputs(cfg, "encode-train")
     triples_path = _require(cfg.workdir / ARTIFACTS["mine"][0], "triple file")
     docs_path = _require(cfg.documents_path, "document file")
     triples = mining.load_triples(triples_path, cfg.sampling_cfg)
@@ -440,23 +446,21 @@ def run_encode_train(cfg: PipelineConfig) -> Path:
         raise DataError(f"{triples_path}: {exc} (documents: {docs_path})") from None
 
     encoder.save_encoder(params, out)
-    key, digests = _tokens_key(docs_path, out)
-    encoder.save_doc_tokens(tokens, key, tokens_path)
+    encoder.save_doc_tokens(tokens, _tokens_key(docs_path, out), tokens_path)
     _write_json(metrics_path, {"loss_trace": trace})
-    _write_provenance(cfg, "encode-train", [triples_path, docs_path],
-                      [out, metrics_path, tokens_path], digests)
     print(
         f"encode-train: {len(trace)} epochs, loss "
         + " -> ".join(f"{x:.4f}" for x in trace)
         + f" -> {out}"
     )
-    return out
+    return [triples_path, docs_path]
 
 
-@_one_blas_thread()
-def run_eval(cfg: PipelineConfig) -> Path:
+@_stage("eval")
+def run_eval(
+    cfg: PipelineConfig, out: Path, text_path: Path, vectors_path: Path
+) -> list[Path]:
     """Encode documents and score every configured evaluation task."""
-    out, text_path, vectors_path = _fresh_outputs(cfg, "eval")
     ckpt_path = _require(cfg.workdir / ARTIFACTS["encode-train"][0], "encoder checkpoint")
     docs_path = _require(cfg.documents_path, "document file")
     inputs = [ckpt_path, docs_path]
@@ -473,7 +477,7 @@ def run_eval(cfg: PipelineConfig) -> Path:
 
     params = encoder.load_encoder(ckpt_path)
     tokens_path = cfg.workdir / DOC_TOKENS
-    key, digests = _tokens_key(docs_path, ckpt_path)
+    key = _tokens_key(docs_path, ckpt_path)
     try:
         tokens = encoder.load_doc_tokens(tokens_path, key)
         inputs.append(tokens_path)
@@ -527,8 +531,7 @@ def run_eval(cfg: PipelineConfig) -> Path:
     text = render_report(metrics)
     text_path.write_text(text, encoding="utf-8")
     print(text, end="")
-    _write_provenance(cfg, "eval", inputs, [out, text_path, vectors_path], digests)
-    return out
+    return inputs
 
 
 def label_separation(
@@ -575,25 +578,12 @@ def render_report(metrics: dict[str, float]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_STAGE_RUNNERS = {
-    "fixture": run_fixture,
-    "ingest": run_ingest,
-    "graph-train": run_graph_train,
-    "mine": run_mine,
-    "encode-train": run_encode_train,
-    "eval": run_eval,
-}
-
-
 def run(stage: str, cfg: PipelineConfig) -> None:
     """Run one stage, or the whole chain for ``all``."""
     if stage == "all":
-        chain = list(STAGES) if cfg.fixture_cfg.enabled else [
-            s for s in STAGES if s != "fixture"
-        ]
-        for name in chain:
+        for name in STAGES if cfg.fixture_cfg.enabled else STAGES[1:]:
             run(name, cfg)
         return
-    if stage not in _STAGE_RUNNERS:
+    if stage not in STAGES:
         raise ValidationError(f"unknown stage {stage!r}")
-    _STAGE_RUNNERS[stage](cfg)
+    globals()["run_" + stage.replace("-", "_")](cfg)

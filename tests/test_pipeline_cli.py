@@ -21,7 +21,9 @@ from nbcontrast.evaluation import LabeledSet, ProbeConfig
 from nbcontrast.fixtures import FixtureConfig
 from nbcontrast.graph_embed import EmbeddingTable, GraphTrainConfig
 from nbcontrast.mining import SamplingConfig
-from nbcontrast.pipeline import ARTIFACTS, DOC_TOKENS, label_separation, load_config, run
+from nbcontrast.pipeline import (
+    ARTIFACTS, DOC_TOKENS, STAGES, label_separation, load_config, run,
+)
 from nbcontrast.snapshot import read_snapshot, write_snapshot
 
 
@@ -101,25 +103,64 @@ class TestStages:
         prov = json.loads((tmp_path / "eval.prov.json").read_text(encoding="utf-8"))
         assert {"graph.json", "overlap.txt"} <= set(prov["inputs"])
 
-    def test_provenance_sidecars_written(self, workdir):
-        main(["all", "--config", str(workdir / "config.ini")])
-        for stage in ("fixture", "ingest", "graph-train", "mine",
-                      "encode-train", "eval"):
-            sidecar = workdir / f"{stage}.prov.json"
-            assert sidecar.is_file(), stage
-            payload = json.loads(sidecar.read_text())
+    def test_provenance_sidecars_written(self, tmp_path):
+        # the README quick start
+        assert main(["fixture", "--stage-dir", str(tmp_path)]) == 0
+        config = tmp_path / "config.ini"
+        assert main(["all", "--config", str(config)]) == 0
+        # every sidecar's input and output names, pinned
+        expected = {
+            "fixture": ([], ["documents.jsonl", "edges.tsv", "labels.jsonl",
+                             "ranking.jsonl"]),
+            "ingest": (["edges.tsv"], ["graph.json"]),
+            "graph-train": (["graph.json"],
+                            ["graph_embeddings.nbe", "graph_metrics.json"]),
+            "mine": (["graph.json", "graph_embeddings.nbe"], ["triples.tsv"]),
+            "encode-train": (["documents.jsonl", "triples.tsv"],
+                             ["doc_tokens.bin", "encoder.bin", "encoder_metrics.json"]),
+            "eval": (["doc_tokens.bin", "documents.jsonl", "encoder.bin",
+                      "labels.jsonl", "ranking.jsonl"],
+                     ["doc_vectors.nbe", "report.json", "report.txt"]),
+        }
+        for stage, (inputs, outputs) in expected.items():
+            payload = json.loads((tmp_path / f"{stage}.prov.json").read_text())
             assert payload["stage"] == stage
-            assert payload["seed"] == 3
-            assert len(payload["config_sha256"]) == 64
-            for digest in payload["outputs"].values():
-                assert len(digest) == 64
+            assert payload["seed"] == 7
+            assert payload["config_sha256"] == sha256(config)
+            assert (sorted(payload["inputs"]), sorted(payload["outputs"])) == (
+                inputs, outputs), stage
+            for name, digest in {**payload["inputs"], **payload["outputs"]}.items():
+                assert digest == sha256(tmp_path / name), (stage, name)
+
+    def test_sidecar_hashes_the_config_as_loaded(self, workdir):
+        config = workdir / "config.ini"
+        assert main(["fixture", "--config", str(config)]) == 0
+        cfg = load_config(config)
+        config.write_text(MINIMAL_CONFIG.replace("seed = 3", "seed = 4"), encoding="utf-8")
+        pipeline.run_ingest(cfg)
+        prov = json.loads((workdir / "ingest.prov.json").read_text())
+        assert prov["config_sha256"] == hashlib.sha256(
+            MINIMAL_CONFIG.encode("utf-8")).hexdigest()
+
+    def test_loaded_config_runs_after_its_file_is_deleted(self, workdir):
+        config = workdir / "config.ini"
+        assert main(["fixture", "--config", str(config)]) == 0
+        cfg = load_config(config)
+        config.unlink()
+        pipeline.run_ingest(cfg)
+        assert (workdir / "ingest.prov.json").is_file()
+
+    def test_no_digest_outlives_its_stage(self, workdir):
+        assert main(["all", "--config", str(workdir / "config.ini")]) == 0
+        assert pipeline._sha256_file.cache_info().currsize == 0
 
     def test_rerun_is_byte_identical(self, workdir):
         config = str(workdir / "config.ini")
         main(["all", "--config", config])
         first = {
             name: sha256(workdir / name)
-            for names in ARTIFACTS.values() for name in names
+            for names in (*ARTIFACTS.values(), [f"{s}.prov.json" for s in STAGES])
+            for name in names
         }
         main(["all", "--config", config])
         second = {name: sha256(workdir / name) for name in first}
@@ -145,6 +186,13 @@ class TestStages:
                    "--stage-dir", str(other)])
         assert rc == 0
         assert (other / "edges.tsv").is_file()
+
+    def test_fixture_sidecar_digests_its_latest_files(self, workdir):
+        config = str(workdir / "config.ini")
+        for seed in ("1", "2"):
+            assert main(["fixture", "--config", config, "--seed", seed]) == 0
+        outputs = json.loads((workdir / "fixture.prov.json").read_text())["outputs"]
+        assert outputs == {name: sha256(workdir / name) for name in outputs}
 
     def test_seed_override_changes_artifacts(self, workdir):
         config = str(workdir / "config.ini")
@@ -363,6 +411,26 @@ class TestExitCodes:
     def test_missing_config_exits_4(self, tmp_path):
         rc = main(["ingest", "--config", str(tmp_path / "nope.ini")])
         assert rc == 4
+
+    @pytest.mark.parametrize("args", [
+        ["ingest", "--config", "config.ini", "--stage-dir", "afile"],
+        ["ingest", "--config", "config.ini", "--stage-dir", "afile/sub"],
+        ["ingest", "--config", "in_afile.ini"],
+        ["fixture", "--stage-dir", "afile"],
+        ["fixture", "--stage-dir", "afile/sub"],
+    ])
+    def test_work_directory_that_is_a_file_exits_2(
+        self, workdir, capsys, monkeypatch, args
+    ):
+        monkeypatch.chdir(workdir)
+        (workdir / "afile").write_text("a user file\n", encoding="utf-8")
+        (workdir / "in_afile.ini").write_text(MINIMAL_CONFIG.replace(
+            "[pipeline]", "[pipeline]\nworkdir = afile"), encoding="utf-8")
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: work directory ") and err.count("\n") == 1
+        assert "afile" in err and "is not a directory" in err
+        assert (workdir / "afile").read_text(encoding="utf-8") == "a user file\n"
 
     def test_malformed_edges_exit_3(self, workdir):
         (workdir / "edges.tsv").write_text("one_column_only\n", encoding="utf-8")
@@ -755,6 +823,8 @@ class TestTokenCache:
         docs.write_text(json.dumps(edited) + "\n" + "".join(rest), encoding="utf-8")
         fallback, used = self.eval_outputs(workdir, config)
         assert not used
+        inputs = json.loads((workdir / "eval.prov.json").read_text())["inputs"]
+        assert inputs["documents.jsonl"] == sha256(docs)
         after = read_snapshot(workdir / "doc_vectors.nbe").values
         assert not np.array_equal(after[0], before[0])
         np.testing.assert_array_equal(after[1:], before[1:])
