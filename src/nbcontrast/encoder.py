@@ -25,7 +25,7 @@ from typing import Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from . import graph_embed
+from . import graph_embed, snapshot
 from .corpus import Document
 from .errors import DataError, ValidationError
 from .graph_embed import EmbeddingTable
@@ -315,13 +315,14 @@ def _batch_loss_and_grads(
 def train(
     ts: TripleSet,
     docs: DocTokens,
-    p0: EncoderParams,
+    params: EncoderParams,
     cfg: EncoderTrainConfig,
-) -> tuple[EncoderParams, list[float]]:
-    """Minibatch SGD over the triple set; returns params and a loss trace.
+) -> list[float]:
+    """Minibatch SGD over the triple set, updating ``params`` in place (its
+    arrays are stepped, never copied); returns the loss trace.
 
     The triples' documents are read from ``docs``, the corpus split once
-    per chain (see :func:`index_corpus`), tokenized under ``p0.vocab``.
+    per chain (see :func:`index_corpus`), tokenized under ``params.vocab``.
     Triples are reshuffled each epoch with a seed derived from
     ``(cfg.seed, epoch)``; every ``effective_batch`` triples, and the
     remainder at the end of the epoch, make one step that applies their
@@ -339,7 +340,6 @@ def train(
     except KeyError as exc:
         raise DataError(f"triple references missing document {exc.args[0]!r}") from None
 
-    params = p0.copy()
     trace: list[float] = []
     for epoch in range(cfg.epochs):
         order = np.random.default_rng((cfg.seed, epoch)).permutation(n_triples)
@@ -356,7 +356,7 @@ def train(
                 params.token_table[rows] -= grads * factor
             params.projection -= d_projection * factor
         trace.append(epoch_loss / n_triples)
-    return params, trace
+    return trace
 
 
 def grad_check(
@@ -428,12 +428,12 @@ def save_encoder(p: EncoderParams, path: str | Path) -> None:
     with Path(path).open("wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<IIB", len(tokens), p.hidden_dim, 0))
-        fh.write(np.ascontiguousarray(p.token_table, dtype="<f4").tobytes())
+        fh.writelines(snapshot.blocks(p.token_table, "<f4"))
         fh.write(struct.pack("<I", p.out_dim))
-        fh.write(np.ascontiguousarray(p.projection, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(p.projection_bias, dtype="<f4").tobytes())
+        fh.writelines(snapshot.blocks(p.projection, "<f4"))
+        fh.writelines(snapshot.blocks(p.projection_bias, "<f4"))
         fh.write(struct.pack("<I", len(tokens)))
-        fh.write(b"".join(_U32.pack(len(raw)) + raw for raw in map(str.encode, tokens)))
+        fh.writelines(_U32.pack(len(raw)) + raw for raw in map(str.encode, tokens))
 
 
 def load_encoder(path: str | Path) -> EncoderParams:
@@ -444,30 +444,27 @@ def load_encoder(path: str | Path) -> EncoderParams:
     :class:`DataError`.
     """
     path = Path(path)
-    data = path.read_bytes()
-    pos = 0
+    with path.open("rb") as fh:
 
-    def read(size: int) -> memoryview:
-        nonlocal pos
-        if size > len(data) - pos:
-            raise DataError(f"{path}: truncated encoder checkpoint")
-        pos += size
-        return memoryview(data)[pos - size:pos]
+        def read(size: int) -> bytes:
+            raw = fh.read(size)
+            if len(raw) != size:
+                raise DataError(f"{path}: truncated encoder checkpoint")
+            return raw
 
-    def floats(count: int) -> np.ndarray:
-        return np.frombuffer(read(count * 4), dtype="<f4").astype(np.float64)
-
-    magic = bytes(read(4))
-    if magic != CHECKPOINT_MAGIC:
-        raise DataError(f"{path}: not an encoder checkpoint (magic {magic!r})")
-    vocab_size, hidden, _ = struct.unpack("<IIB", read(9))
-    token_table = floats(vocab_size * hidden).reshape(vocab_size, hidden)
-    (out_dim,) = struct.unpack("<I", read(4))
-    projection = floats(hidden * out_dim).reshape(hidden, out_dim)
-    bias = floats(out_dim)
-    (n_tokens,) = struct.unpack("<I", read(4))
+        magic = read(4)
+        if magic != CHECKPOINT_MAGIC:
+            raise DataError(f"{path}: not an encoder checkpoint (magic {magic!r})")
+        vocab_size, hidden, _ = struct.unpack("<IIB", read(9))
+        token_table = snapshot.read_f4(fh, (vocab_size, hidden))
+        (out_dim,) = struct.unpack("<I", read(4))
+        projection = snapshot.read_f4(fh, (hidden, out_dim))
+        bias = snapshot.read_f4(fh, (out_dim,))
+        (n_tokens,) = struct.unpack("<I", read(4))
+        data = fh.read()
     if n_tokens != vocab_size:
         raise DataError(f"{path}: vocab section length mismatch")
+    pos = 0
     vocab: dict[str, int] = {}
     try:
         for i in range(n_tokens):
@@ -498,13 +495,20 @@ def save_doc_tokens(docs: DocTokens, key: bytes, path: str | Path) -> None:
     """Token rows file: NBT1, the SHA-256 of the rest, then a header of
     ``key`` (64 bytes) and the document and token counts, the offsets
     (``<i8``), the token ids (``<i4``) and the document ids as a JSON list."""
-    body = b"".join([
-        _TOKENS_HEAD.pack(key, len(docs), len(docs.flat)),
-        np.ascontiguousarray(docs.offsets, dtype="<i8").tobytes(),
-        np.ascontiguousarray(docs.flat, dtype="<i4").tobytes(),
-        json.dumps(docs.ids).encode("ascii"),
-    ])
-    Path(path).write_bytes(TOKENS_MAGIC + hashlib.sha256(body).digest() + body)
+    ids = json.dumps(docs.ids).encode("ascii")
+
+    def pieces() -> Iterator[bytes | np.ndarray]:
+        yield _TOKENS_HEAD.pack(key, len(docs), len(docs.flat))
+        yield from snapshot.blocks(docs.offsets, "<i8")
+        yield from snapshot.blocks(docs.flat, "<i4")
+        yield ids
+
+    digest = hashlib.sha256()
+    for piece in pieces():
+        digest.update(piece)
+    with Path(path).open("wb") as fh:
+        fh.write(TOKENS_MAGIC + digest.digest())
+        fh.writelines(pieces())
 
 
 def load_doc_tokens(path: str | Path, key: bytes) -> DocTokens:

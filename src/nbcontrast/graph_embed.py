@@ -28,8 +28,10 @@ EDGE_BATCH = 64
 
 # Float64 cells of one temporary block: the neighbour scan's score block and
 # the multiply-adds of each product in it (``ann``), the encoder's token count
-# matrices (``encoder``) and label separation's differences (``pipeline``).
-# Users read it at call time, so one setting reaches all three.
+# matrices (``encoder``), label separation's differences (``pipeline``), and
+# the values that snapshots, checkpoints and token rows write and read a block
+# at a time (``snapshot.blocks``). Users read it at call time, so one setting
+# reaches all four.
 CELL_CAP = 1 << 18
 
 

@@ -109,7 +109,7 @@ def load_config(
     parser = configparser.ConfigParser(default_section="")
     try:
         text = io.TextIOWrapper(io.BytesIO(config_bytes), encoding="utf-8")
-        parser.read_file(text, path)
+        parser.read_file(text, str(path))
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: {exc}") from None
     known = {
@@ -441,7 +441,7 @@ def run_encode_train(
     ec = cfg.encoder_cfg
     params = encoder.init_encoder(vocab, ec.hidden_dim, ec.out_dim, ec.seed)
     try:
-        params, trace = encoder.train(triples, tokens, params, ec)
+        trace = encoder.train(triples, tokens, params, ec)
     except DataError as exc:
         raise DataError(f"{triples_path}: {exc} (documents: {docs_path})") from None
 

@@ -381,7 +381,8 @@ class TestTrain:
         params, docs, ts = self.fixture()
         cfg = EncoderTrainConfig(epochs=3, learning_rate=0.0,
                                  effective_batch=1, seed=0)
-        out, trace = train(ts, corpus_rows(docs, params), params, cfg)
+        out = params.copy()
+        trace = train(ts, corpus_rows(docs, params), out, cfg)
         np.testing.assert_array_equal(out.token_table, params.token_table)
         np.testing.assert_array_equal(out.projection, params.projection)
         np.testing.assert_array_equal(out.projection_bias, params.projection_bias)
@@ -418,7 +419,8 @@ class TestTrain:
                 flat[j] = orig
                 grad_flat[j] = (up - down) / (2 * eps)
 
-        out, trace = train(ts, corpus_rows(docs, params), params, cfg)
+        out = params.copy()
+        trace = train(ts, corpus_rows(docs, params), out, cfg)
         assert abs(trace[0] - base) < 1e-12
         np.testing.assert_allclose(
             out.token_table, params.token_table - lr * grads[0], atol=1e-8
@@ -434,7 +436,8 @@ class TestTrain:
         params, docs, ts = self.fixture()
         cfg = EncoderTrainConfig(epochs=2, learning_rate=0.1,
                                  effective_batch=1, bias_only=True, seed=0)
-        out, trace = train(ts, corpus_rows(docs, params), params, cfg)
+        out = params.copy()
+        trace = train(ts, corpus_rows(docs, params), out, cfg)
         np.testing.assert_array_equal(out.token_table, params.token_table)
         np.testing.assert_array_equal(out.projection, params.projection)
         # the loss is translation invariant, so the bias gradient is zero
@@ -462,7 +465,8 @@ class TestTrain:
                        config_snapshot=SamplingConfig())
         cfg = EncoderTrainConfig(epochs=1, learning_rate=0.5, effective_batch=1,
                                  slack=0.0, seed=0)
-        out, trace = train(ts, corpus_rows(docs, params), params, cfg)
+        out = params.copy()
+        trace = train(ts, corpus_rows(docs, params), out, cfg)
         assert trace == [0.0]
         np.testing.assert_array_equal(out.token_table, params.token_table)
         np.testing.assert_array_equal(out.projection, params.projection)
@@ -512,7 +516,8 @@ class TestTrain:
         cfg = EncoderTrainConfig(**{"epochs": 3, "learning_rate": 0.3,
                                     "effective_batch": 4, "slack": 1.0,
                                     "seed": 2, **overrides})
-        out, trace = train(ts, corpus_rows(docs, p0), p0, cfg)
+        out = p0.copy()
+        trace = train(ts, corpus_rows(docs, p0), out, cfg)
         table, projection, bias, expect_trace = dense_reference_train(
             ts, docs, p0, cfg
         )
@@ -523,6 +528,19 @@ class TestTrain:
         np.testing.assert_allclose(out.projection_bias, bias, rtol=0, atol=1e-12)
         if not (cfg.bias_only or cfg.learning_rate == 0.0):
             assert not np.array_equal(out.token_table, p0.token_table)
+
+    def test_updates_the_params_it_is_given(self):
+        ts, docs, p0 = self.reference_fixture()
+        arrays = {name: getattr(p0, name)
+                  for name in ("token_table", "projection", "projection_bias")}
+        before = p0.copy()
+        trace = train(ts, corpus_rows(docs, p0), p0,
+                      EncoderTrainConfig(epochs=2, effective_batch=4, seed=2))
+        assert len(trace) == 2
+        for name, array in arrays.items():
+            assert np.shares_memory(getattr(p0, name), array), name
+        assert not np.array_equal(p0.token_table, before.token_table)
+        assert not np.array_equal(p0.projection, before.projection)
 
     def test_tokenizes_each_document_once(self, monkeypatch):
         # encode-train's path: one split of the corpus, and training reads its rows
@@ -602,7 +620,8 @@ class TestTrain:
         cfg = EncoderTrainConfig(epochs=1, learning_rate=0.3,
                                  effective_batch=len(ts.triples), seed=2)
         pools.clear()
-        out, trace = train(ts, corpus_rows(docs, p0), p0, cfg)
+        out = p0.copy()
+        trace = train(ts, corpus_rows(docs, p0), out, cfg)
         assert pools == [6] * 5 + [3]
         table, projection, bias, expect_trace = dense_reference_train(
             ts, docs, p0, cfg
@@ -629,8 +648,9 @@ class TestTrain:
         p0 = init_encoder(vocab, hidden_dim=8, out_dim=4, seed=3)
         cfg = EncoderTrainConfig(epochs=2, learning_rate=0.1,
                                  effective_batch=8, seed=3)
-        a, trace_a = train(ts, corpus_rows(docs, p0), p0, cfg)
-        b, trace_b = train(ts, corpus_rows(docs, p0), p0, cfg)
+        a, b = p0.copy(), p0.copy()
+        trace_a = train(ts, corpus_rows(docs, p0), a, cfg)
+        trace_b = train(ts, corpus_rows(docs, p0), b, cfg)
         assert trace_a == trace_b
         np.testing.assert_array_equal(a.token_table, b.token_table)
         np.testing.assert_array_equal(a.projection, b.projection)
@@ -727,10 +747,10 @@ class TestTopicSeparation:
 
         ts = label_triples(labels, per_query=5, seed=5)
         vocab = build_vocab(docs.values())
-        p0 = init_encoder(vocab, hidden_dim=64, out_dim=32, seed=5)
+        params = init_encoder(vocab, hidden_dim=64, out_dim=32, seed=5)
         tcfg = EncoderTrainConfig(epochs=2, learning_rate=0.1,
                                   effective_batch=32, seed=5)
-        params, trace = train(ts, corpus_rows(docs, p0), p0, tcfg)
+        trace = train(ts, corpus_rows(docs, params), params, tcfg)
         assert trace[-1] < trace[0]
 
         vectors, id_to_row = encode_corpus(tokenize_corpus(docs_list, params.vocab), params)
@@ -823,6 +843,18 @@ class TestCheckpoint:
         path.write_bytes(
             CHECKPOINT_MAGIC + struct.pack("<IIB", 2**32 - 1, 2**32 - 1, 0)
         )
+        with pytest.raises(DataError, match="truncated"):
+            load_encoder(path)
+
+    def test_projection_sizes_past_the_end_rejected(self, tmp_path):
+        import struct
+        vocab = build_vocab([Document(id="d", title="x y", abstract="")])
+        path = tmp_path / "enc.bin"
+        save_encoder(init_encoder(vocab, hidden_dim=2, out_dim=2, seed=0), path)
+        raw = path.read_bytes()
+        at = len(CHECKPOINT_MAGIC) + 9 + len(vocab) * 2 * 4  # out_dim
+        assert raw[at:at + 4] == struct.pack("<I", 2)
+        path.write_bytes(raw[:at] + struct.pack("<I", 2**32 - 1) + raw[at + 4:])
         with pytest.raises(DataError, match="truncated"):
             load_encoder(path)
 

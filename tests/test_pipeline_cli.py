@@ -412,6 +412,18 @@ class TestExitCodes:
         rc = main(["ingest", "--config", str(tmp_path / "nope.ini")])
         assert rc == 4
 
+    @pytest.mark.parametrize("text", [
+        MINIMAL_CONFIG + "\n[pipeline]\nseed = 1\n",
+        "seed = 1\n" + MINIMAL_CONFIG,
+    ], ids=["duplicate-section", "no-section-header"])
+    def test_unparsable_config_names_its_plain_path(self, workdir, capsys, text):
+        config = workdir / "bad.ini"
+        config.write_text(text, encoding="utf-8")
+        assert main(["ingest", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: {config}: ")
+        assert f"'{config}'" in err and "PosixPath(" not in err
+
     @pytest.mark.parametrize("args", [
         ["ingest", "--config", "config.ini", "--stage-dir", "afile"],
         ["ingest", "--config", "config.ini", "--stage-dir", "afile/sub"],

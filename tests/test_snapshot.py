@@ -1,8 +1,14 @@
-"""Binary embedding snapshot format."""
+"""Binary embedding snapshot format and the block I/O it shares with
+encoder checkpoints."""
+
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from nbcontrast import graph_embed
+from nbcontrast.encoder import SEP, UNK, init_encoder, load_encoder, save_encoder
 from nbcontrast.errors import DataError
 from nbcontrast.graph_embed import EmbeddingTable
 from nbcontrast.snapshot import MAGIC, read_snapshot, write_snapshot
@@ -68,3 +74,53 @@ def test_every_truncation_is_a_data_error(tmp_path):
         cut.write_bytes(raw[:size])
         with pytest.raises(DataError):
             read_snapshot(cut)
+
+
+@pytest.mark.parametrize("payload", [b"", b"\x00" * 64])
+def test_huge_header_is_a_data_error(tmp_path, payload):
+    # 2^32 - 1 rows of 2^32 - 1 columns: rejected against the file's size,
+    # never allocated
+    path = tmp_path / "huge.nbe"
+    path.write_bytes(MAGIC + struct.pack("<IIB", 2**32 - 1, 2**32 - 1, 0) + payload)
+    with pytest.raises(DataError, match="payload"):
+        read_snapshot(path)
+
+
+def traced(fn, *args) -> tuple[int, int]:
+    """Peak bytes allocated during ``fn(*args)`` and the bytes still held
+    once it returned, by its result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)  # alive while measured, so ``held`` counts it
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, held
+
+
+class TestBlockIO:
+    """Snapshots and checkpoints move their floats a block of at most
+    ``CELL_CAP`` cells at a time: on a 20k x 64 table (10 MB against a 2 MB
+    float64 block) a writer holds no more than one block, and a reader one
+    block beyond the table it returns."""
+
+    BLOCK = graph_embed.CELL_CAP * 8
+
+    @pytest.fixture
+    def params(self):
+        vocab = {UNK: 0, SEP: 1, **{f"w{i}": i for i in range(2, 20_000)}}
+        return init_encoder(vocab, hidden_dim=64, out_dim=8, seed=0)
+
+    def test_writers_hold_one_block(self, tmp_path, params):
+        table = EmbeddingTable(values=params.token_table)
+        for write, obj in ((write_snapshot, table), (save_encoder, params)):
+            peak, _ = traced(write, obj, tmp_path / "out.bin")
+            assert peak < self.BLOCK, write.__name__
+
+    def test_readers_hold_one_table_and_one_block(self, tmp_path, params):
+        write_snapshot(EmbeddingTable(values=params.token_table), tmp_path / "t.nbe")
+        save_encoder(params, tmp_path / "enc.bin")
+        for read, name in ((read_snapshot, "t.nbe"), (load_encoder, "enc.bin")):
+            peak, held = traced(read, tmp_path / name)
+            assert held >= params.token_table.nbytes, read.__name__
+            assert peak < held + self.BLOCK, read.__name__
