@@ -1,6 +1,6 @@
 """Neighborhood-contrastive triple mining over citation-graph embeddings."""
 
-from .ann import NeighborList, batch_neighbors
+from .ann import batch_neighbors
 from .corpus import (
     CitationGraph,
     Document,
@@ -37,7 +37,6 @@ __all__ = [
     "EncoderTrainConfig",
     "GraphTrainConfig",
     "LinkPredMetrics",
-    "NeighborList",
     "SamplingConfig",
     "Triple",
     "TripleSet",

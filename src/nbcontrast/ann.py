@@ -1,52 +1,36 @@
 """Exact exhaustive nearest-neighbour search over an embedding table.
 
 No approximate index: a flat scan keeps neighbour ranks exactly
-reproducible. A query's list holds every other row, or the ``k_max`` best
-of them, ordered by score descending with ties broken toward the smaller
-node index and NaN last; the query itself is never in it. Ranks are exact
-with respect to the scores of the ``graph_embed.scores`` call that made
-them: BLAS may round a score in the last bit differently when other
-queries share the call, but no rank depends on anything else.
+reproducible. As a FAISS flat index does (Johnson et al. 2017,
+arXiv:1702.08734), :func:`batch_neighbors` returns one ``queries x k``
+matrix of ids and one of scores. A query's row holds every other row, or
+the ``k_max`` best of them, ordered by score descending with ties broken
+toward the smaller node index and NaN last; the query itself is never in
+it. Ranks are exact with respect to the scores of the
+``graph_embed.scores`` call that made them: BLAS may round a score in the
+last bit differently when other queries share the call, but no rank
+depends on anything else.
 
 :func:`batch_neighbors` scans a block of queries at a time:
 ``graph_embed.CELL_CAP`` bounds both the block's score cells and the
 multiply-adds of each ``graph_embed.scores`` product. That bounds memory,
 and product size for direct library callers; the pipeline's stages fix the
-BLAS thread count themselves. As in a FAISS flat index (Johnson et al.
-2017, arXiv:1702.08734), :func:`smallest_k` then partitions each row to
-depth k and sorts only the survivors (every candidate at least as good as
-the k-th), so it returns the full sort's first k, tie order included. The
-threshold and sorted-random samplers in ``mining`` share it; ``mining``
-also reads the rank bands out of the lists.
+BLAS thread count themselves. :func:`smallest_k` then partitions each
+row to depth k and sorts only the survivors (every candidate at least as
+good as the k-th), so it returns the full sort's first k, tie order
+included. The threshold and sorted-random samplers in ``mining`` share it;
+``mining`` also reads the rank bands out of the rows as column ranges.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import graph_embed
 from .graph_embed import EmbeddingTable, scores
-
-
-@dataclass(frozen=True, eq=False)
-class NeighborList:
-    """Neighbors of one query, strictly ordered by (score desc, node asc).
-
-    ``ids`` (int64) and ``scores`` (float64) are aligned arrays; the query
-    itself is never present, and ``ids[i]`` is the (i+1)-th nearest
-    neighbor.
-    """
-
-    query: int
-    ids: np.ndarray
-    scores: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.ids)
 
 
 def smallest_k(key: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
@@ -82,16 +66,18 @@ def query_block(t: EmbeddingTable) -> int:
 
 def batch_neighbors(
     t: EmbeddingTable, queries: Sequence[int], k_max: int
-) -> list[NeighborList]:
-    """Each query's ``k_max`` nearest neighbours, aligned with the input.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each query's ``k_max`` nearest neighbours as ``(ids, scores)`` rows.
 
-    A list holds ``min(k_max, rows - 1)`` neighbours ordered by score
-    descending, ties toward the smaller node index, NaN last, and never
-    the query. Queries are scored ``query_block(t)`` at a time, in
-    products of at most ``graph_embed.CELL_CAP`` multiply-adds; ranks are
-    exact for the scores of the block's own call, which may differ in the
-    last bit from a one-query call. The query's own key is set to +inf, so each row
-    takes ``min(k_max + 1, rows)`` smallest and drops the query.
+    Row ``i`` of the int64 ``ids`` and float64 ``scores`` matrices, both
+    read-only and ``(len(queries), min(k_max, rows - 1))``, belongs to
+    ``queries[i]``: its neighbours ordered by score descending, ties
+    toward the smaller node index, NaN last, and never the query. Queries
+    are scored ``query_block(t)`` at a time, in products of at most
+    ``graph_embed.CELL_CAP`` multiply-adds; ranks are exact for the scores
+    of the block's own call, which may differ in the last bit from a
+    one-query call. The query's own key is set to +inf, so each row takes
+    ``min(k_max + 1, rows)`` smallest and drops the query.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1: {k_max}")
@@ -102,7 +88,9 @@ def batch_neighbors(
         raise ValueError(f"query {outside[0]} out of range for {t.rows} nodes")
     positions = np.arange(t.rows)
     take = min(k_max + 1, t.rows)
-    results = []
+    width = max(take - 1, 0)
+    ids = np.empty((len(queries), width), dtype=np.int64)
+    found = np.empty(ids.shape)
     per_block = query_block(t)
     for start in range(0, len(queries), per_block):
         block = queries[start:start + per_block]
@@ -114,9 +102,9 @@ def batch_neighbors(
         key[np.arange(len(block)), block] = np.inf
         for row, query in enumerate(block.tolist()):
             chosen = smallest_k(key[row], positions, take)
-            ids = chosen[chosen != query][:k_max]
-            found = -key[row, ids]  # negating twice restores every bit
-            ids.flags.writeable = False
-            found.flags.writeable = False
-            results.append(NeighborList(query=query, ids=ids, scores=found))
-    return results
+            kept = chosen[chosen != query][:width]
+            ids[start + row] = kept
+            found[start + row] = -key[row, kept]  # negating twice restores every bit
+    ids.flags.writeable = False
+    found.flags.writeable = False
+    return ids, found

@@ -218,17 +218,22 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
 def load_documents(path: str | Path) -> dict[str, Document]:
     """Read a JSON-lines document file with ``id``, ``title``, ``abstract``.
 
-    An id on two lines is a :class:`DataError` naming both.
+    A title and an abstract must be strings; a missing or null abstract is
+    empty. An id on two lines is a :class:`DataError` naming both.
     """
     path = Path(path)
     docs: dict[str, Document] = {}
     line_of: dict[str, int] = {}
     for lineno, record in read_jsonl(path, ("id", "title")):
-        doc = Document(
-            id=str(record["id"]),
-            title=str(record["title"]),
-            abstract=str(record.get("abstract", "")),
-        )
+        if record.get("abstract") is None:
+            record["abstract"] = ""
+        try:
+            for key in ("title", "abstract"):
+                if not isinstance(record[key], str):
+                    raise DataError(f"{key} must be a string, got {type(record[key]).__name__}")
+            doc = Document(str(record["id"]), record["title"], record["abstract"])
+        except DataError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from None
         first = line_of.setdefault(doc.id, lineno)
         if first != lineno:
             raise DataError(

@@ -20,7 +20,7 @@ from typing import Collection, Sequence
 
 import numpy as np
 
-from .ann import NeighborList, batch_neighbors, query_block, smallest_k
+from .ann import batch_neighbors, query_block, smallest_k
 from .corpus import open_text
 from .errors import DataError, ValidationError
 from .graph_embed import EmbeddingTable, scores
@@ -182,19 +182,19 @@ class MiningFailure(Exception):
         super().__init__(reason)
 
 
-def range_by_rank(n: NeighborList, k: int, c: int) -> list[int]:
-    """Nodes at 1-based neighbor ranks k-c+1 .. k.
+def range_by_rank(row: np.ndarray, k: int, c: int) -> list[int]:
+    """Nodes at 1-based neighbor ranks k-c+1 .. k of a neighbour id row.
 
     This is the band ``(k-c, k]``: the c neighbors descending from the
-    k-th nearest. A list shorter than k is a :class:`MiningFailure`.
+    k-th nearest. A row shorter than k is a :class:`MiningFailure`.
     """
     if c < 1:
         raise ValueError(f"c must be >= 1: {c}")
     if k < c:
         raise ValueError(f"k must be >= c: k={k}, c={c}")
-    if len(n) < k:
+    if len(row) < k:
         raise MiningFailure(f"insufficient neighbors for k={k}")
-    return n.ids[k - c:k].tolist()
+    return row[k - c:k].tolist()
 
 
 def derive_seed(seed: int, *parts: str) -> int:
@@ -260,14 +260,15 @@ def sample_random(n: int, c: int, exclude: Collection[int], seed: int) -> list[i
 def sample_filtered_random(
     n: int,
     c: int,
-    nl: NeighborList,
+    row: np.ndarray,
     k_filter: int,
     seed: int,
-    extra_exclude: set[int] | frozenset[int] = frozenset(),
+    exclude: Collection[int],
 ) -> list[int]:
-    """Random rows excluding the query's first ``k_filter`` neighbors."""
-    exclude = np.array([nl.query, *extra_exclude], dtype=np.int64)
-    return sample_random(n, c, np.concatenate([nl.ids[:k_filter], exclude]), seed)
+    """Random rows excluding the first ``k_filter`` ids of a neighbour row,
+    and ``exclude``, which holds the query."""
+    exclude = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
+    return sample_random(n, c, np.concatenate([row[:k_filter], exclude]), seed)
 
 
 def sample_sorted_random(
@@ -300,7 +301,7 @@ def _mine_one_query(
     query: int,
     t: EmbeddingTable,
     ids: Sequence[str],
-    neighbors: NeighborList | None,
+    neighbors: np.ndarray,
     cfg: SamplingConfig,
 ) -> tuple[list[Triple], bool]:
     """Sample one query row's triples; returns (triples, was_partial)."""
@@ -311,7 +312,6 @@ def _mine_one_query(
         cosine = scores(t, query, measure="cosine")[others]
 
     if cfg.pos_strategy == "knn":
-        assert neighbors is not None
         positives = range_by_rank(neighbors, cfg.k_pos, cfg.c_pos)
     else:
         positives = sample_by_similarity(others, cosine, cfg.c_pos, cfg.t_pos, "above")
@@ -319,7 +319,6 @@ def _mine_one_query(
     if cfg.c_hard == 0:
         hard: list[int] = []
     elif cfg.hard_strategy == "knn":
-        assert neighbors is not None
         hard = range_by_rank(neighbors, cfg.k_hard, cfg.c_hard)
     else:
         hard = sample_by_similarity(others, cosine, cfg.c_hard, cfg.t_neg, "below")
@@ -332,14 +331,13 @@ def _mine_one_query(
     elif cfg.easy_strategy == "random":
         easy = sample_random(t.rows, cfg.c_easy, taken, easy_seed)
     elif cfg.easy_strategy == "filtered_random":
-        assert neighbors is not None
         easy = sample_filtered_random(
             t.rows,
             cfg.c_easy,
             neighbors,
             k_filter=cfg.easy_filter_depth(),
             seed=easy_seed,
-            extra_exclude=taken,
+            exclude=taken,
         )
     else:
         easy = sample_sorted_random(
@@ -382,8 +380,8 @@ def mine_triples(
     ``ids[i]`` is the external id that names table row ``i`` in the output.
     Queries are scanned a block at a time (``ann.query_block``) at the
     maximum depth any strategy needs, and each block is mined before the
-    next is scanned; each band is a range selection in a query's neighbor
-    list. Queries whose samplers cannot fill a band are skipped and
+    next is scanned; each band is a column range of the block's neighbour
+    id rows. Queries whose samplers cannot fill a band are skipped and
     recorded; queries with partially filled bands emit fewer triples and
     are flagged. The pipeline mines what :func:`select_queries` keeps.
     """
@@ -401,10 +399,9 @@ def mine_triples(
     per_block = query_block(t)
     for start in range(0, len(queries), per_block):
         block = queries[start:start + per_block]
-        lists: Sequence[NeighborList | None] = [None] * len(block)
-        if depth:
-            lists = batch_neighbors(t, block, depth)
-        for query, neighbors in zip(block, lists):
+        rows = (batch_neighbors(t, block, depth)[0] if depth
+                else np.empty((len(block), 0), dtype=np.int64))
+        for query, neighbors in zip(block, rows):
             try:
                 mined, partial = _mine_one_query(query, t, ids, neighbors, cfg)
             except MiningFailure as skip:

@@ -152,6 +152,9 @@ def load_config(
 
     try:
         global_seed = seed if seed is not None else pipeline.getint("seed", 0)
+        if global_seed < 0:  # numpy's generators take no negative seed
+            source = "[pipeline] seed" if seed is None else "seed override"
+            raise ValueError(f"{source} must be >= 0: {global_seed}")
         undirected = ingest_sec.getboolean("undirected", False)
         configs = {
             f"{name}_cfg": _read_section(cls, section(name), global_seed)
@@ -195,6 +198,8 @@ def _read_section(cls, sec: configparser.SectionProxy, global_seed: int):
                   for f in fields(cls) if f.name in sec}
         if "seed" in types:
             values.setdefault("seed", global_seed)
+            if values["seed"] < 0:
+                raise ValueError(f"seed must be >= 0: {values['seed']}")
         cfg = cls(**values)
         cfg.validate()
     except ValueError as exc:

@@ -116,10 +116,12 @@ def test_criterion_1_exact_knn_oracle():
         k = int(rng.integers(1, n + 1))
         # the whole block fits one query block and one column product
         ok = ok and len(block) * n * dim <= CELL_CAP
-        got = batch_neighbors(table, block.tolist(), k)
-        for nl, row in zip(got, scores(table, np.asarray(block)), strict=True):
-            expect = naive_full_sort(row, nl.query, k)
-            if list(zip(nl.ids.tolist(), nl.scores.tolist())) != expect:
+        got_ids, got_scores = batch_neighbors(table, block.tolist(), k)
+        ok = ok and got_ids.shape == got_scores.shape == (8, min(k, n - 1))
+        rows = scores(table, np.asarray(block))
+        for query, ids, found, row in zip(block, got_ids, got_scores, rows, strict=True):
+            expect = naive_full_sort(row, query, k)
+            if list(zip(ids.tolist(), found.tolist())) != expect:
                 ok = False
     elapsed = time.monotonic() - start
     report(1, f"batch_neighbors equals full-sort oracle on 50 tables ({elapsed:.1f}s)",
@@ -131,9 +133,9 @@ def test_criterion_2_band_arithmetic(band_mining):
     ext_to_idx = {ext: i for i, ext in enumerate(ids)}
     ok = len(triples.skipped) == 0
     # one call splits its query blocks exactly as mine_triples does
-    neighbors = batch_neighbors(table, range(1000), TUNED_SAMPLING.k_hard)
-    for query, nl in zip(queries, neighbors, strict=True):
-        ranks = {node: r for r, node in enumerate(nl.ids.tolist(), start=1)}
+    neighbors, _ = batch_neighbors(table, range(1000), TUNED_SAMPLING.k_hard)
+    for query, row in zip(queries, neighbors, strict=True):
+        ranks = {node: r for r, node in enumerate(row.tolist(), start=1)}
         mine = [t for t in triples.triples if t.query == ids[query]]
         pos_ranks = sorted(ranks[ext_to_idx[t.positive]] for t in mine)
         hard_ranks = sorted(
@@ -179,7 +181,7 @@ def test_criterion_3_triple_composition(band_mining):
 def test_criterion_4_documented_band_examples():
     # diagonal rows are mutually orthogonal: every candidate scores 0, so
     # the tie rule pins rank r to node r-1 and the band is independently known
-    [neighbors] = batch_neighbors(
+    [neighbors], _ = batch_neighbors(
         EmbeddingTable(values=np.diag(np.arange(12, 0, -1)).astype(float)),
         [11], 11,
     )

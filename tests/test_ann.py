@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbcontrast import ann, graph_embed
-from nbcontrast.ann import NeighborList, batch_neighbors, smallest_k
+from nbcontrast.ann import batch_neighbors, smallest_k
 from nbcontrast.graph_embed import EmbeddingTable, scores
 from nbcontrast.mining import MiningFailure, range_by_rank
 
@@ -33,9 +33,9 @@ def full_sort_top_k(scored, query, k):
     return chosen, scored[chosen]
 
 
-def pairs(nl):
-    """``(node, score)`` pairs in rank order."""
-    return list(zip(nl.ids.tolist(), nl.scores.tolist()))
+def pairs(ids, found):
+    """``(node, score)`` pairs of one neighbour row, in rank order."""
+    return list(zip(ids.tolist(), found.tolist()))
 
 
 # few distinct cells force exact score ties across the k-th boundary;
@@ -64,58 +64,63 @@ class TestPartialSelection:
         table, query, k = scan
         queries = [query, *data.draw(st.lists(st.integers(0, table.rows - 1), max_size=7))]
         block = scores(table, np.asarray(queries))
-        for nl, row in zip(batch_neighbors(table, queries, k), block, strict=True):
-            ids, found = full_sort_top_k(row, nl.query, k)
-            assert nl.ids.tolist() == ids.tolist()
-            assert nl.scores.tobytes() == found.tobytes()
+        got_ids, got_scores = batch_neighbors(table, queries, k)
+        assert got_ids.shape == got_scores.shape == (len(queries), min(k, table.rows - 1))
+        for query, got, got_found, row in zip(queries, got_ids, got_scores, block, strict=True):
+            ids, found = full_sort_top_k(row, query, k)
+            assert got.tolist() == ids.tolist()
+            assert got_found.tobytes() == found.tobytes()
 
     def test_ties_across_the_boundary_keep_index_order(self):
         # nodes 1..6 tie; k=3 cuts through the tie, nodes 7 and 8 lose
         values = np.array([[1.0]] + [[0.5]] * 6 + [[0.1], [0.2]])
-        [nl] = batch_neighbors(EmbeddingTable(values), [0], 3)
-        assert nl.ids.tolist() == [1, 2, 3]
+        ids, _ = batch_neighbors(EmbeddingTable(values), [0], 3)
+        assert ids.tolist() == [[1, 2, 3]]
 
     def test_nan_scores_rank_last(self):
         values = np.array([[1.0], [np.nan], [0.5], [np.nan], [0.2]])
-        [nl] = batch_neighbors(EmbeddingTable(values), [0], 4)
-        assert nl.ids.tolist() == [2, 4, 1, 3]
+        ids, _ = batch_neighbors(EmbeddingTable(values), [0], 4)
+        assert ids.tolist() == [[2, 4, 1, 3]]
 
     def test_arrays_are_typed_and_read_only(self):
-        for nl in batch_neighbors(EmbeddingTable(np.eye(4)), [0, 2], 3):
-            assert nl.ids.dtype == np.int64
-            assert nl.scores.dtype == np.float64
+        ids, found = batch_neighbors(EmbeddingTable(np.eye(4)), [0, 2], 3)
+        assert ids.dtype == np.int64
+        assert found.dtype == np.float64
+        assert ids.shape == found.shape == (2, 3)
+        for row in range(2):
             with pytest.raises(ValueError):
-                nl.ids[0] = 9
+                ids[row, 0] = 9
             with pytest.raises(ValueError):
-                nl.scores[0] = 9.0
+                found[row, 0] = 9.0
 
 
 class TestTopK:
-    """The top-k lists the block scan returns, one case at a time."""
+    """The top-k rows the block scan returns, one case at a time."""
 
     def test_fixed_fixture(self):
         # scores from query 0: node1=0.9, node2=0.8, node3=0.1
         values = np.array([[1.0, 0.0], [0.9, 0.0], [0.8, 0.0], [0.1, 0.0]])
         table = EmbeddingTable(values=values)
-        [nl] = batch_neighbors(table, [0], 2)
-        assert pairs(nl) == [(1, 0.9), (2, 0.8)]
+        ids, found = batch_neighbors(table, [0], 2)
+        assert pairs(ids[0], found[0]) == [(1, 0.9), (2, 0.8)]
 
     def test_equal_scores_ascending_index(self):
         table = EmbeddingTable(values=np.ones((5, 2)))
-        [nl] = batch_neighbors(table, [2], 4)
-        assert nl.ids.tolist() == [0, 1, 3, 4]
+        ids, _ = batch_neighbors(table, [2], 4)
+        assert ids.tolist() == [[0, 1, 3, 4]]
 
     def test_k_at_least_node_count(self):
         rng = np.random.default_rng(5)
         table = EmbeddingTable(values=rng.normal(size=(6, 3)))
-        [nl] = batch_neighbors(table, [1], 100)
-        assert len(nl) == 5
-        assert nl.ids.tolist() == [i for i, _ in naive_top_k(table, 1, 5)]
+        ids, _ = batch_neighbors(table, [1], 100)
+        assert ids.shape == (1, 5)
+        assert ids[0].tolist() == [i for i, _ in naive_top_k(table, 1, 5)]
 
     def test_query_never_present(self):
         table = EmbeddingTable(values=np.random.default_rng(0).normal(size=(8, 2)))
-        for nl in batch_neighbors(table, range(8), 7):
-            assert nl.query not in nl.ids.tolist()
+        ids, _ = batch_neighbors(table, range(8), 7)
+        for query, row in enumerate(ids):
+            assert query not in row.tolist()
 
     def test_k_zero_rejected(self):
         table = EmbeddingTable(values=np.ones((2, 2)))
@@ -129,9 +134,10 @@ class TestTopK:
         rng = np.random.default_rng(23)
         values = rng.normal(size=(40, 12))
         table = EmbeddingTable(values=values, measure=measure)
-        for nl in batch_neighbors(table, [7, 0, 39], 39):
-            for node, score in pairs(nl):
-                expect = score_edge(table, nl.query, node)
+        queries = [7, 0, 39]
+        for query, *row in zip(queries, *batch_neighbors(table, queries, 39), strict=True):
+            for node, score in pairs(*row):
+                expect = score_edge(table, query, node)
                 assert score == pytest.approx(expect, rel=1e-12, abs=1e-14)
 
     @pytest.mark.parametrize("measure", ["dot", "cosine"])
@@ -145,14 +151,13 @@ class TestTopK:
             table = EmbeddingTable(values=values, measure=measure)
             queries = rng.integers(0, n, size=3).tolist()
             k = int(rng.integers(1, n + 2))
-            for nl in batch_neighbors(table, queries, k):
-                assert pairs(nl) == naive_top_k(table, nl.query, k)
+            for query, *row in zip(queries, *batch_neighbors(table, queries, k), strict=True):
+                assert pairs(*row) == naive_top_k(table, query, k)
 
 
 def fake_neighbors(count):
-    """Neighbor list where rank r holds node r with score 1/r."""
-    ranks = np.arange(1, count + 1)
-    return NeighborList(query=0, ids=ranks, scores=1.0 / ranks)
+    """Neighbour id row where rank r holds node r."""
+    return np.arange(1, count + 1)
 
 
 class TestRangeByRank:
@@ -188,22 +193,22 @@ class TestRangeByRank:
 class TestBatchNeighbors:
     def test_singleton(self):
         table = EmbeddingTable(values=np.random.default_rng(2).normal(size=(9, 3)))
-        [nl] = batch_neighbors(table, [4], 5)
+        got_ids, got_scores = batch_neighbors(table, [4], 5)
         ids, found = full_sort_top_k(scores(table, 4), 4, 5)
-        assert pairs(nl) == list(zip(ids.tolist(), found.tolist()))
+        assert pairs(got_ids[0], got_scores[0]) == pairs(ids, found)
 
     def test_duplicate_queries_identical(self):
         table = EmbeddingTable(values=np.random.default_rng(2).normal(size=(9, 3)))
-        a, b = batch_neighbors(table, [3, 3], 4)
-        assert pairs(a) == pairs(b)
+        ids, found = batch_neighbors(table, [3, 3], 4)
+        assert pairs(ids[0], found[0]) == pairs(ids[1], found[1])
 
     def test_prefix_consistency(self):
         table = EmbeddingTable(values=np.random.default_rng(7).normal(size=(30, 4)))
         queries = [0, 5, 12]
-        deep = batch_neighbors(table, queries, 20)
-        shallow = batch_neighbors(table, queries, 6)
-        for d, s in zip(deep, shallow):
-            assert pairs(d)[:6] == pairs(s)
+        deep_ids, deep_scores = batch_neighbors(table, queries, 20)
+        ids, found = batch_neighbors(table, queries, 6)
+        assert deep_ids[:, :6].tolist() == ids.tolist()
+        assert deep_scores[:, :6].tolist() == found.tolist()
 
     def test_error_names_query(self):
         table = EmbeddingTable(values=np.ones((4, 2)))
@@ -217,14 +222,14 @@ class TestBatchNeighbors:
 
     @staticmethod
     def assert_top_k_ids(table, queries, k_max, exact_scores=False):
-        got = batch_neighbors(table, queries, k_max)
-        assert [nl.query for nl in got] == list(queries)
-        for nl in got:
+        got_ids, got_scores = batch_neighbors(table, queries, k_max)
+        assert got_ids.shape == got_scores.shape == (len(queries), min(k_max, table.rows - 1))
+        for query, got, got_found in zip(queries, got_ids, got_scores, strict=True):
             # against a one-query call, the rows the block shares do not round
-            ids, found = full_sort_top_k(scores(table, nl.query), nl.query, k_max)
-            assert nl.ids.tolist() == ids.tolist()
+            ids, found = full_sort_top_k(scores(table, query), query, k_max)
+            assert got.tolist() == ids.tolist()
             if exact_scores:  # equal values; NaN and zero signs may differ by kernel
-                np.testing.assert_array_equal(nl.scores, found)
+                np.testing.assert_array_equal(got_found, found)
 
     @pytest.mark.parametrize("measure", ["dot", "cosine"])
     def test_zero_rows_and_zero_query(self, measure):
@@ -250,16 +255,24 @@ class TestBatchNeighbors:
     def test_duplicate_queries_across_blocks(self, monkeypatch):
         monkeypatch.setattr(graph_embed, "CELL_CAP", 40)
         table = EmbeddingTable(np.random.default_rng(4).normal(size=(20, 2)))
-        got = batch_neighbors(table, [7, 2, 7, 7, 2, 7], 5)
-        assert len({nl.ids.tobytes() for nl in got if nl.query == 7}) == 1
-        self.assert_top_k_ids(table, [7, 2, 7, 7, 2, 7], 5)
+        queries = [7, 2, 7, 7, 2, 7]
+        ids, _ = batch_neighbors(table, queries, 5)
+        assert len({row.tobytes() for query, row in zip(queries, ids) if query == 7}) == 1
+        self.assert_top_k_ids(table, queries, 5)
 
     @pytest.mark.parametrize("k_max", [9, 10, 50])
     def test_depth_at_least_the_other_rows(self, k_max):
         table = EmbeddingTable(np.random.default_rng(6).normal(size=(10, 3)))
-        got = batch_neighbors(table, range(10), k_max)
-        assert all(len(nl) == 9 for nl in got)
+        ids, _ = batch_neighbors(table, range(10), k_max)
+        assert ids.shape == (10, 9)
         self.assert_top_k_ids(table, range(10), k_max)
+
+    @pytest.mark.parametrize("k_max", [3, 50])
+    def test_no_queries_give_empty_matrices(self, k_max):
+        table = EmbeddingTable(np.random.default_rng(6).normal(size=(10, 3)))
+        ids, found = batch_neighbors(table, [], k_max)
+        assert ids.shape == found.shape == (0, min(k_max, 9))
+        assert (ids.dtype, found.dtype) == (np.int64, np.float64)
 
     @given(scan=scans(), cap=st.sampled_from([1, 7, 64, graph_embed.CELL_CAP]),
            data=st.data())

@@ -224,6 +224,33 @@ class TestDocuments:
         with pytest.raises(DataError, match="title"):
             load_documents(path)
 
+    @staticmethod
+    def second_line(tmp_path, record):
+        """A document file whose second line is ``record``; the first is valid."""
+        path = tmp_path / "docs.jsonl"
+        lines = [{"id": "a", "title": "First", "abstract": "x"}, record]
+        path.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("record, message", [
+        ({"id": "n3", "title": ""}, "document 'n3': title must be nonempty"),
+        ({"id": "n3", "title": None}, "title must be a string, got NoneType"),
+        ({"id": "n3", "title": "T", "abstract": ["x", "y"]},
+         "abstract must be a string, got list"),
+    ])
+    def test_bad_text_names_file_and_line(self, tmp_path, record, message):
+        path = self.second_line(tmp_path, record)
+        with pytest.raises(DataError) as err:
+            load_documents(path)
+        assert str(err.value) == f"{path}: line 2: {message}"
+
+    @pytest.mark.parametrize("record", [
+        {"id": "n3", "title": "T"}, {"id": "n3", "title": "T", "abstract": None},
+    ])
+    def test_missing_or_null_abstract_is_empty(self, tmp_path, record):
+        docs = load_documents(self.second_line(tmp_path, record))
+        assert docs["n3"] == Document(id="n3", title="T", abstract="")
+
 
 class TestGraphSnapshot:
     def test_roundtrip(self, tmp_path):

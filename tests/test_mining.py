@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nbcontrast.ann import NeighborList, batch_neighbors
+from nbcontrast.ann import batch_neighbors
 from nbcontrast.cli import main
 from nbcontrast.corpus import load_graph
 from nbcontrast.errors import ValidationError
@@ -37,10 +37,9 @@ DESK_CONFIG = SamplingConfig(
 )
 
 
-def fake_neighbors(count, query=0):
-    """Rank r holds node r with score 1/r (query node is 0)."""
-    ranks = np.arange(1, count + 1)
-    return NeighborList(query=query, ids=ranks, scores=1.0 / ranks)
+def fake_neighbors(count):
+    """Neighbour id row of query 0 where rank r holds node r."""
+    return np.arange(1, count + 1)
 
 
 class TestConfigValidation:
@@ -139,7 +138,7 @@ class TestBandSamplers:
         n = fake_neighbors(4000)
         pos = knn_positives(n, TUNED_CONFIG)
         hard = knn_hard_negatives(n, TUNED_CONFIG)
-        ranks = {node: r for r, node in enumerate(n.ids.tolist(), start=1)}
+        ranks = {node: r for r, node in enumerate(n.tolist(), start=1)}
         assert min(ranks[h] for h in hard) - max(ranks[p] for p in pos) == 3974
         assert not set(pos) & set(hard)
 
@@ -217,21 +216,21 @@ class TestSampleFilteredRandom:
     def test_excludes_leading_neighbors(self):
         n = fake_neighbors(3)
         for seed in range(10):
-            got = sample_filtered_random(7, 2, n, k_filter=3, seed=seed)
+            got = sample_filtered_random(7, 2, n, 3, seed, {0})
             assert not set(got) & {0, 1, 2, 3}  # query 0 plus neighbors 1..3
 
     def test_zero_filter_matches_plain_random_with_self_exclusion(self):
         n = fake_neighbors(5)
         for seed in range(5):
-            filtered = sample_filtered_random(12, 4, n, k_filter=0, seed=seed)
-            plain = sample_random(12, 4, {n.query}, seed=seed)
+            filtered = sample_filtered_random(12, 4, n, 0, seed, {0})
+            plain = sample_random(12, 4, {0}, seed=seed)
             assert filtered == plain
 
     def test_production_scale_exclusion_set(self):
         n = fake_neighbors(4000)
-        exclusion = set(n.ids[:4000].tolist()) | {n.query}
+        exclusion = set(n[:4000].tolist()) | {0}
         assert len(exclusion) == 4001
-        got = sample_filtered_random(4101, 3, n, k_filter=4000, seed=0)
+        got = sample_filtered_random(4101, 3, n, 4000, 0, {0})
         assert not set(got) & exclusion
 
 
@@ -284,12 +283,8 @@ def reference_sample_random(n, c, exclude, seed):
     return [candidates[int(i)] for i in picked]
 
 
-def reference_sample_filtered_random(n, c, neighbors, k_filter, seed,
-                                     extra_exclude=frozenset()):
-    exclude = set(neighbors.ids[:k_filter].tolist())
-    exclude.add(neighbors.query)
-    exclude.update(extra_exclude)
-    return reference_sample_random(n, c, exclude, seed)
+def reference_sample_filtered_random(n, c, row, k_filter, seed, exclude):
+    return reference_sample_random(n, c, set(row[:k_filter].tolist()) | set(exclude), seed)
 
 
 def reference_sample_sorted_random(t, query, n_candidates, c, seed,
@@ -322,14 +317,16 @@ def reference_sample_by_similarity(scores, c, t, mode):
 
 
 def reference_batch_neighbors(t, queries, k_max):
-    """Full-lexsort neighbor lists."""
-    result = []
+    """Full-lexsort neighbour rows as ``(ids, scores)`` matrices."""
+    ids, found = [], []
     for query in queries:
         scored = scores(t, query)
         others = np.delete(np.arange(t.rows), query)
         chosen = others[np.lexsort((others, -scored[others]))[:k_max]]
-        result.append(NeighborList(query=query, ids=chosen, scores=scored[chosen]))
-    return result
+        ids.append(chosen)
+        found.append(scored[chosen])
+    shape = (len(queries), min(k_max, t.rows - 1))
+    return np.array(ids, dtype=np.int64).reshape(shape), np.array(found).reshape(shape)
 
 
 def outcome(sampler, *args, **kwargs):
@@ -361,12 +358,13 @@ class TestSamplersMatchListReference:
 
     def test_sample_filtered_random(self):
         for trial, n, exclude, c in self.row_ranges(2):
-            nl = reference_batch_neighbors(init_embeddings(n, 3, trial), [0], n)[0]
+            [row], _ = reference_batch_neighbors(init_embeddings(n, 3, trial), [0], n)
             k_filter = trial % (n + 2)
+            exclude |= {0}  # mining's exclusion holds the query
             assert outcome(
-                sample_filtered_random, n, c, nl, k_filter, trial, exclude
+                sample_filtered_random, n, c, row, k_filter, trial, exclude
             ) == outcome(
-                reference_sample_filtered_random, n, c, nl, k_filter, trial, exclude
+                reference_sample_filtered_random, n, c, row, k_filter, trial, exclude
             )
 
     @pytest.mark.parametrize("mode", ["above", "below"])
@@ -467,14 +465,14 @@ class TestMineTriples:
     def test_collision_freedom_and_exact_rank_gap(self):
         table, ids = desk_papers()
         cfg = DESK_CONFIG
-        neighbors = batch_neighbors(table, range(10), max(cfg.k_pos, cfg.k_hard))
+        neighbors, _ = batch_neighbors(table, range(10), max(cfg.k_pos, cfg.k_hard))
         ts = mine_triples(range(10), table, ids, cfg)
         by_query = {}
         for t in ts.triples:
             by_query.setdefault(t.query, []).append(t)
         ext_to_idx = {ext: i for i, ext in enumerate(ids)}
-        for query, nl in zip(range(10), neighbors):
-            ranks = {node: r for r, node in enumerate(nl.ids.tolist(), start=1)}
+        for query, row in zip(range(10), neighbors, strict=True):
+            ranks = {node: r for r, node in enumerate(row.tolist(), start=1)}
             triples = by_query[ids[query]]
             pos_ranks = [ranks[ext_to_idx[t.positive]] for t in triples]
             hard_ranks = [
@@ -496,8 +494,8 @@ class TestMineTriples:
             if t.negative_kind != "easy":
                 continue
             assert t.strategy == "filtered_random"
-            nl = batch_neighbors(table, [ext_to_idx[t.query]], depth)[0]
-            assert ext_to_idx[t.negative] not in set(nl.ids.tolist()[:depth])
+            [row], _ = batch_neighbors(table, [ext_to_idx[t.query]], depth)
+            assert ext_to_idx[t.negative] not in set(row.tolist()[:depth])
 
     def test_negatives_are_shuffled_union_of_bands(self):
         table, ids = desk_papers()
@@ -505,8 +503,8 @@ class TestMineTriples:
         ts = mine_triples(range(8), table, ids, cfg)
         ext_to_idx = {ext: i for i, ext in enumerate(ids)}
         for query in range(8):
-            nl = batch_neighbors(table, [query], cfg.k_hard)[0]
-            hard_band = set(nl.ids.tolist()[cfg.k_hard - cfg.c_hard:cfg.k_hard])
+            [row], _ = batch_neighbors(table, [query], cfg.k_hard)
+            hard_band = set(row.tolist()[cfg.k_hard - cfg.c_hard:cfg.k_hard])
             triples = [t for t in ts.triples if t.query == ids[query]]
             got_hard = {ext_to_idx[t.negative]
                         for t in triples if t.negative_kind == "hard"}

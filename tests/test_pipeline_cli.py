@@ -424,6 +424,20 @@ class TestExitCodes:
         assert err.startswith(f"validation error: {config}: ")
         assert f"'{config}'" in err and "PosixPath(" not in err
 
+    @pytest.mark.parametrize("edit, args, named", [
+        (("seed = 3", "seed = 3"), ["--seed", "-1"], "seed override must be >= 0: -1"),
+        (("seed = 3", "seed = -3"), [], "[pipeline] seed must be >= 0: -3"),
+        *(((f"[{name}]", f"[{name}]\nseed = -2"), [], f"[{name}] seed must be >= 0: -2")
+          for name in ("graph", "sampling", "encoder", "fixture")),
+    ])
+    def test_negative_seed_exits_2_before_any_stage(self, workdir, capsys, edit, args, named):
+        config = workdir / "bad.ini"
+        config.write_text(MINIMAL_CONFIG.replace(*edit), encoding="utf-8")
+        assert main(["all", "--config", str(config), *args]) == 2
+        err = capsys.readouterr().err
+        assert err == f"validation error: {config}: bad config value: {named}\n"
+        assert sorted(p.name for p in workdir.iterdir()) == ["bad.ini", "config.ini"]
+
     @pytest.mark.parametrize("args", [
         ["ingest", "--config", "config.ini", "--stage-dir", "afile"],
         ["ingest", "--config", "config.ini", "--stage-dir", "afile/sub"],
