@@ -20,7 +20,6 @@ from .graph_embed import (
 )
 from .mining import (
     SamplingConfig,
-    Triple,
     TripleSet,
     mine_triples,
     range_by_rank,
@@ -38,7 +37,6 @@ __all__ = [
     "GraphTrainConfig",
     "LinkPredMetrics",
     "SamplingConfig",
-    "Triple",
     "TripleSet",
     "batch_neighbors",
     "eval_link_prediction",

@@ -208,6 +208,13 @@ def read_jsonl(path: str | Path, fields: Sequence[str]) -> Iterator[tuple[int, d
             yield lineno, record
 
 
+def require_str(value: object, name: str) -> str:
+    """``value`` if it is a string, else a :class:`DataError` naming ``name``."""
+    if not isinstance(value, str):
+        raise DataError(f"{name} must be a string, got {type(value).__name__}")
+    return value
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     """Write one key-sorted JSON object per line."""
     with Path(path).open("w", encoding="utf-8") as fh:
@@ -218,8 +225,8 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
 def load_documents(path: str | Path) -> dict[str, Document]:
     """Read a JSON-lines document file with ``id``, ``title``, ``abstract``.
 
-    A title and an abstract must be strings; a missing or null abstract is
-    empty. An id on two lines is a :class:`DataError` naming both.
+    The id, title and abstract must be strings; a missing or null abstract
+    is empty. An id on two lines is a :class:`DataError` naming both.
     """
     path = Path(path)
     docs: dict[str, Document] = {}
@@ -228,10 +235,8 @@ def load_documents(path: str | Path) -> dict[str, Document]:
         if record.get("abstract") is None:
             record["abstract"] = ""
         try:
-            for key in ("title", "abstract"):
-                if not isinstance(record[key], str):
-                    raise DataError(f"{key} must be a string, got {type(record[key]).__name__}")
-            doc = Document(str(record["id"]), record["title"], record["abstract"])
+            doc = Document(*(require_str(record[key], key)
+                             for key in ("id", "title", "abstract")))
         except DataError as exc:
             raise DataError(f"{path}: line {lineno}: {exc}") from None
         first = line_of.setdefault(doc.id, lineno)

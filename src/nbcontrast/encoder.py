@@ -29,7 +29,7 @@ from . import graph_embed, snapshot
 from .corpus import Document
 from .errors import DataError, ValidationError
 from .graph_embed import EmbeddingTable
-from .mining import TripleSet
+from .mining import TRIPLE_FIELDS, TripleSet
 
 UNK = "<unk>"
 SEP = "<sep>"
@@ -322,7 +322,8 @@ def train(
     arrays are stepped, never copied); returns the loss trace.
 
     The triples' documents are read from ``docs``, the corpus split once
-    per chain (see :func:`index_corpus`), tokenized under ``params.vocab``.
+    per chain (see :func:`index_corpus`), tokenized under ``params.vocab``;
+    an id with no document there is a :class:`DataError` that names it.
     Triples are reshuffled each epoch with a seed derived from
     ``(cfg.seed, epoch)``; every ``effective_batch`` triples, and the
     remainder at the end of the epoch, make one step that applies their
@@ -335,8 +336,8 @@ def train(
         raise ValueError("cannot train on an empty triple set")
     row = {pid: i for i, pid in enumerate(docs.ids)}
     try:
-        triples = np.array([[row[t.query], row[t.positive], row[t.negative]]
-                            for t in ts.triples], dtype=np.intp)
+        triples = np.array([list(map(row.__getitem__, ts.triples[name]))
+                            for name in TRIPLE_FIELDS[:3]], dtype=np.intp).T
     except KeyError as exc:
         raise DataError(f"triple references missing document {exc.args[0]!r}") from None
 

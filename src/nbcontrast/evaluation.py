@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import read_jsonl, write_jsonl
+from .corpus import read_jsonl, require_str, write_jsonl
 from .errors import DataError, ValidationError
 from .graph_embed import EmbeddingTable
 
@@ -292,7 +292,7 @@ def overlap_report(
 def load_ranking_task(path: str | Path) -> RankingTask:
     """Read a JSON-lines ranking task (query, candidates, relevant).
 
-    A record with no candidate, a candidate listed twice or a relevant id
+    A non-string id, an empty or repeated candidate, or a relevant id
     outside its candidates is a :class:`DataError` naming the line.
     """
     path = Path(path)
@@ -303,9 +303,11 @@ def load_ranking_task(path: str | Path) -> RankingTask:
                 raise DataError(f"{path}: line {lineno}: {key!r} must be a list")
         try:
             queries.append(RankingQuery(
-                query=str(record["query"]),
-                candidates=tuple(str(c) for c in record["candidates"]),
-                relevant=frozenset(str(r) for r in record["relevant"]),
+                query=require_str(record["query"], "query"),
+                candidates=tuple(require_str(c, "candidate")
+                                 for c in record["candidates"]),
+                relevant=frozenset(require_str(r, "relevant id")
+                                   for r in record["relevant"]),
             ))
         except DataError as exc:
             raise DataError(f"{path}: line {lineno}: {exc}") from None
@@ -327,25 +329,27 @@ def save_ranking_task(task: RankingTask, path: str | Path) -> None:
 def load_labeled_set(path: str | Path) -> LabeledSet:
     """Read a JSON-lines labeled set (id, label, split).
 
-    A split other than ``train`` or ``test``, or an id in both, is a
-    :class:`DataError` naming the line; an id on two lines of one split
-    names both lines.
+    An id, label or split that is not a string, a split other than
+    ``train`` or ``test``, or an id in both is a :class:`DataError` naming
+    the line; an id on two lines of one split names both lines.
     """
     path = Path(path)
     items = []
     first_of: dict[str, tuple[int, str]] = {}
     for lineno, record in read_jsonl(path, ("id", "label", "split")):
-        pid, split = str(record["id"]), str(record["split"])
-        if split not in ("train", "test"):
-            raise DataError(
-                f"{path}: line {lineno}: split must be 'train' or 'test', got {split!r}"
-            )
-        first, first_split = first_of.setdefault(pid, (lineno, split))
-        if first_split != split:
-            raise DataError(f"{path}: line {lineno}: id {pid!r} is in both splits")
-        if first != lineno:
-            raise DataError(f"{path}: line {lineno}: id {pid!r} already on line {first}")
-        items.append((pid, str(record["label"]), split))
+        try:
+            pid, label, split = (require_str(record[key], key)
+                                 for key in ("id", "label", "split"))
+            if split not in ("train", "test"):
+                raise DataError(f"split must be 'train' or 'test', got {split!r}")
+            first, first_split = first_of.setdefault(pid, (lineno, split))
+            if first_split != split:
+                raise DataError(f"id {pid!r} is in both splits")
+            if first != lineno:
+                raise DataError(f"id {pid!r} already on line {first}")
+        except DataError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from None
+        items.append((pid, label, split))
     if not items:
         raise DataError(f"{path}: empty labeled set")
     ls = LabeledSet(items=tuple(items))

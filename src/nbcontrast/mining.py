@@ -4,7 +4,8 @@ Positives come from a close rank band around the query, hard negatives
 from a distant band, and the gap between the bands is a tunable margin
 that keeps the two sample sets collision-free by construction. Easy
 negatives come from (filtered or sorted) random draws over every table
-row, i.e. every graph node. Every query's randomness is derived from the
+row, i.e. every graph node. Whatever the strategies, no negative is one
+of its query's positives. Every query's randomness is derived from the
 global seed and its external ID, so mining is reproducible and
 order-independent.
 """
@@ -139,29 +140,22 @@ class SamplingConfig:
         return depth
 
 
-@dataclass(frozen=True)
-class Triple:
-    """One (query, positive, negative) training example with provenance."""
-
-    query: str
-    positive: str
-    negative: str
-    negative_kind: str  # "hard" or "easy"
-    strategy: str       # sampler that produced the negative
-
-    def __post_init__(self):
-        if len({self.query, self.positive, self.negative}) != 3:
-            raise ValidationError(
-                f"triple ids must be distinct: {self.query!r}, "
-                f"{self.positive!r}, {self.negative!r}"
-            )
+TRIPLE_FIELDS = ("query", "positive", "negative", "negative_kind", "strategy")
 
 
-@dataclass(frozen=True)
+def triple_array(*columns: Sequence[str]) -> np.recarray:
+    """Read-only records with one object column per ``TRIPLE_FIELDS`` name."""
+    triples = np.rec.fromarrays([np.asarray(c, dtype=object) for c in columns],
+                                names=TRIPLE_FIELDS)
+    triples.flags.writeable = False
+    return triples
+
+
+@dataclass(frozen=True, eq=False)
 class TripleSet:
     """Ordered triples plus the config snapshot and mining audit trail."""
 
-    triples: tuple[Triple, ...]
+    triples: np.recarray  # triple_array: row t.query, column triples.query
     config_snapshot: SamplingConfig
     skipped: tuple[tuple[str, str], ...] = ()   # (query_id, reason)
     partial: tuple[str, ...] = ()               # queries with fewer samples
@@ -303,8 +297,8 @@ def _mine_one_query(
     ids: Sequence[str],
     neighbors: np.ndarray,
     cfg: SamplingConfig,
-) -> tuple[list[Triple], bool]:
-    """Sample one query row's triples; returns (triples, was_partial)."""
+) -> tuple[np.ndarray, bool]:
+    """One query row's (query, positive, negative, is easy) rows, and was_partial."""
     if "sim" in (cfg.pos_strategy, cfg.hard_strategy):
         # every node but the query: the threshold samplers are defined on
         # cosine whatever the table's own measure
@@ -319,8 +313,10 @@ def _mine_one_query(
     if cfg.c_hard == 0:
         hard: list[int] = []
     elif cfg.hard_strategy == "knn":
-        hard = range_by_rank(neighbors, cfg.k_hard, cfg.c_hard)
+        band = range_by_rank(neighbors, cfg.k_hard, cfg.c_hard)
+        hard = [i for i in band if i not in positives]
     else:
+        cosine[np.searchsorted(others, positives)] = np.nan  # NaN is below no threshold
         hard = sample_by_similarity(others, cosine, cfg.c_hard, cfg.t_neg, "below")
 
     taken = {query, *positives, *hard}
@@ -349,24 +345,13 @@ def _mine_one_query(
             exclude=taken,
         )
 
-    # validate() and the samplers keep both lists nonempty
-    negatives = [(i, "hard", cfg.hard_strategy) for i in hard]
-    negatives += [(i, "easy", cfg.easy_strategy) for i in easy]
+    negatives = np.array(hard + easy, dtype=np.int64)
     rng = np.random.default_rng(derive_seed(cfg.seed, "pair", qid))
-    shuffled = [negatives[int(i)] for i in rng.permutation(len(negatives))]
-
+    paired = rng.permutation(len(negatives))[:len(positives)]
     partial = (len(positives) < cfg.c_pos or len(hard) < cfg.c_hard  # a short sampler
                or len(easy) < cfg.c_easy)
-    return [
-        Triple(
-            query=qid,
-            positive=ids[positives[j]],
-            negative=ids[shuffled[j][0]],
-            negative_kind=shuffled[j][1],
-            strategy=shuffled[j][2],
-        )
-        for j in range(min(len(positives), len(shuffled)))
-    ], partial
+    return np.array([np.full(len(paired), query), positives[:len(paired)], negatives[paired],
+                     paired >= len(hard)], dtype=np.int64).T, partial
 
 
 def mine_triples(
@@ -393,7 +378,7 @@ def mine_triples(
             raise ValueError(f"query row {query} not in a table of {t.rows} rows")
 
     depth = cfg.neighbor_depth()
-    triples: list[Triple] = []
+    mined = [np.empty((0, 4), dtype=np.int64)]
     skipped: list[tuple[str, str]] = []
     partials: list[str] = []
     per_block = query_block(t)
@@ -403,16 +388,19 @@ def mine_triples(
                 else np.empty((len(block), 0), dtype=np.int64))
         for query, neighbors in zip(block, rows):
             try:
-                mined, partial = _mine_one_query(query, t, ids, neighbors, cfg)
+                triples, partial = _mine_one_query(query, t, ids, neighbors, cfg)
             except MiningFailure as skip:
                 skipped.append((ids[query], skip.reason))
                 continue
-            triples.extend(mined)
+            mined.append(triples)
             if partial:
                 partials.append(ids[query])
 
+    query, positive, negative, easy = np.concatenate(mined).T
     return TripleSet(
-        triples=tuple(triples),
+        triples=triple_array(*np.asarray(ids, dtype=object)[[query, positive, negative]],
+                             np.where(easy, "easy", "hard"),
+                             np.where(easy, cfg.easy_strategy, cfg.hard_strategy)),
         config_snapshot=cfg,
         skipped=tuple(skipped),
         partial=tuple(partials),
@@ -465,8 +453,9 @@ def subsample_triples(ts: TripleSet, fraction: float, seed: int) -> TripleSet:
         raise ValueError(f"fraction must be in (0, 1]: {fraction}")
     if fraction == 1.0:
         return ts
-    kept = tuple(ts.triples[i] for i in _draw_fraction(len(ts), fraction, seed))
-    return replace(ts, triples=kept)
+    kept = _draw_fraction(len(ts), fraction, seed)
+    return replace(ts, triples=triple_array(*(ts.triples[name][kept]
+                                              for name in TRIPLE_FIELDS)))
 
 
 TRIPLE_HEADER = ["query_id", "positive_id", "negative_id", "negative_kind", "strategy"]
@@ -477,25 +466,27 @@ def save_triples(ts: TripleSet, path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
         writer.writerow(TRIPLE_HEADER)
-        for t in ts.triples:
-            writer.writerow([t.query, t.positive, t.negative,
-                             t.negative_kind, t.strategy])
+        writer.writerows(ts.triples.tolist())
 
 
 def load_triples(path: str | Path, cfg: SamplingConfig | None = None) -> TripleSet:
-    """Read a triple TSV written by :func:`save_triples`."""
+    """Read a :func:`save_triples` TSV; its first bad line is a :class:`DataError`."""
     path = Path(path)
-    triples: list[Triple] = []
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh, delimiter="\t")
         header = next(reader, None)
         if header != TRIPLE_HEADER:
             raise DataError(f"{path}: bad triple header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 5:
-                raise DataError(f"{path}: line {lineno}: expected 5 columns")
-            try:
-                triples.append(Triple(*row))
-            except ValidationError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from None
-    return TripleSet(triples=tuple(triples), config_snapshot=cfg or SamplingConfig())
+        rows = list(reader)
+    bad_width = next((i for i, row in enumerate(rows) if len(row) != 5), len(rows))
+    table = np.array(rows[:bad_width], dtype=object).reshape(-1, 5)
+    query, positive, negative = table[:, :3].T
+    repeated = np.flatnonzero((query == positive) | (query == negative)
+                              | (positive == negative))
+    if repeated.size:
+        i = repeated[0]
+        raise DataError(f"{path}: line {i + 2}: triple ids must be distinct: "
+                        f"{query[i]!r}, {positive[i]!r}, {negative[i]!r}")
+    if bad_width < len(rows):
+        raise DataError(f"{path}: line {bad_width + 2}: expected 5 columns")
+    return TripleSet(triples=triple_array(*table.T), config_snapshot=cfg or SamplingConfig())

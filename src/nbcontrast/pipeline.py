@@ -438,7 +438,7 @@ def run_encode_train(
     triples_path = _require(cfg.workdir / ARTIFACTS["mine"][0], "triple file")
     docs_path = _require(cfg.documents_path, "document file")
     triples = mining.load_triples(triples_path, cfg.sampling_cfg)
-    if not triples.triples:
+    if len(triples) == 0:
         raise DataError(f"{triples_path}: no triples to train on")
     docs = corpus.load_documents(docs_path)
 

@@ -136,7 +136,7 @@ def test_criterion_2_band_arithmetic(band_mining):
     neighbors, _ = batch_neighbors(table, range(1000), TUNED_SAMPLING.k_hard)
     for query, row in zip(queries, neighbors, strict=True):
         ranks = {node: r for r, node in enumerate(row.tolist(), start=1)}
-        mine = [t for t in triples.triples if t.query == ids[query]]
+        mine = triples.triples[triples.triples.query == ids[query]]
         pos_ranks = sorted(ranks[ext_to_idx[t.positive]] for t in mine)
         hard_ranks = sorted(
             ranks[ext_to_idx[t.negative]]

@@ -237,6 +237,10 @@ class TestDocuments:
         ({"id": "n3", "title": None}, "title must be a string, got NoneType"),
         ({"id": "n3", "title": "T", "abstract": ["x", "y"]},
          "abstract must be a string, got list"),
+        # an id is not coerced: null would load as 'None', ["x"] as "['x']"
+        ({"id": None, "title": "T"}, "id must be a string, got NoneType"),
+        ({"id": ["x"], "title": "T"}, "id must be a string, got list"),
+        ({"id": 3, "title": "T"}, "id must be a string, got int"),
     ])
     def test_bad_text_names_file_and_line(self, tmp_path, record, message):
         path = self.second_line(tmp_path, record)

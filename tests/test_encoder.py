@@ -32,7 +32,7 @@ from nbcontrast.encoder import (
 from nbcontrast.errors import DataError, ValidationError
 from nbcontrast.fixtures import FixtureConfig, two_topic_documents
 from nbcontrast.graph_embed import EmbeddingTable
-from nbcontrast.mining import SamplingConfig, Triple, TripleSet
+from nbcontrast.mining import SamplingConfig, TripleSet, triple_array
 from nbcontrast.snapshot import read_snapshot, write_snapshot
 
 
@@ -307,6 +307,11 @@ def reference_loss(params_arrays, vocab, docs, slack):
     )
 
 
+def triple_set(rows):
+    """A triple set of ``(query, positive, negative, kind, strategy)`` rows."""
+    return TripleSet(triple_array(*zip(*rows)), SamplingConfig())
+
+
 def dense_reference_train(ts, docs, p0, cfg):
     """Test-local trainer: a dense gradient table per triple, one step per
     ``effective_batch`` triples applying their mean."""
@@ -371,10 +376,7 @@ class TestTrain:
             "p": Document(id="p", title="b", abstract=""),
             "n": Document(id="n", title="a b", abstract=""),
         }
-        ts = TripleSet(
-            triples=(Triple("q", "p", "n", "easy", "random"),),
-            config_snapshot=SamplingConfig(),
-        )
+        ts = triple_set([("q", "p", "n", "easy", "random")])
         return params, docs, ts
 
     def test_zero_learning_rate_freezes_everything(self):
@@ -461,8 +463,7 @@ class TestTrain:
         )
         docs = {pid: Document(id=pid, title=word, abstract="")
                 for pid, word in (("q", "c"), ("p", "a"), ("n", "b"))}
-        ts = TripleSet(triples=(Triple("q", "p", "n", "easy", "random"),),
-                       config_snapshot=SamplingConfig())
+        ts = triple_set([("q", "p", "n", "easy", "random")])
         cfg = EncoderTrainConfig(epochs=1, learning_rate=0.5, effective_batch=1,
                                  slack=0.0, seed=0)
         out = params.copy()
@@ -491,12 +492,11 @@ class TestTrain:
             docs[f"d{i}"] = Document(id=f"d{i}", title=" ".join(picks[:3]),
                                      abstract=" ".join(picks[3:]))
         ids = sorted(docs)
-        triples = (Triple("e", "d0", "d1", "easy", "random"),) + tuple(
-            Triple(*(ids[j] for j in rng.choice(len(ids), size=3, replace=False)),
-                   "easy", "random")
+        ts = triple_set([("e", "d0", "d1", "easy", "random")] + [
+            (*(ids[j] for j in rng.choice(len(ids), size=3, replace=False)),
+             "easy", "random")
             for _ in range(10)
-        )
-        ts = TripleSet(triples=triples, config_snapshot=SamplingConfig())
+        ])
         return ts, docs, init_encoder(vocab, hidden_dim=6, out_dim=3, seed=4)
 
     @pytest.mark.parametrize("overrides", [
@@ -639,11 +639,10 @@ class TestTrain:
             for i in range(12)
         }
         ids = sorted(docs)
-        triples = tuple(
-            Triple(ids[i], ids[(i + 1) % 12], ids[(i + 5) % 12], "easy", "random")
+        ts = triple_set(
+            (ids[i], ids[(i + 1) % 12], ids[(i + 5) % 12], "easy", "random")
             for i in range(12)
         )
-        ts = TripleSet(triples=triples, config_snapshot=SamplingConfig())
         vocab = build_vocab(docs.values())
         p0 = init_encoder(vocab, hidden_dim=8, out_dim=4, seed=3)
         cfg = EncoderTrainConfig(epochs=2, learning_rate=0.1,
@@ -733,9 +732,9 @@ def label_triples(labels, per_query, seed):
         rest = [p for p, other in labels.items() if other != label]
         positives = rng.choice(same, per_query, replace=False)
         negatives = rng.choice(rest, per_query, replace=False)
-        triples += [Triple(pid, str(pos), str(neg), "easy", "labels")
+        triples += [(pid, str(pos), str(neg), "easy", "labels")
                     for pos, neg in zip(positives, negatives)]
-    return TripleSet(triples=tuple(triples), config_snapshot=SamplingConfig())
+    return triple_set(triples)
 
 
 class TestTopicSeparation:

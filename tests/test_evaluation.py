@@ -322,6 +322,24 @@ class TestTaskFiles:
         loaded = load_ranking_task(path)
         assert loaded == task
 
+    @pytest.mark.parametrize("record, message", [
+        ({"query": 5, "candidates": ["a"], "relevant": ["a"]},
+         "query must be a string, got int"),
+        ({"query": "q", "candidates": ["a", None], "relevant": ["a"]},
+         "candidate must be a string, got NoneType"),
+        ({"query": "q", "candidates": ["a", "3"], "relevant": [3]},
+         "relevant id must be a string, got int"),
+    ])
+    def test_ranking_ids_must_be_strings(self, tmp_path, record, message):
+        # query 5 would load as '5' and candidate null as 'None'
+        path = tmp_path / "task.jsonl"
+        good = {"query": "q0", "candidates": ["a", "b"], "relevant": ["a"]}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            load_ranking_task(path)
+        assert str(err.value) == f"{path}: line 2: {message}"
+
     def test_relevant_must_be_candidates(self):
         with pytest.raises(DataError):
             RankingQuery(query="q", candidates=("a",), relevant=frozenset({"z"}))
@@ -354,6 +372,13 @@ class TestTaskFiles:
         ((("d0", "x", "train"), ("d1", "y", "train"), ("d2", "x", "test"),
           ("d0", "y", "train")),
          "line 4: id 'd0' already on line 1"),
+        # an id, label or split is not coerced: label 3 would load as '3'
+        ((("d0", "x", "train"), ("d1", 3, "train"), ("d2", "x", "test")),
+         "line 2: label must be a string, got int"),
+        ((("d0", "x", "train"), (None, "y", "train"), ("d2", "x", "test")),
+         "line 2: id must be a string, got NoneType"),
+        ((("d0", "x", "train"), ("d1", "y", "train"), ("d2", "x", ["test"])),
+         "line 3: split must be a string, got list"),
     ])
     def test_labeled_set_errors_name_file(self, tmp_path, items, message):
         path = tmp_path / "labels.jsonl"

@@ -13,9 +13,12 @@ from nbcontrast.errors import ValidationError
 from nbcontrast import mining, pipeline
 from nbcontrast.graph_embed import EmbeddingTable, init_embeddings, scores
 from nbcontrast.mining import (
+    EASY_STRATEGIES,
+    HARD_STRATEGIES,
+    POS_STRATEGIES,
+    TRIPLE_FIELDS,
     MiningFailure,
     SamplingConfig,
-    Triple,
     TripleSet,
     load_triples,
     mine_triples,
@@ -27,6 +30,7 @@ from nbcontrast.mining import (
     save_triples,
     select_queries,
     subsample_triples,
+    triple_array,
 )
 from nbcontrast.snapshot import read_snapshot
 
@@ -35,6 +39,11 @@ TUNED_CONFIG = SamplingConfig(k_pos=25, k_hard=4000, c_pos=5, c_hard=2, c_easy=3
 DESK_CONFIG = SamplingConfig(
     k_pos=10, k_hard=50, c_pos=5, c_hard=2, c_easy=3, seed=3
 )
+
+
+def as_rows(ts):
+    """A triple set's rows and audit trail, for comparing two sets."""
+    return ts.triples.tolist(), ts.skipped, ts.partial
 
 
 def fake_neighbors(count):
@@ -418,7 +427,7 @@ class TestSamplersMatchListReference:
                 list(zip(ids.tolist(), scores.tolist())), c, t, mode
             ),
         )
-        assert mine_triples(range(0, 3000, 50), table, ids, cfg) == got
+        assert as_rows(mine_triples(range(0, 3000, 50), table, ids, cfg)) == as_rows(got)
 
     @pytest.mark.parametrize("easy", ["filtered_random", "sorted_random"])
     def test_mine_triples_cosine(self, monkeypatch, easy):
@@ -433,7 +442,7 @@ class TestSamplersMatchListReference:
         for name in ("sample_random", "sample_filtered_random",
                      "sample_sorted_random", "batch_neighbors"):
             monkeypatch.setattr(mining, name, globals()["reference_" + name])
-        assert mine_triples(range(0, 3000, 50), table, ids, cfg) == got
+        assert as_rows(mine_triples(range(0, 3000, 50), table, ids, cfg)) == as_rows(got)
 
 
 def desk_papers(n=100, seed=0):
@@ -514,14 +523,14 @@ class TestMineTriples:
         table, ids = desk_papers()
         a = mine_triples(range(12), table, ids, DESK_CONFIG)
         b = mine_triples(range(12), table, ids, DESK_CONFIG)
-        assert a == b
+        assert as_rows(a) == as_rows(b)
 
     def test_per_query_seed_stable_under_reordering(self):
         table, ids = desk_papers()
         forward = mine_triples(range(6), table, ids, DESK_CONFIG)
         backward = mine_triples(range(5, -1, -1), table, ids, DESK_CONFIG)
-        fwd = {t.query: t for t in forward.triples}
-        bwd = {t.query: t for t in backward.triples}
+        fwd = {t[0]: t for t in forward.triples.tolist()}
+        bwd = {t[0]: t for t in backward.triples.tolist()}
         # first triple of each query identical regardless of query order
         for query in fwd:
             assert fwd[query] == bwd[query]
@@ -551,12 +560,6 @@ class TestMineTriples:
         with pytest.raises(ValueError, match=f"query row {query} not in"):
             mine_triples([0, query], table, ids, DESK_CONFIG)
 
-    def test_triple_ids_always_distinct(self):
-        with pytest.raises(ValidationError):
-            Triple("a", "a", "b", "easy", "random")
-        with pytest.raises(ValidationError):
-            Triple("a", "b", "b", "easy", "random")
-
     def test_random_easy_strategy_distinctness(self):
         table, ids = desk_papers()
         cfg = SamplingConfig(k_pos=10, k_hard=50, c_pos=5, c_hard=2, c_easy=3,
@@ -585,22 +588,48 @@ class TestMineTriples:
         ts = mine_triples(range(10), table, ids, cfg)
         assert len(ts) > 0
         # sim picks by cosine regardless of the table's dot measure
-        for t in ts.triples[:6]:
-            assert t.query != t.positive != t.negative
+        for t in ts.triples:
+            assert len({t.query, t.positive, t.negative}) == 3
+
+    @pytest.mark.parametrize("pos", POS_STRATEGIES)
+    @pytest.mark.parametrize("hard", HARD_STRATEGIES)
+    @pytest.mark.parametrize("easy", EASY_STRATEGIES)
+    def test_no_negative_is_a_positive_of_its_query(self, pos, hard, easy):
+        # bands that reach for the same nodes: any cosine above 0 makes a
+        # positive, any below 0.99 a hard negative, and the knn hard band
+        # sits right behind the knn positives
+        table, ids = desk_papers()
+        cfg = SamplingConfig(k_pos=10, k_hard=12, c_pos=5, c_hard=2, c_easy=3,
+                             t_pos=0.0, t_neg=0.99, pos_strategy=pos,
+                             hard_strategy=hard, easy_strategy=easy,
+                             sorted_random_candidates=30, seed=5)
+        ts = mine_triples(range(100), table, ids, cfg)
+        assert len(ts) > 0
+        query, positive, negative = (ts.triples[name] for name in TRIPLE_FIELDS[:3])
+        assert not ((query == positive) | (query == negative)
+                    | (positive == negative)).any()
+        assert not set(zip(query, positive)) & set(zip(query, negative))
+        # a positive dropped from the knn hard band leaves its query short
+        assert bool(ts.partial) == ((pos, hard) == ("sim", "knn"))
+
+    def test_hard_band_inside_the_positives_with_no_easy_band(self):
+        # the sim positive is the top cosine and the rank-1 hard band the top
+        # dot product: where they are one node the query has no negative
+        table, ids = desk_papers()
+        cfg = SamplingConfig(c_pos=1, c_hard=1, c_easy=0, k_hard=1, t_pos=-0.99,
+                             pos_strategy="sim", hard_strategy="knn", seed=5)
+        ts = mine_triples(range(100), table, ids, cfg)
+        assert not ts.skipped
+        assert 0 < len(ts) < 100 and len(ts) + len(ts.partial) == 100
+        assert not set(ts.partial) & set(ts.triples.query)
+        assert not (ts.triples.positive == ts.triples.negative).any()
 
 
 def synthetic_tripleset(n_queries, per_query=5):
-    triples = []
-    for q in range(n_queries):
-        for j in range(per_query):
-            triples.append(Triple(
-                query=f"q{q:05d}",
-                positive=f"pos{q:05d}_{j}",
-                negative=f"neg{q:05d}_{j}",
-                negative_kind="easy" if j else "hard",
-                strategy="random",
-            ))
-    return TripleSet(triples=tuple(triples), config_snapshot=SamplingConfig())
+    rows = [(f"q{q:05d}", f"pos{q:05d}_{j}", f"neg{q:05d}_{j}",
+             "easy" if j else "hard", "random")
+            for q in range(n_queries) for j in range(per_query)]
+    return TripleSet(triple_array(*zip(*rows)), SamplingConfig())
 
 
 def query_ids(ts):
@@ -616,15 +645,14 @@ def reference_subsample_by_query(ts, fraction, seed):
     k = math.floor(fraction * len(queries) + 1e-9)
     picks = np.random.default_rng(seed).choice(len(queries), size=k, replace=False)
     chosen = {queries[int(i)] for i in picks}
-    return dataclasses.replace(
-        ts, triples=tuple(t for t in ts.triples if t.query in chosen)
-    )
+    kept = np.array([query in chosen for query in ts.triples.query], dtype=bool)
+    return dataclasses.replace(ts, triples=ts.triples[kept])
 
 
 class TestSubsample:
     def test_identity_at_fraction_one(self):
         ts = synthetic_tripleset(10)
-        assert subsample_triples(ts, 1.0, seed=0) == ts
+        assert subsample_triples(ts, 1.0, seed=0) is ts
 
     def test_floor_convention_on_triple_count(self):
         # 68410 triples at 10% floors to exactly 6841
@@ -636,12 +664,13 @@ class TestSubsample:
         ts = synthetic_tripleset(100)
         a = subsample_triples(ts, 0.3, seed=7)
         b = subsample_triples(ts, 0.3, seed=7)
-        assert a == b
+        assert as_rows(a) == as_rows(b)
 
     def test_order_preserved(self):
         ts = synthetic_tripleset(50)
         kept = subsample_triples(ts, 0.5, seed=2)
-        positions = [ts.triples.index(t) for t in kept.triples]
+        rows = ts.triples.tolist()
+        positions = [rows.index(t) for t in kept.triples.tolist()]
         assert positions == sorted(positions)
 
     def test_fraction_out_of_range(self):
@@ -741,6 +770,25 @@ class TestRunMineSelectsBeforeScanning:
         assert out.read_bytes() == (tmp_path / "expected.tsv").read_bytes()
 
 
+class TestBandsReachingForThePositives:
+    @pytest.mark.parametrize("overrides", [
+        {"pos_strategy": "sim", "t_pos": 0.0, "k_hard": 10},
+        {"hard_strategy": "sim", "t_neg": 0.99},
+        {"pos_strategy": "sim", "t_pos": 0.0, "k_hard": 1, "c_hard": 1, "c_easy": 0},
+    ])
+    def test_quick_start_mine_writes_no_collision(
+        self, trained_fixture, tmp_path, overrides
+    ):
+        for name in ("graph.json", "graph_embeddings.nbe"):
+            (tmp_path / name).write_bytes((trained_fixture / name).read_bytes())
+        cfg = pipeline.load_config(trained_fixture / "config.ini", stage_dir=tmp_path)
+        sc = dataclasses.replace(cfg.sampling_cfg, **overrides)
+        ts = load_triples(pipeline.run_mine(dataclasses.replace(cfg, sampling_cfg=sc)))
+        assert len(ts) > 0
+        positives = set(zip(ts.triples.query, ts.triples.positive))
+        assert not positives & set(zip(ts.triples.query, ts.triples.negative))
+
+
 class TestTripleFileRoundtrip:
     def test_roundtrip(self, tmp_path):
         table, ids = desk_papers()
@@ -748,7 +796,7 @@ class TestTripleFileRoundtrip:
         path = tmp_path / "triples.tsv"
         save_triples(ts, path)
         loaded = load_triples(path, DESK_CONFIG)
-        assert loaded.triples == ts.triples
+        assert loaded.triples.tolist() == ts.triples.tolist()
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header == "query_id\tpositive_id\tnegative_id\tnegative_kind\tstrategy"
 
@@ -770,3 +818,58 @@ class TestTripleFileRoundtrip:
         from nbcontrast.errors import DataError
         with pytest.raises(DataError):
             load_triples(path)
+
+    @staticmethod
+    def triple_file(tmp_path, *lines):
+        """A triple file of the header, one good line, then ``lines``."""
+        path = tmp_path / "triples.tsv"
+        path.write_text("".join(
+            line + "\n" for line in ("\t".join(mining.TRIPLE_HEADER),
+                                     "a\tb\tc\thard\tknn", *lines)
+        ), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("ids", ["a\ta\tb", "a\tb\tb", "b\ta\tb"],
+                             ids=["query-positive", "positive-negative", "query-negative"])
+    def test_triple_ids_always_distinct(self, tmp_path, ids):
+        from nbcontrast.errors import DataError
+        path = self.triple_file(tmp_path, f"{ids}\teasy\trandom", "a\ta\ta\thard\tknn")
+        with pytest.raises(DataError) as err:
+            load_triples(path)
+        shown = ", ".join(repr(i) for i in ids.split("\t"))
+        assert str(err.value) == (
+            f"{path}: line 3: triple ids must be distinct: {shown}"
+        )
+
+    @pytest.mark.parametrize("line", ["a\tb\tc\thard", "a\tb\tc\thard\tknn\tx", ""],
+                             ids=["four", "six", "blank"])
+    def test_wrong_width_names_its_line(self, tmp_path, line):
+        from nbcontrast.errors import DataError
+        path = self.triple_file(tmp_path, "a\tb\td\teasy\trandom", line)
+        with pytest.raises(DataError) as err:
+            load_triples(path)
+        assert str(err.value) == f"{path}: line 4: expected 5 columns"
+
+    @pytest.mark.parametrize("lines, bad", [
+        (["a\ta\tc\thard\tknn", "a\tb\tc\thard"], "line 3: triple ids must be distinct"),
+        (["a\tb\tc\thard", "a\ta\tc\thard\tknn"], "line 3: expected 5 columns"),
+    ], ids=["repeat-first", "width-first"])
+    def test_first_bad_line_is_reported(self, tmp_path, lines, bad):
+        from nbcontrast.errors import DataError
+        path = self.triple_file(tmp_path, *lines)
+        with pytest.raises(DataError) as err:
+            load_triples(path)
+        assert str(err.value).startswith(f"{path}: {bad}")
+
+    def test_triples_are_read_only(self, tmp_path):
+        table, ids = desk_papers()
+        mined = mine_triples(range(5), table, ids, DESK_CONFIG)
+        save_triples(mined, tmp_path / "triples.tsv")
+        loaded = load_triples(tmp_path / "triples.tsv")
+        for ts in (mined, loaded, subsample_triples(mined, 0.5, seed=0)):
+            assert ts.triples.dtype.names == TRIPLE_FIELDS
+            assert ts.triples.dtype.fields["query"][0] == object
+            with pytest.raises(ValueError, match="read-only"):
+                ts.triples.query[0] = "x"
+            with pytest.raises(ValueError, match="read-only"):
+                ts.triples[0] = ts.triples[1]

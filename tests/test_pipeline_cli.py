@@ -518,8 +518,8 @@ class TestExitCodes:
         # mine refuses to write an empty triple file, so write one by hand
         config = workdir / "config.ini"
         assert main(["fixture", "--config", str(config)]) == 0
-        mining.save_triples(mining.TripleSet((), SamplingConfig()),
-                            workdir / ARTIFACTS["mine"][0])
+        empty = mining.TripleSet(mining.triple_array(*[[]] * 5), SamplingConfig())
+        mining.save_triples(empty, workdir / ARTIFACTS["mine"][0])
         capsys.readouterr()
         assert main(["encode-train", "--config", str(config)]) == 3
         assert ARTIFACTS["mine"][0] in capsys.readouterr().err
