@@ -6,6 +6,11 @@ the pooled vector to the output space. Training minimizes
 ``max(||q - p|| - ||q - n|| + slack, 0)`` over mined triples with
 minibatch SGD.
 
+Weights are float32, the precision ``encoder.bin`` stores, so training,
+the checkpoint and eval all see the same values. Every product follows
+the table's dtype: params built from float64 arrays stay float64, which is
+how the reference tests and :func:`grad_check` run.
+
 A bias-only mode freezes everything except the projection bias. Because
 the loss depends only on differences of encoded vectors, the output bias
 cancels out of every distance and its gradient is identically zero: the
@@ -37,7 +42,9 @@ SEP = "<sep>"
 
 @dataclass
 class EncoderParams:
-    """Vocabulary, token embedding table, and affine projection."""
+    """Vocabulary, token embedding table, and affine projection, held in
+    one dtype: float32, or float64 when an array given is float64 (or
+    integer)."""
 
     vocab: dict[str, int]
     token_table: np.ndarray    # (V, hidden)
@@ -45,9 +52,11 @@ class EncoderParams:
     projection_bias: np.ndarray  # (out_dim,)
 
     def __post_init__(self):
-        self.token_table = np.asarray(self.token_table, dtype=np.float64)
-        self.projection = np.asarray(self.projection, dtype=np.float64)
-        self.projection_bias = np.asarray(self.projection_bias, dtype=np.float64)
+        arrays = [np.asarray(a) for a in
+                  (self.token_table, self.projection, self.projection_bias)]
+        dtype = np.result_type(*arrays, np.float32)
+        self.token_table, self.projection, self.projection_bias = (
+            a.astype(dtype, copy=False) for a in arrays)
         for token in (UNK, SEP):
             if token not in self.vocab:
                 raise ValidationError(f"vocab must reserve {token!r}")
@@ -66,12 +75,13 @@ class EncoderParams:
     def out_dim(self) -> int:
         return int(self.projection.shape[1])
 
-    def copy(self) -> "EncoderParams":
+    def copy(self, dtype: type | None = None) -> "EncoderParams":
+        """A copy, its arrays cast to ``dtype`` when one is given."""
         return EncoderParams(
             vocab=dict(self.vocab),
-            token_table=self.token_table.copy(),
-            projection=self.projection.copy(),
-            projection_bias=self.projection_bias.copy(),
+            token_table=np.array(self.token_table, dtype=dtype),
+            projection=np.array(self.projection, dtype=dtype),
+            projection_bias=np.array(self.projection_bias, dtype=dtype),
         )
 
 
@@ -158,16 +168,23 @@ def build_vocab(docs: Collection[Document]) -> dict[str, int]:
 def init_encoder(
     vocab: dict[str, int], hidden_dim: int = 64, out_dim: int = 32, seed: int = 0
 ) -> EncoderParams:
-    """Gaussian init scaled by 1/sqrt(hidden_dim); zero projection bias."""
+    """Gaussian init scaled by 1/sqrt(hidden_dim); zero projection bias.
+
+    The float64 draws are rounded into float32 arrays, the token table's a
+    block of at most ``graph_embed.CELL_CAP`` cells at a time, so no float64
+    table is held."""
     if hidden_dim < 1 or out_dim < 1:
         raise ValueError("hidden_dim and out_dim must be >= 1")
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(hidden_dim)
+    token_table = np.empty((len(vocab), hidden_dim), dtype=np.float32)
+    for block in snapshot.blocks(token_table, token_table.dtype):
+        block[:] = rng.normal(0.0, scale, size=block.size)
     return EncoderParams(
         vocab=vocab,
-        token_table=rng.normal(0.0, scale, size=(len(vocab), hidden_dim)),
-        projection=rng.normal(0.0, scale, size=(hidden_dim, out_dim)),
-        projection_bias=np.zeros(out_dim),
+        token_table=token_table,
+        projection=rng.normal(0.0, scale, size=(hidden_dim, out_dim)).astype(np.float32),
+        projection_bias=np.zeros(out_dim, dtype=np.float32),
     )
 
 
@@ -237,11 +254,12 @@ def tokenize_corpus(docs: Collection[Document], vocab: Mapping[str, int]) -> Doc
 
 def _pool_chunks(
     table: np.ndarray, offsets: np.ndarray, flat: np.ndarray, items: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Mean-pool ``items`` (rows of CSR documents, read column by column) a
     chunk at a time, yielding each chunk's distinct token ids, its count
-    matrix ``C`` (a row per document, a column per token, counts over the
-    document's length) and ``C @ table[tokens]``, a table row per vocab id.
+    matrix ``C`` (a row per document, a column per token), the documents'
+    lengths as a column and the pooled rows ``C @ table[tokens] / lengths``,
+    a table row per vocab id; all but the ids in the table's dtype.
     A chunk of ``k`` items has ``r = k * width`` rows and at most ``min(vocab,
     r * max_tokens)`` columns; it takes as many items as fit in
     ``graph_embed.CELL_CAP``, and at least one."""
@@ -266,13 +284,14 @@ def _pool_chunks(
         rank[tokens] = np.arange(len(tokens))
         col = rank[ids]
         c = np.bincount(row * len(tokens) + col, minlength=len(docs) * len(tokens))
-        c = c.reshape(len(docs), len(tokens)) / lengths[:, None]
-        yield tokens, c, c @ table[tokens]
+        c = c.reshape(len(docs), len(tokens)).astype(table.dtype)
+        lengths = lengths.astype(table.dtype)[:, None]
+        yield tokens, c, lengths, c @ table[tokens] / lengths
 
 
 def _encode_rows(p: EncoderParams, offsets: np.ndarray, flat: np.ndarray) -> np.ndarray:
     """Encoded vectors of every CSR document, pooled from the projected table."""
-    out = np.empty((len(offsets) - 1, p.out_dim))
+    out = np.empty((len(offsets) - 1, p.out_dim), dtype=p.token_table.dtype)
     projected = p.token_table @ p.projection
     start = 0
     for *_, pooled in _pool_chunks(projected, offsets, flat, np.arange(len(out))[:, None]):
@@ -295,7 +314,7 @@ def _batch_loss_and_grads(
     row_grads = []
     d_projection = np.zeros_like(p.projection)
     d_bias = np.zeros_like(p.projection_bias)
-    for tokens, c, pooled in _pool_chunks(p.token_table, offsets, flat, triples):
+    for tokens, c, lengths, pooled in _pool_chunks(p.token_table, offsets, flat, triples):
         eq, ep, en = np.split(pooled @ p.projection + p.projection_bias, 3)
         diffs = np.stack([eq - ep, eq - en])
         norms = np.linalg.norm(diffs, axis=2)
@@ -308,7 +327,7 @@ def _batch_loss_and_grads(
         d_bias += d_out.sum(axis=0)
         if not bias_only:
             d_projection += pooled.T @ d_out
-            row_grads.append((tokens, c.T @ (d_out @ p.projection.T)))
+            row_grads.append((tokens, c.T @ (d_out @ p.projection.T / lengths)))
     return loss, row_grads, d_projection, d_bias
 
 
@@ -369,33 +388,34 @@ def grad_check(
 ) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
-    The analytic gradient is the training batch gradient of one triple.
-    The fixture must sit away from kinks: loss strictly positive and both
-    pair distances nonzero, otherwise the fixture is rejected.
+    The analytic gradient is the training batch gradient of one triple,
+    both sides taken on a float64 copy of ``p``. The fixture must sit away
+    from kinks: loss strictly positive and both pair distances nonzero,
+    otherwise the fixture is rejected.
     """
+    work = p.copy(np.float64)
     doc_rows = tokenize_corpus(docs, p.vocab)
     offsets, flat = doc_rows.offsets, doc_rows.flat
 
     def loss_at(params: EncoderParams) -> float:
         return triplet_loss(*_encode_rows(params, offsets, flat), slack)
 
-    q, pos, neg = _encode_rows(p, offsets, flat)
+    q, pos, neg = _encode_rows(work, offsets, flat)
     if triplet_loss(q, pos, neg, slack) <= 0.0:
         raise ValueError("rejected fixture: loss not strictly positive")
     if np.linalg.norm(q - pos) == 0.0 or np.linalg.norm(q - neg) == 0.0:
         raise ValueError("rejected fixture: zero pair distance (norm kink)")
 
     _, row_grads, d_projection, d_bias = _batch_loss_and_grads(
-        p, offsets, flat, np.array([[0, 1, 2]]), slack, bias_only
+        work, offsets, flat, np.array([[0, 1, 2]]), slack, bias_only
     )
-    d_table = np.zeros_like(p.token_table)
+    d_table = np.zeros_like(work.token_table)
     for rows, grads in row_grads:
         d_table[rows] += grads
     analytic = {"projection_bias": d_bias}
     if not bias_only:
         analytic.update(token_table=d_table, projection=d_projection)
 
-    work = p.copy()
     max_err = 0.0
     for name, grad in analytic.items():
         values = getattr(work, name).reshape(-1)
@@ -424,7 +444,8 @@ _U32 = struct.Struct("<I")  # a vocab entry's byte length, then its UTF-8 bytes
 
 
 def save_encoder(p: EncoderParams, path: str | Path) -> None:
-    """Binary checkpoint: NBC1 header, weights, then length-prefixed vocab."""
+    """Binary checkpoint: NBC1 header, float32 weights, then length-prefixed
+    vocab. Float32 params are written as they are."""
     tokens = sorted(p.vocab, key=p.vocab.get)
     with Path(path).open("wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -438,7 +459,8 @@ def save_encoder(p: EncoderParams, path: str | Path) -> None:
 
 
 def load_encoder(path: str | Path) -> EncoderParams:
-    """Read a checkpoint written by :func:`save_encoder`.
+    """Read a checkpoint written by :func:`save_encoder` into float32
+    params, so the round trip of float32 params is exact.
 
     A size in the header that runs past the end of the file, trailing
     bytes, a token that is not UTF-8 or an inconsistent vocabulary is a
@@ -457,10 +479,10 @@ def load_encoder(path: str | Path) -> EncoderParams:
         if magic != CHECKPOINT_MAGIC:
             raise DataError(f"{path}: not an encoder checkpoint (magic {magic!r})")
         vocab_size, hidden, _ = struct.unpack("<IIB", read(9))
-        token_table = snapshot.read_f4(fh, (vocab_size, hidden))
+        token_table = snapshot.read_f4(fh, (vocab_size, hidden), np.float32)
         (out_dim,) = struct.unpack("<I", read(4))
-        projection = snapshot.read_f4(fh, (hidden, out_dim))
-        bias = snapshot.read_f4(fh, (out_dim,))
+        projection = snapshot.read_f4(fh, (hidden, out_dim), np.float32)
+        bias = snapshot.read_f4(fh, (out_dim,), np.float32)
         (n_tokens,) = struct.unpack("<I", read(4))
         data = fh.read()
     if n_tokens != vocab_size:

@@ -2,10 +2,11 @@
 
 Layout (little-endian): magic ``NBE1``, u32 node_count, u32 dim,
 u8 measure code (0 = dot, 1 = cosine), then row-major float32 values.
-In-memory tables are float64; writing narrows to float32, reading
-promotes back so score comparisons stay in 64-bit. Both move the values
-a block of at most ``graph_embed.CELL_CAP`` cells at a time, so a table
-is never held twice.
+In-memory graph tables are float64; writing narrows to float32, reading
+promotes back so score comparisons stay in 64-bit. The encoder checkpoint
+stores its float32 weights with the same helpers and reads them back as
+float32. Both move the values a block of at most ``graph_embed.CELL_CAP``
+cells at a time, so a table is never held twice.
 """
 
 from __future__ import annotations
@@ -36,14 +37,15 @@ def blocks(values: np.ndarray, dtype: str) -> Iterator[np.ndarray]:
         yield flat[start:start + cap].astype(dtype, copy=False)
 
 
-def read_f4(fh: BinaryIO, shape: tuple[int, ...]) -> np.ndarray:
-    """Row-major ``<f4`` values of ``shape`` from ``fh``, promoted to float64
-    a block at a time. Values that run past the end of the file are a
-    :class:`DataError`, raised before the table is allocated."""
+def read_f4(fh: BinaryIO, shape: tuple[int, ...], dtype: type) -> np.ndarray:
+    """Row-major ``<f4`` values of ``shape`` from ``fh`` into a ``dtype``
+    table (float32 as stored, float64 promoted), filled a block at a time.
+    Values that run past the end of the file are a :class:`DataError`,
+    raised before the table is allocated."""
     count = math.prod(shape)
     if count * 4 > os.fstat(fh.fileno()).st_size - fh.tell():
         raise DataError(f"{fh.name}: truncated: {count} floats run past the end")
-    out = np.empty(count)
+    out = np.empty(count, dtype=dtype)
     for block in blocks(out, out.dtype):
         block[:] = np.frombuffer(fh.read(block.size * 4), dtype="<f4")
     return out.reshape(shape)
@@ -75,5 +77,5 @@ def read_snapshot(path: str | Path) -> EmbeddingTable:
             raise DataError(
                 f"{path}: payload is {payload} bytes, expected {rows * dim * 4}"
             )
-        values = read_f4(fh, (rows, dim))
+        values = read_f4(fh, (rows, dim), np.float64)
     return EmbeddingTable(values=values, measure=_CODE_MEASURES[code])

@@ -169,9 +169,9 @@ class TestEncode:
 def counting(pool_chunks, sizes):
     """``pool_chunks`` that also appends each chunk's document count to ``sizes``."""
     def wrapped(*args):
-        for tokens, c, pooled in pool_chunks(*args):
-            sizes.append(len(c))
-            yield tokens, c, pooled
+        for chunk in pool_chunks(*args):
+            sizes.append(len(chunk[1]))
+            yield chunk
     return wrapped
 
 
@@ -195,7 +195,7 @@ class TestEncodeCorpus:
             picks = rng.choice(words, size=int(rng.integers(1, 24)))
             docs.append(Document(id=f"d{i}", title=" ".join(picks[:2]),
                                  abstract=" ".join(picks[2:])))
-        return docs, init_encoder(vocab, hidden_dim=5, out_dim=3, seed=1)
+        return docs, init_encoder(vocab, hidden_dim=5, out_dim=3, seed=1).copy(np.float64)
 
     @pytest.mark.parametrize("cap, block", [
         (None, 25),       # the default cap holds the corpus in one block
@@ -239,7 +239,7 @@ class TestPoolChunks:
         if cap is not None:
             monkeypatch.setattr(graph_embed, "CELL_CAP", cap)
         start, touched_all = 0, False
-        for tokens, c, pooled in encoder._pool_chunks(table, offsets, flat, items):
+        for tokens, c, lengths, pooled in encoder._pool_chunks(table, offsets, flat, items):
             docs = items[start:start + len(c) // 3].T.reshape(-1)
             start += len(docs) // 3
             ids = [rows[d] for d in docs]
@@ -247,10 +247,13 @@ class TestPoolChunks:
             row = np.repeat(np.arange(len(docs)), [len(r) for r in ids])
             expect_c = np.zeros((len(docs), len(expect_tokens)))
             np.add.at(expect_c, (row, col), 1.0)
-            expect_c /= np.array([len(r) for r in ids])[:, None]
+            expect_lengths = np.array([len(r) for r in ids])[:, None]
             np.testing.assert_array_equal(tokens, expect_tokens)
             np.testing.assert_array_equal(c, expect_c)
-            np.testing.assert_allclose(pooled, expect_c @ table[expect_tokens], atol=1e-12)
+            np.testing.assert_array_equal(lengths, expect_lengths)
+            np.testing.assert_allclose(
+                pooled, expect_c / expect_lengths @ table[expect_tokens], atol=1e-12
+            )
             touched_all |= len(tokens) == vocab
         assert start == len(items) and touched_all
 
@@ -497,7 +500,7 @@ class TestTrain:
              "easy", "random")
             for _ in range(10)
         ])
-        return ts, docs, init_encoder(vocab, hidden_dim=6, out_dim=3, seed=4)
+        return ts, docs, init_encoder(vocab, hidden_dim=6, out_dim=3, seed=4).copy(np.float64)
 
     @pytest.mark.parametrize("overrides", [
         {},
@@ -528,6 +531,21 @@ class TestTrain:
         np.testing.assert_allclose(out.projection_bias, bias, rtol=0, atol=1e-12)
         if not (cfg.bias_only or cfg.learning_rate == 0.0):
             assert not np.array_equal(out.token_table, p0.token_table)
+
+    def test_float32_stays_near_float64(self):
+        ts, docs, p64 = self.reference_fixture()
+        p32 = p64.copy(np.float32)
+        p64 = p32.copy(np.float64)  # the same init in both precisions
+        cfg = EncoderTrainConfig(epochs=3, learning_rate=0.3, effective_batch=4, seed=2)
+        trace32 = train(ts, corpus_rows(docs, p32), p32, cfg)
+        trace64 = train(ts, corpus_rows(docs, p64), p64, cfg)
+        assert p32.token_table.dtype == np.float32
+        np.testing.assert_allclose(trace32, trace64, rtol=1e-5, atol=0)
+        # all weights as one vector: the bias's exact gradient is 0, so it
+        # only holds rounding noise and has no scale of its own
+        got, expect = (np.concatenate([p.token_table.ravel(), p.projection.ravel(),
+                                       p.projection_bias]) for p in (p32, p64))
+        assert np.linalg.norm(got - expect) <= 1e-5 * np.linalg.norm(expect)
 
     def test_updates_the_params_it_is_given(self):
         ts, docs, p0 = self.reference_fixture()
@@ -630,6 +648,30 @@ class TestTrain:
         np.testing.assert_allclose(out.token_table, table, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.projection, projection, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.projection_bias, bias, rtol=0, atol=1e-12)
+
+    def test_float32_table_computes_in_float32(self, monkeypatch):
+        # a silent upcast would keep the results right but not the time and memory
+        p0, offsets, flat, triples = self.batch_inputs()
+        p32 = p0.copy(np.float32)
+        for chunk in encoder._pool_chunks(p32.token_table, offsets, flat, triples):
+            assert [a.dtype for a in chunk[1:]] == [np.float32] * 3
+        assert encoder._encode_rows(p32, offsets, flat).dtype == np.float32
+
+        grads = []
+        batch_loss_and_grads = encoder._batch_loss_and_grads
+
+        def recording(*args):
+            out = batch_loss_and_grads(*args)
+            grads.extend([*(g for _, g in out[1]), *out[2:]])
+            return out
+
+        monkeypatch.setattr(encoder, "_batch_loss_and_grads", recording)
+        ts, docs, _ = self.reference_fixture()
+        train(ts, corpus_rows(docs, p32), p32,
+              EncoderTrainConfig(epochs=1, effective_batch=len(ts.triples)))
+        assert len(grads) == 3 and all(g.dtype == np.float32 for g in grads)
+        for name in ("token_table", "projection", "projection_bias"):
+            assert getattr(p32, name).dtype == np.float32, name
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -799,22 +841,47 @@ class TestDocTokens:
                 load_doc_tokens(bad, bytes(range(64)))
 
 
+class TestInit:
+    def test_float32_arrays(self):
+        vocab = build_vocab([Document(id="d", title="alpha beta", abstract="gamma")])
+        params = init_encoder(vocab, hidden_dim=5, out_dim=3, seed=2)
+        for name in ("token_table", "projection", "projection_bias"):
+            assert getattr(params, name).dtype == np.float32, name
+
+    @pytest.mark.parametrize("cap", [None, 7, 1])
+    def test_rounded_float64_draws(self, monkeypatch, cap):
+        if cap is not None:
+            monkeypatch.setattr(graph_embed, "CELL_CAP", cap)
+        vocab = {UNK: 0, SEP: 1, **{f"w{i}": i for i in range(2, 30)}}
+        params = init_encoder(vocab, hidden_dim=6, out_dim=4, seed=9)
+        rng = np.random.default_rng(9)
+        scale = 1.0 / np.sqrt(6)
+        np.testing.assert_array_equal(
+            params.token_table, rng.normal(0.0, scale, size=(30, 6)).astype(np.float32))
+        np.testing.assert_array_equal(
+            params.projection, rng.normal(0.0, scale, size=(6, 4)).astype(np.float32))
+        np.testing.assert_array_equal(params.projection_bias, np.zeros(4))
+
+    def test_float64_arrays_stay_float64(self):
+        params = TestEncode().tiny_params()
+        assert params.token_table.dtype == np.float64
+        assert params.copy().projection.dtype == np.float64
+        assert params.copy(np.float32).projection_bias.dtype == np.float32
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         vocab = build_vocab([Document(id="d", title="alpha beta", abstract="gamma")])
         params = init_encoder(vocab, hidden_dim=5, out_dim=3, seed=2)
+        params.projection_bias += np.float32(0.25)
         path = tmp_path / "enc.bin"
         save_encoder(params, path)
         loaded = load_encoder(path)
         assert loaded.vocab == params.vocab
-        np.testing.assert_array_equal(
-            loaded.token_table,
-            params.token_table.astype(np.float32).astype(np.float64),
-        )
-        np.testing.assert_array_equal(
-            loaded.projection,
-            params.projection.astype(np.float32).astype(np.float64),
-        )
+        for name in ("token_table", "projection", "projection_bias"):
+            got, expect = getattr(loaded, name), getattr(params, name)
+            assert got.dtype == np.float32, name
+            np.testing.assert_array_equal(got, expect)
 
     def test_deterministic_bytes(self, tmp_path):
         vocab = build_vocab([Document(id="d", title="x y z", abstract="")])

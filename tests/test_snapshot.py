@@ -99,10 +99,11 @@ def traced(fn, *args) -> tuple[int, int]:
 
 
 class TestBlockIO:
-    """Snapshots and checkpoints move their floats a block of at most
-    ``CELL_CAP`` cells at a time: on a 20k x 64 table (10 MB against a 2 MB
-    float64 block) a writer holds no more than one block, and a reader one
-    block beyond the table it returns."""
+    """Snapshots, checkpoints and the encoder's init move their floats a
+    block of at most ``CELL_CAP`` cells at a time: on a 20k x 64 table (5 MB
+    as float32, 10 MB as float64, against a 2 MB float64 block) a writer
+    holds no more than one block, and a reader or init one block beyond the
+    table it returns."""
 
     BLOCK = graph_embed.CELL_CAP * 8
 
@@ -116,6 +117,12 @@ class TestBlockIO:
         for write, obj in ((write_snapshot, table), (save_encoder, params)):
             peak, _ = traced(write, obj, tmp_path / "out.bin")
             assert peak < self.BLOCK, write.__name__
+
+    def test_init_holds_one_table_and_one_block(self, params):
+        # the float64 draws are rounded a block at a time, never as one table
+        peak, held = traced(init_encoder, params.vocab, 64, 8, 0)
+        assert held >= params.token_table.nbytes
+        assert peak < held + self.BLOCK
 
     def test_readers_hold_one_table_and_one_block(self, tmp_path, params):
         write_snapshot(EmbeddingTable(values=params.token_table), tmp_path / "t.nbe")
