@@ -183,6 +183,11 @@ def split_edges(
     return train, holdout
 
 
+# json.loads less its whitespace scans: lines are stripped, and a line it
+# leaves unparsed is handed to json.loads
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def read_jsonl(path: str | Path, fields: Sequence[str]) -> Iterator[tuple[int, dict]]:
     """Yield ``(lineno, record)`` for each non-blank line of a JSON-lines file.
 
@@ -194,9 +199,14 @@ def read_jsonl(path: str | Path, fields: Sequence[str]) -> Iterator[tuple[int, d
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
+                record, end = _raw_decode(line)
+            except json.JSONDecodeError:
+                end = None
+            if end != len(line):  # json.loads words the error, a BOM's too
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
             if not isinstance(record, dict):
                 raise DataError(
                     f"{path}: line {lineno}: expected a JSON object, "
@@ -227,24 +237,27 @@ def load_documents(path: str | Path) -> dict[str, Document]:
 
     The id, title and abstract must be strings; a missing or null abstract
     is empty. An id on two lines is a :class:`DataError` naming both.
+    Records are checked inline; only a failing one goes through
+    :func:`require_str` and :class:`Document`, which word the error.
     """
     path = Path(path)
     docs: dict[str, Document] = {}
     line_of: dict[str, int] = {}
     for lineno, record in read_jsonl(path, ("id", "title")):
-        if record.get("abstract") is None:
-            record["abstract"] = ""
-        try:
-            doc = Document(*(require_str(record[key], key)
-                             for key in ("id", "title", "abstract")))
-        except DataError as exc:
-            raise DataError(f"{path}: line {lineno}: {exc}") from None
-        first = line_of.setdefault(doc.id, lineno)
-        if first != lineno:
+        pid, title, abstract = record["id"], record["title"], record.get("abstract")
+        if abstract is None:
+            abstract = ""
+        if not (type(pid) is type(title) is type(abstract) is str and title) or pid in docs:
+            fields = zip((pid, title, abstract), ("id", "title", "abstract"))
+            try:
+                Document(*(require_str(value, key) for value, key in fields))
+            except DataError as exc:
+                raise DataError(f"{path}: line {lineno}: {exc}") from None
             raise DataError(
-                f"{path}: line {lineno}: document id {doc.id!r} already on line {first}"
+                f"{path}: line {lineno}: document id {pid!r} already on line {line_of[pid]}"
             )
-        docs[doc.id] = doc
+        docs[pid] = Document(pid, title, abstract)
+        line_of[pid] = lineno
     if not docs:
         raise DataError(f"{path}: empty document file")
     return docs
@@ -258,10 +271,11 @@ def save_documents(docs: Sequence[Document], path: str | Path) -> None:
 
 
 def save_graph(g: CitationGraph, path: str | Path) -> None:
-    """Serialize a graph (ids, edges, direction flag, counters) as JSON."""
+    """Serialize a graph as JSON: ids, direction flag, counters and the
+    edges as one flat list ``[s0, d0, s1, d1, ...]``."""
     payload = {
         "ids": list(g.ids),
-        "edges": g.edges.tolist(),
+        "edges": g.edges.reshape(-1).tolist(),
         "directed": g.directed,
         "stats": dict(g.stats) if g.stats else {},
     }
@@ -271,7 +285,10 @@ def save_graph(g: CitationGraph, path: str | Path) -> None:
 
 
 def load_graph(path: str | Path) -> CitationGraph:
-    """Load a graph serialized by :func:`save_graph`."""
+    """Load a graph serialized by :func:`save_graph`.
+
+    Edges that are not a flat list of an even number of integers, each in
+    ``[0, len(ids))``, are a :class:`DataError` naming the file."""
     try:
         with open_text(path) as fh:
             payload = json.load(fh)
@@ -280,19 +297,20 @@ def load_graph(path: str | Path) -> CitationGraph:
     keys = {"ids", "edges", "directed"}
     if not isinstance(payload, dict) or not keys <= payload.keys():
         raise DataError(f"{path}: not a graph snapshot: needs keys {sorted(keys)}")
-    try:
-        edges = np.array(payload["edges"], dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
-        edges = None
-    if edges is None or (edges.size and edges.shape[1:] != (2,)):
-        raise DataError(f"{path}: edges must be a list of [src, dst] pairs")
+    flat = payload["edges"]
+    if not (isinstance(flat, list) and len(flat) % 2 == 0 and set(map(type, flat)) <= {int}):
+        raise DataError(f"{path}: edges must be a flat list of integer indices")
     ids = payload["ids"]
-    if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
+    if not (isinstance(ids, list) and set(map(type, ids)) <= {str}):
         raise DataError(f"{path}: ids must be a list of strings")
     if len(set(ids)) != len(ids):
         raise DataError(f"{path}: ids must be distinct")
     n = len(ids)
-    if edges.size and (edges.min() < 0 or edges.max() >= n):
+    try:
+        edges = np.array(flat, dtype=np.int64)
+    except OverflowError:
+        edges = None
+    if edges is None or edges.size and (edges.min() < 0 or edges.max() >= n):
         raise DataError(f"{path}: edge ids must lie in [0, {n})")
     return CitationGraph(
         ids=tuple(ids),

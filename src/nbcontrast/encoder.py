@@ -191,9 +191,12 @@ def init_encoder(
 def encode_corpus(
     docs: DocTokens, p: EncoderParams
 ) -> tuple[EmbeddingTable, dict[str, int]]:
-    """Encode tokenized documents into a table plus an id-to-row mapping."""
+    """Encode tokenized documents into a table plus an id-to-row mapping.
+
+    The rows are pooled in the params' dtype and stored straight into the
+    float64 array the table keeps, so no second copy of it is held."""
     id_to_row = {pid: i for i, pid in enumerate(docs.ids)}
-    values = _encode_rows(p, docs.offsets, docs.flat)
+    values = _encode_rows(p, docs.offsets, docs.flat, np.empty((len(docs), p.out_dim)))
     return EmbeddingTable(values=values, measure="dot"), id_to_row
 
 
@@ -289,9 +292,13 @@ def _pool_chunks(
         yield tokens, c, lengths, c @ table[tokens] / lengths
 
 
-def _encode_rows(p: EncoderParams, offsets: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """Encoded vectors of every CSR document, pooled from the projected table."""
-    out = np.empty((len(offsets) - 1, p.out_dim), dtype=p.token_table.dtype)
+def _encode_rows(
+    p: EncoderParams, offsets: np.ndarray, flat: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Encoded vectors of every CSR document, pooled from the projected
+    table, into ``out`` when given, else into an array of the params' dtype."""
+    if out is None:
+        out = np.empty((len(offsets) - 1, p.out_dim), dtype=p.token_table.dtype)
     projected = p.token_table @ p.projection
     start = 0
     for *_, pooled in _pool_chunks(projected, offsets, flat, np.arange(len(out))[:, None]):
@@ -438,14 +445,15 @@ def grad_check(
 
 
 # distinct from the ``NBE1`` embedding snapshot, so neither loader
-# misreads the other's files
-CHECKPOINT_MAGIC = b"NBC1"
-_U32 = struct.Struct("<I")  # a vocab entry's byte length, then its UTF-8 bytes
+# misreads the other's files; bumped with the layout, so an older file is
+# rejected
+CHECKPOINT_MAGIC = b"NBC2"
 
 
 def save_encoder(p: EncoderParams, path: str | Path) -> None:
-    """Binary checkpoint: NBC1 header, float32 weights, then length-prefixed
-    vocab. Float32 params are written as they are."""
+    """Binary checkpoint: NBC2 header, float32 weights, then the vocab as
+    one ASCII JSON array of tokens in id order. Float32 params are written
+    as they are."""
     tokens = sorted(p.vocab, key=p.vocab.get)
     with Path(path).open("wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -454,8 +462,7 @@ def save_encoder(p: EncoderParams, path: str | Path) -> None:
         fh.write(struct.pack("<I", p.out_dim))
         fh.writelines(snapshot.blocks(p.projection, "<f4"))
         fh.writelines(snapshot.blocks(p.projection_bias, "<f4"))
-        fh.write(struct.pack("<I", len(tokens)))
-        fh.writelines(_U32.pack(len(raw)) + raw for raw in map(str.encode, tokens))
+        fh.write(json.dumps(tokens, separators=(",", ":")).encode("ascii"))
 
 
 def load_encoder(path: str | Path) -> EncoderParams:
@@ -463,7 +470,8 @@ def load_encoder(path: str | Path) -> EncoderParams:
     params, so the round trip of float32 params is exact.
 
     A size in the header that runs past the end of the file, trailing
-    bytes, a token that is not UTF-8 or an inconsistent vocabulary is a
+    bytes, or a vocab that is not a JSON array of as many distinct strings
+    as the header counts (reserving ``<unk>`` and ``<sep>``) is a
     :class:`DataError`.
     """
     path = Path(path)
@@ -483,28 +491,24 @@ def load_encoder(path: str | Path) -> EncoderParams:
         (out_dim,) = struct.unpack("<I", read(4))
         projection = snapshot.read_f4(fh, (hidden, out_dim), np.float32)
         bias = snapshot.read_f4(fh, (out_dim,), np.float32)
-        (n_tokens,) = struct.unpack("<I", read(4))
         data = fh.read()
-    if n_tokens != vocab_size:
-        raise DataError(f"{path}: vocab section length mismatch")
-    pos = 0
-    vocab: dict[str, int] = {}
     try:
-        for i in range(n_tokens):
-            (length,) = _U32.unpack_from(data, pos)
-            pos += 4 + length
-            if pos > len(data):
-                raise DataError(f"{path}: truncated encoder checkpoint")
-            vocab[data[pos - length:pos].decode("utf-8")] = i
-        if pos != len(data):
+        text = data.decode("utf-8")
+        tokens, end = json.JSONDecoder().raw_decode(text)
+        if end != len(text):
             raise DataError(f"{path}: trailing bytes after the vocab section")
+        if not (isinstance(tokens, list) and set(map(type, tokens)) <= {str}):
+            raise DataError(f"{path}: bad vocab section: not a JSON array of strings")
+        vocab = {token: i for i, token in enumerate(tokens)}
+        if not len(vocab) == len(tokens) == vocab_size:
+            raise DataError(f"{path}: bad vocab section: not {vocab_size} distinct strings")
         return EncoderParams(
             vocab=vocab,
             token_table=token_table,
             projection=projection,
             projection_bias=bias,
         )
-    except (struct.error, UnicodeDecodeError, ValidationError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, ValidationError) as exc:
         raise DataError(f"{path}: bad vocab section: {exc}") from None
 
 

@@ -1,6 +1,7 @@
 """Corpus ingestion, filtering, symmetrizing, and edge splits."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -255,6 +256,41 @@ class TestDocuments:
         docs = load_documents(self.second_line(tmp_path, record))
         assert docs["n3"] == Document(id="n3", title="T", abstract="")
 
+    @pytest.mark.parametrize("text, expect", [
+        # JSON has no such whitespace, but the reader strips it around a record
+        ('\x0c{"id": "a", "title": "T"}\u00a0\n', {"a": ("T", "")}),
+        # a raw U+2028 is legal inside a JSON string and does not end the line
+        ('{"id": "a", "title": "T\u2028x"}\n{"id": "b", "title": 5}\n',
+         "line 2: title must be a string, got int"),
+        ('{"id": "a", "title": "T\u2028x"}\n', {"a": ("T\u2028x", "")}),
+        ('\n{"id": "a", "title": "T"}\n\n \n{"id": "b", "title": 5}\n',
+         "line 5: title must be a string, got int"),
+        ('\ufeff{"id": "a", "title": "T"}\n',
+         "line 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+         "line 1 column 1 (char 0)"),
+        ('{"id": "a", "title": "T", "abstract": null}\n', {"a": ("T", "")}),
+        ('{"id": "a", "title": "T"}\n\n{"id": "a", "title": "U"}\n',
+         "line 3: document id 'a' already on line 1"),
+        ('{"id": "a", "title": "T"}   5\n',
+         "line 1: invalid JSON: Extra data: line 1 column 29 (char 28)"),
+        # a record split over two lines fails at its first
+        ('{"id": "a",\n"title": "T"}\n',
+         "line 1: invalid JSON: Expecting property name enclosed in double quotes: "
+         "line 1 column 12 (char 11)"),
+        ('{"id": "a", "title": "T", "abstract": false}\n',
+         "line 1: abstract must be a string, got bool"),
+    ])
+    def test_reader_keeps_every_message(self, tmp_path, text, expect):
+        path = tmp_path / "docs.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        if isinstance(expect, str):
+            with pytest.raises(DataError) as err:
+                load_documents(path)
+            assert str(err.value) == f"{path}: {expect}"
+        else:
+            docs = load_documents(path)
+            assert {d.id: (d.title, d.abstract) for d in docs.values()} == expect
+
 
 class TestGraphSnapshot:
     def test_roundtrip(self, tmp_path):
@@ -278,16 +314,17 @@ class TestGraphSnapshot:
             load_graph(path)
 
     @pytest.mark.parametrize("payload", [
-        {"ids": ["a", "b"], "edges": [[0, 1]]},
-        {"edges": [[0, 1]], "directed": True},
+        {"ids": ["a", "b"], "edges": [0, 1]},
+        {"edges": [0, 1], "directed": True},
         {"ids": ["a", "b"], "directed": True},
-        {"ids": ["a", "b"], "edges": [[0, 1, 1]], "directed": True},
+        {"ids": ["a", "b"], "edges": [0, 1, 1], "directed": True},
         {"ids": ["a", "b"], "edges": [[0, 1], [1]], "directed": True},
-        {"ids": ["a", "b"], "edges": [0, 1], "directed": True},
+        # the old layout, one [src, dst] pair per edge
+        {"ids": ["a", "b"], "edges": [[0, 1]], "directed": True},
         {"ids": ["a", "b"], "edges": [[[0, 1]]], "directed": True},
-        {"ids": ["a", "b"], "edges": [["a", "b"]], "directed": True},
-        {"ids": ["a", "b"], "edges": [[0, 2]], "directed": True},
-        {"ids": ["a", "b"], "edges": [[-1, 0]], "directed": True},
+        {"ids": ["a", "b"], "edges": ["a", "b"], "directed": True},
+        {"ids": ["a", "b"], "edges": [0, 2], "directed": True},
+        {"ids": ["a", "b"], "edges": [-1, 0], "directed": True},
         [["a", "b"]],
         7,
     ])
@@ -295,6 +332,27 @@ class TestGraphSnapshot:
         path = tmp_path / "graph.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(DataError, match="graph.json"):
+            load_graph(path)
+
+    @pytest.mark.parametrize("edges, message", [
+        ([0, 1.0], "edges must be a flat list of integer indices"),
+        ([0, 1.5], "edges must be a flat list of integer indices"),
+        ([0, "1"], "edges must be a flat list of integer indices"),
+        ([0, None], "edges must be a flat list of integer indices"),
+        ([0, True], "edges must be a flat list of integer indices"),
+        ([0, [1]], "edges must be a flat list of integer indices"),
+        ([0, 1, 1], "edges must be a flat list of integer indices"),
+        ({"0": 1}, "edges must be a flat list of integer indices"),
+        ("01", "edges must be a flat list of integer indices"),
+        ([0, 2], r"edge ids must lie in \[0, 2\)"),
+        ([-1, 0], r"edge ids must lie in \[0, 2\)"),
+        ([0, 2**63], r"edge ids must lie in \[0, 2\)"),
+        ([0, -2**64], r"edge ids must lie in \[0, 2\)"),
+    ])
+    def test_edge_values_must_be_integer_indices(self, tmp_path, edges, message):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"ids": ["a", "b"], "edges": edges, "directed": True}))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}$"):
             load_graph(path)
 
     def test_empty_edge_list_loads(self, tmp_path):
@@ -463,7 +521,7 @@ class TestArrayPathsMatchReference:
             with (tmp_path / "expect.json").open("w", encoding="utf-8") as fh:
                 json.dump({
                     "ids": list(g.ids),
-                    "edges": [[int(s), int(d)] for s, d in g.edges],
+                    "edges": [int(v) for edge in g.edges for v in edge],
                     "directed": g.directed,
                     "stats": dict(g.stats) if g.stats else {},
                 }, fh, sort_keys=True, separators=(",", ":"))

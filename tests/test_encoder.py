@@ -1,6 +1,8 @@
 """Document encoder: tokenization, triplet loss, training, gradients."""
 
+import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +223,30 @@ class TestEncodeCorpus:
             alone, _ = encode_corpus(tokenize_corpus([docs[i]], p.vocab), p)
             np.testing.assert_allclose(alone.values[0], table.values[i],
                                        rtol=0, atol=1e-12)
+
+    def test_holds_one_float64_table(self, monkeypatch):
+        # 20k documents x 64: the float64 table is 10.2 MB, a float32 copy
+        # of it 5.1 MB; a small cap keeps the chunks' temporaries small
+        monkeypatch.setattr(graph_embed, "CELL_CAP", 1 << 12)
+        n, vocab_size = 20_000, 5_000
+        vocab = {UNK: 0, SEP: 1, **{f"w{i}": i for i in range(2, vocab_size)}}
+        params = init_encoder(vocab, hidden_dim=16, out_dim=64, seed=0)
+        rng = np.random.default_rng(0)
+        offsets = np.concatenate([[0], np.cumsum(rng.integers(1, 12, size=n))])
+        flat = rng.integers(0, vocab_size, size=offsets[-1]).astype(np.int32)
+        docs = encoder.DocTokens(tuple(f"d{i}" for i in range(n)), offsets, flat)
+        tracemalloc.start()
+        try:
+            table, id_to_row = encode_corpus(docs, params)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        projected = vocab_size * 64 * 4
+        assert table.values.dtype == np.float64
+        # beyond the table and id map it returns: the projected table plus
+        # per-document index arrays, not a float32 copy of the table
+        assert held >= table.values.nbytes
+        assert peak < held + projected + table.values.nbytes // 4
 
 
 class TestPoolChunks:
@@ -940,6 +966,57 @@ class TestCheckpoint:
         assert raw.count(UNK.encode()) == 1
         path.write_bytes(raw.replace(UNK.encode(), b"[unk]"))
         with pytest.raises(DataError, match="unk"):
+            load_encoder(path)
+
+    @staticmethod
+    def hand_built(vocab):
+        rng = np.random.default_rng(5)
+        return EncoderParams(
+            vocab=vocab,
+            token_table=rng.normal(size=(len(vocab), 3)).astype(np.float32),
+            projection=rng.normal(size=(3, 2)).astype(np.float32),
+            projection_bias=np.zeros(2, dtype=np.float32),
+        )
+
+    def test_vocab_roundtrip_keeps_any_token(self, tmp_path):
+        # the tokenizer only makes [a-z0-9] words, but the vocab section
+        # stores any string: JSON escapes make it ASCII, a lone surrogate too
+        tokens = [UNK, SEP, "caf\u00e9", "\u8bba\u6587", "\ud800", "\U0001f600", '"\\']
+        params = self.hand_built({token: i for i, token in enumerate(tokens)})
+        path = tmp_path / "enc.bin"
+        save_encoder(params, path)
+        assert path.read_bytes().endswith(
+            json.dumps(tokens, separators=(",", ":")).encode("ascii"))
+        assert load_encoder(path).vocab == params.vocab
+
+    @pytest.mark.parametrize("vocab, message", [
+        (b'["<unk>","<sep>","a"', "bad vocab section"),
+        (b'{"<unk>":0,"<sep>":1,"a":2}', "not a JSON array of strings"),
+        (b'"<unk><sep>a"', "not a JSON array of strings"),
+        (b'["<unk>","<sep>",3]', "not a JSON array of strings"),
+        (b'["<unk>","<sep>"]', "not 3 distinct strings"),
+        (b'["<unk>","<sep>","a","b"]', "not 3 distinct strings"),
+        (b'["<unk>","<sep>","<sep>"]', "not 3 distinct strings"),
+        (b'["<unk>","<sep>","\xff"]', "bad vocab section"),
+        (b'["<unk>","<sep>","a"] ["b"]', "trailing bytes"),
+    ])
+    def test_bad_vocab_section_names_file(self, tmp_path, vocab, message):
+        params = self.hand_built({UNK: 0, SEP: 1, "a": 2})
+        path = tmp_path / "enc.bin"
+        save_encoder(params, path)
+        raw = path.read_bytes()
+        stored = b'["<unk>","<sep>","a"]'
+        assert raw.endswith(stored)
+        path.write_bytes(raw[:-len(stored)] + vocab)
+        with pytest.raises(DataError) as err:
+            load_encoder(path)
+        assert str(err.value).startswith(f"{path}: ") and message in str(err.value)
+
+    def test_older_checkpoint_is_not_a_checkpoint(self, tmp_path):
+        path = tmp_path / "enc.bin"
+        save_encoder(self.hand_built({UNK: 0, SEP: 1}), path)
+        path.write_bytes(b"NBC1" + path.read_bytes()[4:])
+        with pytest.raises(DataError, match="not an encoder checkpoint"):
             load_encoder(path)
 
     def test_not_a_checkpoint(self, tmp_path):

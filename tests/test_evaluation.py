@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from nbcontrast import evaluation
 from nbcontrast.errors import DataError, ValidationError
 from nbcontrast.evaluation import (
     LabeledSet,
@@ -264,6 +265,57 @@ class TestLinearProbe:
         a = linear_probe_f1(table, data, id_to_row, ProbeConfig())
         b = linear_probe_f1(table, data, id_to_row, ProbeConfig())
         assert a == b
+
+    @staticmethod
+    def reference_softmax_regression(x, y, k, cfg):
+        """The probe's training loop with numpy's row reductions, kept as
+        the reference for the column-wise one."""
+        n, d = x.shape
+        weights = np.zeros((d, k))
+        bias = np.zeros(k)
+        onehot = np.zeros((n, k))
+        onehot[np.arange(n), y] = 1.0
+        for _ in range(cfg.epochs):
+            logits = x @ weights + bias
+            logits -= logits.max(axis=1, keepdims=True)
+            probs = np.exp(logits)
+            probs /= probs.sum(axis=1, keepdims=True)
+            err = (probs - onehot) / n
+            weights -= cfg.learning_rate * (x.T @ err)
+            bias -= cfg.learning_rate * err.sum(axis=0)
+        return weights, bias
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 9])
+    def test_column_reductions_match_row_reductions(self, monkeypatch, k):
+        # numpy adds a row shorter than 8 in order, as the columns are
+        # added, so below 8 labels the probe is bit-identical; from 8 the
+        # sums' last bits may move
+        rng = np.random.default_rng(k)
+        n, d = 40 * k, 6
+        labels = rng.integers(0, k, size=n)
+        centers = rng.normal(0, 1.0, size=(k, d))
+        table = EmbeddingTable(values=centers[labels] + rng.normal(0, 2.0, size=(n, d)))
+        data = LabeledSet(items=tuple(
+            (f"d{i}", f"t{labels[i]}", "train" if i % 4 else "test") for i in range(n)
+        ))
+        id_to_row = {f"d{i}": i for i in range(n)}
+        cfg = ProbeConfig()
+        x = (table.values - table.values.mean(axis=0)) / table.values.std(axis=0)
+        got = evaluation._softmax_regression(x, labels, k, cfg)
+        expect = self.reference_softmax_regression(x, labels, k, cfg)
+        f1 = linear_probe_f1(table, data, id_to_row, cfg)
+        monkeypatch.setattr(evaluation, "_softmax_regression",
+                            self.reference_softmax_regression)
+        expect_f1 = linear_probe_f1(table, data, id_to_row, cfg)
+        assert 0.3 < f1 < 1.0
+        if k < 8:
+            for a, b in zip(got, expect):
+                np.testing.assert_array_equal(a, b)
+            assert f1 == expect_f1
+        else:
+            for a, b in zip(got, expect):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+            assert abs(f1 - expect_f1) <= 1e-12
 
     def test_single_label_rejected(self):
         table = EmbeddingTable(values=np.zeros((4, 2)))

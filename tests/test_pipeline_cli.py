@@ -783,15 +783,21 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("payload", [
         {"ids": ["a", "b"], "edges": [], "directed": True},
-        {"ids": ["a", "b"], "edges": [[0, 1]]},
-        {"ids": ["a", "b"], "edges": [0, 1], "directed": True},
-        {"ids": ["a", "b"], "edges": [[0, 2]], "directed": True},
+        {"ids": ["a", "b"], "edges": [0, 1]},
+        # the old layout, one [src, dst] pair per edge
+        {"ids": ["a", "b"], "edges": [[0, 1]], "directed": True},
+        {"ids": ["a", "b"], "edges": [0, 2], "directed": True},
         [["a", "b"]],
         # enough edges that graph-train would run if the ids were accepted
-        {"ids": "ab", "edges": [[0, 1], [1, 0]] * 20, "directed": True},
-        {"ids": ["a", "a", "b"], "edges": [[0, 1], [1, 2], [2, 0]] * 20,
+        {"ids": "ab", "edges": [0, 1, 1, 0] * 20, "directed": True},
+        {"ids": ["a", "a", "b"], "edges": [0, 1, 1, 2, 2, 0] * 20,
          "directed": True},
-        {"ids": [1, 2], "edges": [[0, 1], [1, 0]] * 20, "directed": True},
+        {"ids": [1, 2], "edges": [0, 1, 1, 0] * 20, "directed": True},
+        # edge values that are not integer indices
+        {"ids": ["a", "b"], "edges": [0, 1, 1, 0.0] * 20, "directed": True},
+        {"ids": ["a", "b"], "edges": [0, 1, 1, "0"] * 20, "directed": True},
+        {"ids": ["a", "b"], "edges": [0, 1, 1, None] * 20, "directed": True},
+        {"ids": ["a", "b"], "edges": [0, 1, 1] * 20 + [0], "directed": True},
     ])
     def test_malformed_graph_snapshot_exits_3(self, workdir, capsys, payload):
         (workdir / ARTIFACTS["ingest"][0]).write_text(json.dumps(payload))
