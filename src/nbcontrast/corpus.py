@@ -22,7 +22,9 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Document:
-    """Title and abstract of one paper, keyed by its external ID."""
+    """Title and abstract of one paper, keyed by its external ID; it
+    unpacks as the ``(id, title, abstract)`` record :func:`read_documents`
+    yields."""
 
     id: str
     title: str
@@ -31,6 +33,9 @@ class Document:
     def __post_init__(self):
         if not self.title:
             raise DataError(f"document {self.id!r}: title must be nonempty")
+
+    def __iter__(self) -> Iterator[str]:
+        return iter((self.id, self.title, self.abstract))
 
 
 @dataclass
@@ -232,22 +237,23 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def load_documents(path: str | Path) -> dict[str, Document]:
-    """Read a JSON-lines document file with ``id``, ``title``, ``abstract``.
+def read_documents(path: str | Path) -> Iterator[tuple[str, str, str]]:
+    """Yield ``(id, title, abstract)`` for each record of a JSON-lines
+    document file, in file order.
 
     The id, title and abstract must be strings; a missing or null abstract
-    is empty. An id on two lines is a :class:`DataError` naming both.
+    is empty. An id on two lines is a :class:`DataError` naming both, and
+    so is a file that holds no record, once it is read to the end.
     Records are checked inline; only a failing one goes through
     :func:`require_str` and :class:`Document`, which word the error.
     """
     path = Path(path)
-    docs: dict[str, Document] = {}
     line_of: dict[str, int] = {}
     for lineno, record in read_jsonl(path, ("id", "title")):
         pid, title, abstract = record["id"], record["title"], record.get("abstract")
         if abstract is None:
             abstract = ""
-        if not (type(pid) is type(title) is type(abstract) is str and title) or pid in docs:
+        if not (type(pid) is type(title) is type(abstract) is str and title) or pid in line_of:
             fields = zip((pid, title, abstract), ("id", "title", "abstract"))
             try:
                 Document(*(require_str(value, key) for value, key in fields))
@@ -256,11 +262,15 @@ def load_documents(path: str | Path) -> dict[str, Document]:
             raise DataError(
                 f"{path}: line {lineno}: document id {pid!r} already on line {line_of[pid]}"
             )
-        docs[pid] = Document(pid, title, abstract)
         line_of[pid] = lineno
-    if not docs:
+        yield pid, title, abstract
+    if not line_of:
         raise DataError(f"{path}: empty document file")
-    return docs
+
+
+def load_documents(path: str | Path) -> dict[str, Document]:
+    """The records of :func:`read_documents` as documents keyed by id."""
+    return {record[0]: Document(*record) for record in read_documents(path)}
 
 
 def save_documents(docs: Sequence[Document], path: str | Path) -> None:

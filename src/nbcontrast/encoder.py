@@ -26,7 +26,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -115,15 +115,20 @@ class EncoderTrainConfig:
             raise ValidationError("encoder dims must be >= 1")
 
 
-def tokenize(d: Document) -> list[str]:
+# A document as the encoder reads it: an ``(id, title, abstract)`` record, as
+# ``corpus.read_documents`` yields it, or a ``Document``, which unpacks as one.
+Record = tuple[str, str, str] | Document
+
+
+def tokenize(d: Record) -> list[str]:
     r"""Lowercase ``[a-z0-9]+`` words of the title, a separator, then the
     abstract's; any other character, once lowercased, separates words.
 
     >>> tokenize(Document(id="d", title="\u212aelvin-9 İx", abstract="a\x00b\ud800c"))
     ['kelvin', '9', 'i', 'x', '<sep>', 'a', 'b', 'c']
     """
-    tokens = next(_text_blocks([d]))[:-1]
-    return [SEP if token == _TITLE_END else token for token in tokens]
+    tokens = next(_text_blocks([d], []))[:-1]
+    return [SEP if token == _TITLE_END else token.decode("ascii") for token in tokens]
 
 
 @dataclass(frozen=True)
@@ -139,28 +144,29 @@ class DocTokens:
         return len(self.ids)
 
 
-def index_corpus(docs: Collection[Document]) -> tuple[dict[str, int], DocTokens]:
+def index_corpus(docs: Iterable[Record]) -> tuple[dict[str, int], DocTokens]:
     """The documents' vocabulary, reserved ids 0 and 1 then every token
     sorted (so independent of document order), and their token rows under
-    it, from one split of their text."""
-    # a token's provisional id is its rank of first appearance, the markers' 0 and 1
+    it, from one pass over the documents and one split of their text."""
+    # a word's provisional id is its rank of first appearance, the markers' 0 and 1
     first = collections.defaultdict(None, {_TITLE_END: 0, _DOC_END: 1})
     first.default_factory = first.__len__
+    doc_ids: list[str] = []
     ids = np.concatenate([
-        np.fromiter(map(first.__getitem__, tokens), dtype=np.int32, count=len(tokens))
-        for tokens in _text_blocks(docs)
+        np.fromiter(map(first.__getitem__, words), dtype=np.int32, count=len(words))
+        for words in _text_blocks(docs, doc_ids)
     ] or [np.zeros(0, dtype=np.int32)])
-    words = list(first)[2:]
+    words = [word.decode("ascii") for word in list(first)[2:]]
     vocab = {token: i for i, token in enumerate([UNK, SEP, *sorted(words)])}
     remap = np.array([vocab[SEP], -1, *map(vocab.__getitem__, words)], dtype=np.int32)
     ids = remap[ids]
     ends = np.flatnonzero(ids < 0)
     # a document ends at its marker's position less the markers before it
     offsets = np.concatenate([[0], ends - np.arange(len(ends))])
-    return vocab, DocTokens(tuple(d.id for d in docs), offsets, ids[ids >= 0])
+    return vocab, DocTokens(tuple(doc_ids), offsets, ids[ids >= 0])
 
 
-def build_vocab(docs: Collection[Document]) -> dict[str, int]:
+def build_vocab(docs: Iterable[Record]) -> dict[str, int]:
     """Vocabulary of :func:`index_corpus`."""
     return index_corpus(docs)[0]
 
@@ -219,20 +225,23 @@ def triplet_loss(
 # Characters tokenized at once: a block's words leave memory arenas partly used
 TEXT_CAP = 1 << 14
 
-# Marker words after each title and each document, as lowercased text has no
-# ASCII capital; any other byte but [a-z0-9] (non-ASCII ones are >= 0x80) is a space.
-_TITLE_END, _DOC_END = "S", "D"
+# Marker words after each title ("S") and each document ("D"), as lowercased
+# text has no ASCII capital; any other byte but [a-z0-9] (non-ASCII ones are
+# >= 0x80) is a space.
+_TITLE_END, _DOC_END = b"S", b"D"
 _WORD_BYTES = bytes(c if c in b"abcdefghijklmnopqrstuvwxyz0123456789SD" else 32
                     for c in range(256))
 
 
-def _text_blocks(docs: Iterable[Document]) -> Iterator[list[str]]:
-    """Tokens of the documents, a block of at most TEXT_CAP characters (or
-    one longer document) at a time: each document's title words,
-    ``_TITLE_END``, its abstract words, then ``_DOC_END``."""
+def _text_blocks(docs: Iterable[Record], ids: list[str]) -> Iterator[list[bytes]]:
+    """ASCII words of the documents, a block of at most TEXT_CAP characters
+    (or one longer document) at a time: each document's title words,
+    ``_TITLE_END``, its abstract words, then ``_DOC_END``. Each document's
+    id is appended to ``ids`` as it is read."""
     parts, size = [], 0
-    for d in docs:
-        text = f"{d.title.lower()} {_TITLE_END} {d.abstract.lower()} {_DOC_END} "
+    for pid, title, abstract in docs:
+        ids.append(pid)
+        text = f"{title.lower()} S {abstract.lower()} D "
         if parts and size + len(text) > TEXT_CAP:
             yield _split(parts)
             parts, size = [], 0
@@ -242,12 +251,11 @@ def _text_blocks(docs: Iterable[Document]) -> Iterator[list[str]]:
         yield _split(parts)
 
 
-def _split(parts: list[str]) -> list[str]:
-    raw = "".join(parts).encode("utf-8", "surrogatepass")
-    return raw.translate(_WORD_BYTES).decode("ascii").split()
+def _split(parts: list[str]) -> list[bytes]:
+    return "".join(parts).encode("utf-8", "surrogatepass").translate(_WORD_BYTES).split()
 
 
-def tokenize_corpus(docs: Collection[Document], vocab: Mapping[str, int]) -> DocTokens:
+def tokenize_corpus(docs: Iterable[Record], vocab: Mapping[str, int]) -> DocTokens:
     """Token rows of the documents under a given vocabulary, such as a
     trained encoder's; a word outside it is ``<unk>``."""
     own, rows = index_corpus(docs)
@@ -542,16 +550,33 @@ def load_doc_tokens(path: str | Path, key: bytes) -> DocTokens:
     """Token rows written by :func:`save_doc_tokens` under ``key``.
 
     A file that fails its checksum or was written under another key is a
-    :class:`DataError`.
+    :class:`DataError`, and so is one whose header counts more than its
+    body holds, whose offsets do not rise from 0 to the token count, or
+    whose ids are not a JSON list of as many distinct strings as it counts
+    documents.
     """
     raw = memoryview(Path(path).read_bytes())
     head, body = bytes(raw[:36]), raw[36:]
     if head != TOKENS_MAGIC + hashlib.sha256(body).digest():
         raise DataError(f"{path}: not an intact token rows file")
+    if len(body) < _TOKENS_HEAD.size:
+        raise DataError(f"{path}: truncated token rows header")
     stored, n_docs, n_tokens = _TOKENS_HEAD.unpack_from(body)
     if stored != key:
         raise DataError(f"{path}: written for other documents or another checkpoint")
+    ids_at = _TOKENS_HEAD.size + 8 * (n_docs + 1) + 4 * n_tokens
+    if ids_at > len(body):
+        raise DataError(f"{path}: header counts {n_docs} documents and {n_tokens} "
+                        "tokens, more than the file holds")
     offsets = np.frombuffer(body, "<i8", n_docs + 1, _TOKENS_HEAD.size)
     flat = np.frombuffer(body, "<i4", n_tokens, _TOKENS_HEAD.size + offsets.nbytes)
-    ids = json.loads(bytes(body[_TOKENS_HEAD.size + offsets.nbytes + flat.nbytes:]))
+    if offsets[0] != 0 or offsets[-1] != n_tokens or (np.diff(offsets) < 0).any():
+        raise DataError(f"{path}: offsets must rise from 0 to {n_tokens}")
+    try:
+        ids = json.loads(bytes(body[ids_at:]))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: bad id list: {exc}") from None
+    if not (isinstance(ids, list) and set(map(type, ids)) <= {str}
+            and len(set(ids)) == len(ids) == n_docs):
+        raise DataError(f"{path}: bad id list: not {n_docs} distinct strings")
     return DocTokens(tuple(ids), offsets, flat)

@@ -440,9 +440,7 @@ def run_encode_train(
     triples = mining.load_triples(triples_path, cfg.sampling_cfg)
     if len(triples) == 0:
         raise DataError(f"{triples_path}: no triples to train on")
-    docs = corpus.load_documents(docs_path)
-
-    vocab, tokens = encoder.index_corpus(docs.values())
+    vocab, tokens = encoder.index_corpus(corpus.read_documents(docs_path))
     ec = cfg.encoder_cfg
     params = encoder.init_encoder(vocab, ec.hidden_dim, ec.out_dim, ec.seed)
     try:
@@ -485,11 +483,13 @@ def run_eval(
     key = _tokens_key(docs_path, ckpt_path)
     try:
         tokens = encoder.load_doc_tokens(tokens_path, key)
+        flat = tokens.flat
+        if flat.size and (flat.min() < 0 or flat.max() >= len(params.vocab)):
+            raise DataError(f"{tokens_path}: token id outside the checkpoint's vocab")
         inputs.append(tokens_path)
     except (OSError, DataError):
         # missing, stale or damaged: split the documents under the checkpoint's vocab
-        docs = corpus.load_documents(docs_path)
-        tokens = encoder.tokenize_corpus(docs.values(), params.vocab)
+        tokens = encoder.tokenize_corpus(corpus.read_documents(docs_path), params.vocab)
     vectors, id_to_row = encoder.encode_corpus(tokens, params)
 
     metrics: dict[str, float] = {}

@@ -15,6 +15,7 @@ from nbcontrast.corpus import (
     ingest_edges,
     load_documents,
     load_graph,
+    read_documents,
     read_jsonl,
     save_documents,
     save_graph,
@@ -248,6 +249,9 @@ class TestDocuments:
         with pytest.raises(DataError) as err:
             load_documents(path)
         assert str(err.value) == f"{path}: line 2: {message}"
+        with pytest.raises(DataError) as streamed:
+            list(read_documents(path))
+        assert str(streamed.value) == str(err.value)
 
     @pytest.mark.parametrize("record", [
         {"id": "n3", "title": "T"}, {"id": "n3", "title": "T", "abstract": None},
@@ -279,6 +283,9 @@ class TestDocuments:
          "line 1 column 12 (char 11)"),
         ('{"id": "a", "title": "T", "abstract": false}\n',
          "line 1: abstract must be a string, got bool"),
+        ("\n \n", "empty document file"),
+        ('{"id": "b", "title": "U"}\n{"id": "a", "title": "T", "abstract": "x"}\n',
+         {"b": ("U", ""), "a": ("T", "x")}),
     ])
     def test_reader_keeps_every_message(self, tmp_path, text, expect):
         path = tmp_path / "docs.jsonl"
@@ -287,9 +294,16 @@ class TestDocuments:
             with pytest.raises(DataError) as err:
                 load_documents(path)
             assert str(err.value) == f"{path}: {expect}"
+            with pytest.raises(DataError) as streamed:
+                list(read_documents(path))
+            assert str(streamed.value) == str(err.value)
         else:
             docs = load_documents(path)
             assert {d.id: (d.title, d.abstract) for d in docs.values()} == expect
+            # the stream yields the same records in file order, as documents unpack
+            records = list(read_documents(path))
+            assert records == [(pid, *text) for pid, text in expect.items()]
+            assert records == [tuple(d) for d in docs.values()]
 
 
 class TestGraphSnapshot:

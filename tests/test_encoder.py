@@ -1,5 +1,6 @@
 """Document encoder: tokenization, triplet loss, training, gradients."""
 
+import hashlib
 import json
 import re
 import tracemalloc
@@ -115,11 +116,13 @@ class TestTokenize:
         # 14 characters per short document: "ab cd ", " S ", "ef" and " D "
         short = [Document(id=f"s{i}", title="Ab cd ", abstract="ef") for i in range(9)]
         long = Document(id="long", title="word " * 30, abstract="")
-        blocks = list(encoder._text_blocks(short[:5] + [long] + short[5:]))
+        ids = []
+        blocks = list(encoder._text_blocks(short[:5] + [long] + short[5:], ids))
         ends = [block.count(encoder._DOC_END) for block in blocks]
         # 64 characters hold 4 short documents; the long one is a block alone
         assert ends == [4, 1, 1, 4]
-        assert blocks[2] == ["word"] * 30 + [encoder._TITLE_END, encoder._DOC_END]
+        assert blocks[2] == [b"word"] * 30 + [encoder._TITLE_END, encoder._DOC_END]
+        assert ids == [d.id for d in short[:5] + [long] + short[5:]]
 
 
 class TestEncode:
@@ -592,12 +595,12 @@ class TestTrain:
         calls = []
         text_blocks = encoder._text_blocks
 
-        def counting_blocks(block_docs):
+        def counting_blocks(block_docs, ids):
             def counted():
                 for doc in block_docs:
                     calls.append(doc.id)
                     yield doc
-            return text_blocks(counted())
+            return text_blocks(counted(), ids)
 
         monkeypatch.setattr(encoder, "_text_blocks", counting_blocks)
         vocab, doc_rows = index_corpus(docs.values())
@@ -865,6 +868,49 @@ class TestDocTokens:
             bad.write_bytes(raw[:i] + bytes([raw[i] ^ 1]) + raw[i + 1:])
             with pytest.raises(DataError):
                 load_doc_tokens(bad, bytes(range(64)))
+
+    # a well-formed body: three documents of 1, 2 and 0 tokens
+    GOOD = dict(counts=(3, 3), offsets=[0, 1, 3, 3], flat=[2, 3, 4], ids=b'["a", "b", "c"]')
+
+    @staticmethod
+    def crafted(tmp_path, counts, offsets, flat, ids, size=None):
+        """A token rows file of these pieces, its body cut to ``size`` bytes,
+        under a checksum that holds and the right key."""
+        body = (encoder._TOKENS_HEAD.pack(bytes(range(64)), *counts)
+                + np.array(offsets, "<i8").tobytes() + np.array(flat, "<i4").tobytes() + ids)
+        body = body[:size]
+        path = tmp_path / "doc_tokens.bin"
+        path.write_bytes(encoder.TOKENS_MAGIC + hashlib.sha256(body).digest() + body)
+        return path
+
+    def test_crafted_file_loads(self, tmp_path):
+        loaded = load_doc_tokens(self.crafted(tmp_path, **self.GOOD), bytes(range(64)))
+        assert loaded.ids == ("a", "b", "c")
+        assert loaded.offsets.tolist() == [0, 1, 3, 3] and loaded.flat.tolist() == [2, 3, 4]
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"size": 79}, "truncated token rows header"),
+        ({"size": 0}, "truncated token rows header"),
+        ({"counts": (40, 3)}, "more than the file holds"),
+        ({"counts": (3, 2**40)}, "more than the file holds"),
+        ({"counts": (2**64 - 1, 3)}, "more than the file holds"),
+        ({"offsets": [1, 1, 3, 3]}, "offsets must rise from 0 to 3"),
+        ({"offsets": [0, 2, 1, 3]}, "offsets must rise from 0 to 3"),
+        ({"offsets": [0, 1, 3, 4]}, "offsets must rise from 0 to 3"),
+        ({"offsets": [0, 1, 9, 3]}, "offsets must rise from 0 to 3"),
+        ({"ids": b'["a", "b", "c"'}, "bad id list: Expecting"),
+        ({"ids": b'["\xff", "b", "c"]'}, "bad id list: 'utf-8' codec"),
+        ({"ids": b'{"a": 1}'}, "bad id list: not 3 distinct strings"),
+        ({"ids": b'"abc"'}, "bad id list: not 3 distinct strings"),
+        ({"ids": b'["a", "b", "c", "d"]'}, "bad id list: not 3 distinct strings"),
+        ({"ids": b'["a", "b"]'}, "bad id list: not 3 distinct strings"),
+        ({"ids": b'["a", 5, "c"]'}, "bad id list: not 3 distinct strings"),
+        ({"ids": b'["a", "b", "a"]'}, "bad id list: not 3 distinct strings"),
+    ])
+    def test_checksummed_malformed_file_is_a_data_error(self, tmp_path, edit, message):
+        path = self.crafted(tmp_path, **{**self.GOOD, **edit})
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_doc_tokens(path, bytes(range(64)))
 
 
 class TestInit:

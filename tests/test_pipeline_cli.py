@@ -3,15 +3,19 @@
 import configparser
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import importlib.util
 import io
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from nbcontrast import corpus, encoder, fixtures, graph_embed, mining, pipeline
 from nbcontrast.cli import DEFAULT_CONFIG, main
@@ -835,6 +839,7 @@ class TestTokenCache:
             raise AssertionError(f"parsed {path}")
 
         monkeypatch.setattr(corpus, "load_documents", refuse)
+        monkeypatch.setattr(corpus, "read_documents", refuse)
         assert self.eval_outputs(workdir, config)[1]
 
     def test_fallback_writes_the_same_bytes(self, workdir):
@@ -880,6 +885,97 @@ class TestTokenCache:
             at = (start + end) // 2
             path.write_bytes(raw[:at] + bytes([raw[at] ^ 0x20]) + raw[at + 1:])
             assert self.eval_outputs(workdir, config) == (expect, False), region
+
+    def test_checksummed_malformed_cache_changes_no_report(self, workdir):
+        config = self.trained(workdir)
+        expect, used = self.eval_outputs(workdir, config)
+        assert used
+        path = workdir / DOC_TOKENS
+        body = path.read_bytes()[36:]
+        # after the 64-byte key: the document and token counts, then the offsets
+        n_docs, n_tokens = np.frombuffer(body, "<u8", 2, 64)
+        tokens = 80 + 8 * (int(n_docs) + 1)
+        vocab = len(encoder.load_encoder(workdir / ARTIFACTS["encode-train"][0]).vocab)
+        edits = {
+            "token id past the vocab": (tokens, np.int32(vocab)),
+            "negative token id": (tokens + 4, np.int32(-1)),
+            "offset past the token count": (tokens - 8, n_tokens + np.uint64(1)),
+            "document count past the offsets": (64, n_docs + np.uint64(9)),
+            "id list of more documents": (len(body) - 1, np.frombuffer(b', "x"]', "u1")),
+        }
+        for case, (at, value) in edits.items():
+            edited = body[:at] + value.tobytes() + body[at + value.nbytes:]
+            path.write_bytes(encoder.TOKENS_MAGIC + hashlib.sha256(edited).digest() + edited)
+            assert self.eval_outputs(workdir, config) == (expect, False), case
+
+
+# What the mutation loop does to one documents file; the value mutations
+# rewrite one field of one record.
+MUTATIONS = ("truncate", "drop line", "duplicate line", "change byte", "replace value",
+             "empty", "append junk", "null", "number", "list")
+
+
+def mutate(raw: bytes, kind: str, at: int, junk: bytes) -> bytes:
+    """``raw`` with one ``kind`` mutation, placed by ``at`` and drawing on ``junk``."""
+    lines = raw.splitlines(keepends=True)
+    i = at % len(lines)
+    if kind == "truncate":
+        return raw[:at % len(raw)]
+    if kind == "drop line":
+        return b"".join(lines[:i] + lines[i + 1:])
+    if kind == "duplicate line":
+        return b"".join(lines[:i + 1] + lines[i:])
+    if kind == "change byte":
+        return raw[:at % len(raw)] + junk[:1] + raw[at % len(raw) + 1:]
+    if kind == "empty":
+        return b""
+    if kind == "append junk":
+        return raw + junk
+    record = json.loads(lines[i])
+    field = ("id", "title", "abstract")[junk[0] % 3]
+    # another record's value (a duplicate id, say), or an empty string
+    other = json.loads(lines[(i + 1 + junk[0]) % len(lines)])[field] if junk[0] % 2 else ""
+    record[field] = {"replace value": other, "null": None, "number": 5, "list": ["x"]}[kind]
+    return b"".join(lines[:i] + [json.dumps(record).encode() + b"\n"] + lines[i + 1:])
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("finished")
+    (workdir / "config.ini").write_text(MINIMAL_CONFIG, encoding="utf-8")
+    assert main(["all", "--config", str(workdir / "config.ini")]) == 0
+    return workdir
+
+
+class TestDocumentMutations:
+    """encode-train and then eval over a mutated ``documents.jsonl`` of a
+    finished run: each exits 0, 2, 3 or 4, with no traceback and no numpy
+    or unclosed-file warning."""
+
+    # no shrinking: a failure names its mutation, and each try reruns two stages ten times
+    @settings(max_examples=4, deadline=None, derandomize=True, phases=[Phase.generate])
+    @given(st.integers(0, 1 << 20), st.binary(min_size=1, max_size=6))
+    def test_exit_codes(self, finished_run, at, junk):
+        config = str(finished_run / "config.ini")
+        path = finished_run / "documents.jsonl"
+        raw = path.read_bytes()
+        for kind in MUTATIONS:
+            path.write_bytes(mutate(raw, kind, at, junk))
+            err = io.StringIO()
+            try:
+                with warnings.catch_warnings(record=True) as caught, \
+                        contextlib.redirect_stderr(err), \
+                        contextlib.redirect_stdout(io.StringIO()):
+                    warnings.simplefilter("always")
+                    codes = [main([stage, "--config", config])
+                             for stage in ("encode-train", "eval")]
+                    gc.collect()  # a file left open by a generator warns when collected
+            finally:
+                path.write_bytes(raw)
+            assert set(codes) <= {0, 2, 3, 4}, (kind, codes, err.getvalue())
+            assert "Traceback" not in err.getvalue(), kind
+            bad = [w for w in caught if issubclass(w.category, (RuntimeWarning, ResourceWarning))]
+            assert not bad, (kind, [str(w.message) for w in bad])
 
 
 class TestConfigLoading:
