@@ -196,7 +196,9 @@ _raw_decode = json.JSONDecoder().raw_decode
 def read_jsonl(path: str | Path, fields: Sequence[str]) -> Iterator[tuple[int, dict]]:
     """Yield ``(lineno, record)`` for each non-blank line of a JSON-lines file.
 
-    Every record must be a JSON object holding every key in ``fields``.
+    Every record must be a JSON object holding every key in ``fields``; a
+    line that is not, nested too deep to parse included, is a
+    :class:`DataError` naming the file and the line.
     """
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -205,12 +207,12 @@ def read_jsonl(path: str | Path, fields: Sequence[str]) -> Iterator[tuple[int, d
                 continue
             try:
                 record, end = _raw_decode(line)
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, RecursionError):
                 end = None
             if end != len(line):  # json.loads words the error, a BOM's too
                 try:
                     record = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except (json.JSONDecodeError, RecursionError) as exc:
                     raise DataError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
             if not isinstance(record, dict):
                 raise DataError(
@@ -302,7 +304,7 @@ def load_graph(path: str | Path) -> CitationGraph:
     try:
         with open_text(path) as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"{path}: not a graph snapshot: {exc}") from None
     keys = {"ids", "edges", "directed"}
     if not isinstance(payload, dict) or not keys <= payload.keys():

@@ -20,10 +20,7 @@ mode trains legally but cannot change the encoder.
 from __future__ import annotations
 
 import collections
-import hashlib
-import json
 import math
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -452,131 +449,70 @@ def grad_check(
     return max_err
 
 
-# distinct from the ``NBE1`` embedding snapshot, so neither loader
-# misreads the other's files; bumped with the layout, so an older file is
-# rejected
-CHECKPOINT_MAGIC = b"NBC2"
+# The checkpoint's arrays, stored and held as float32; the vocab is its meta.
+CHECKPOINT = {name: ("<f4", np.float32)
+              for name in ("token_table", "projection", "projection_bias")}
 
 
 def save_encoder(p: EncoderParams, path: str | Path) -> None:
-    """Binary checkpoint: NBC2 header, float32 weights, then the vocab as
-    one ASCII JSON array of tokens in id order. Float32 params are written
-    as they are."""
-    tokens = sorted(p.vocab, key=p.vocab.get)
-    with Path(path).open("wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<IIB", len(tokens), p.hidden_dim, 0))
-        fh.writelines(snapshot.blocks(p.token_table, "<f4"))
-        fh.write(struct.pack("<I", p.out_dim))
-        fh.writelines(snapshot.blocks(p.projection, "<f4"))
-        fh.writelines(snapshot.blocks(p.projection_bias, "<f4"))
-        fh.write(json.dumps(tokens, separators=(",", ":")).encode("ascii"))
+    """Checkpoint of the float32 weights, the vocab as its tokens in id
+    order. Float32 params are written as they are."""
+    snapshot.write_arrays(
+        path, {name: (getattr(p, name), stored) for name, (stored, _) in CHECKPOINT.items()},
+        {"vocab": sorted(p.vocab, key=p.vocab.get)})
 
 
 def load_encoder(path: str | Path) -> EncoderParams:
     """Read a checkpoint written by :func:`save_encoder` into float32
     params, so the round trip of float32 params is exact.
 
-    A size in the header that runs past the end of the file, trailing
-    bytes, or a vocab that is not a JSON array of as many distinct strings
-    as the header counts (reserving ``<unk>`` and ``<sep>``) is a
-    :class:`DataError`.
+    Besides what :func:`snapshot.read_arrays` rejects, weights of the wrong
+    ranks or disagreeing dims, and a vocab that is not a JSON array of as
+    many distinct strings as the token table has rows (reserving ``<unk>``
+    and ``<sep>``) are a :class:`DataError`.
     """
-    path = Path(path)
-    with path.open("rb") as fh:
-
-        def read(size: int) -> bytes:
-            raw = fh.read(size)
-            if len(raw) != size:
-                raise DataError(f"{path}: truncated encoder checkpoint")
-            return raw
-
-        magic = read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise DataError(f"{path}: not an encoder checkpoint (magic {magic!r})")
-        vocab_size, hidden, _ = struct.unpack("<IIB", read(9))
-        token_table = snapshot.read_f4(fh, (vocab_size, hidden), np.float32)
-        (out_dim,) = struct.unpack("<I", read(4))
-        projection = snapshot.read_f4(fh, (hidden, out_dim), np.float32)
-        bias = snapshot.read_f4(fh, (out_dim,), np.float32)
-        data = fh.read()
+    arrays, meta = snapshot.read_arrays(path, CHECKPOINT)
+    if [a.ndim for a in arrays.values()] != [2, 2, 1]:
+        raise DataError(f"{path}: weights must be two tables and a vector")
+    tokens = meta.get("vocab")
+    if not (isinstance(tokens, list) and set(map(type, tokens)) <= {str}):
+        raise DataError(f"{path}: bad vocab: not a JSON array of strings")
+    vocab = {token: i for i, token in enumerate(tokens)}
+    rows = len(arrays["token_table"])
+    if not len(vocab) == len(tokens) == rows:
+        raise DataError(f"{path}: bad vocab: not {rows} distinct strings")
     try:
-        text = data.decode("utf-8")
-        tokens, end = json.JSONDecoder().raw_decode(text)
-        if end != len(text):
-            raise DataError(f"{path}: trailing bytes after the vocab section")
-        if not (isinstance(tokens, list) and set(map(type, tokens)) <= {str}):
-            raise DataError(f"{path}: bad vocab section: not a JSON array of strings")
-        vocab = {token: i for i, token in enumerate(tokens)}
-        if not len(vocab) == len(tokens) == vocab_size:
-            raise DataError(f"{path}: bad vocab section: not {vocab_size} distinct strings")
-        return EncoderParams(
-            vocab=vocab,
-            token_table=token_table,
-            projection=projection,
-            projection_bias=bias,
-        )
-    except (UnicodeDecodeError, json.JSONDecodeError, ValidationError) as exc:
-        raise DataError(f"{path}: bad vocab section: {exc}") from None
+        return EncoderParams(vocab=vocab, **arrays)
+    except ValidationError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
-# distinct from the checkpoint's and the snapshot's magic
-TOKENS_MAGIC = b"NBT1"
-# key, documents, tokens
-_TOKENS_HEAD = struct.Struct("<64sQQ")
+# The token rows' arrays; the document ids are their meta.
+TOKEN_ROWS = {"offsets": ("<i8", np.int64), "flat": ("<i4", np.int32)}
 
 
-def save_doc_tokens(docs: DocTokens, key: bytes, path: str | Path) -> None:
-    """Token rows file: NBT1, the SHA-256 of the rest, then a header of
-    ``key`` (64 bytes) and the document and token counts, the offsets
-    (``<i8``), the token ids (``<i4``) and the document ids as a JSON list."""
-    ids = json.dumps(docs.ids).encode("ascii")
-
-    def pieces() -> Iterator[bytes | np.ndarray]:
-        yield _TOKENS_HEAD.pack(key, len(docs), len(docs.flat))
-        yield from snapshot.blocks(docs.offsets, "<i8")
-        yield from snapshot.blocks(docs.flat, "<i4")
-        yield ids
-
-    digest = hashlib.sha256()
-    for piece in pieces():
-        digest.update(piece)
-    with Path(path).open("wb") as fh:
-        fh.write(TOKENS_MAGIC + digest.digest())
-        fh.writelines(pieces())
+def save_doc_tokens(docs: DocTokens, path: str | Path) -> None:
+    """Token rows file: the offsets and token ids, the document ids as meta."""
+    snapshot.write_arrays(
+        path, {name: (getattr(docs, name), stored) for name, (stored, _) in TOKEN_ROWS.items()},
+        {"ids": list(docs.ids)})
 
 
-def load_doc_tokens(path: str | Path, key: bytes) -> DocTokens:
-    """Token rows written by :func:`save_doc_tokens` under ``key``.
+def load_doc_tokens(path: str | Path) -> DocTokens:
+    """Token rows written by :func:`save_doc_tokens`.
 
-    A file that fails its checksum or was written under another key is a
-    :class:`DataError`, and so is one whose header counts more than its
-    body holds, whose offsets do not rise from 0 to the token count, or
-    whose ids are not a JSON list of as many distinct strings as it counts
-    documents.
+    Besides what :func:`snapshot.read_arrays` rejects, offsets that do not
+    rise from 0 to the token count, and ids that are not a JSON list of as
+    many distinct strings as there are rows, are a :class:`DataError`.
+    Whether the rows are current is the caller's to know.
     """
-    raw = memoryview(Path(path).read_bytes())
-    head, body = bytes(raw[:36]), raw[36:]
-    if head != TOKENS_MAGIC + hashlib.sha256(body).digest():
-        raise DataError(f"{path}: not an intact token rows file")
-    if len(body) < _TOKENS_HEAD.size:
-        raise DataError(f"{path}: truncated token rows header")
-    stored, n_docs, n_tokens = _TOKENS_HEAD.unpack_from(body)
-    if stored != key:
-        raise DataError(f"{path}: written for other documents or another checkpoint")
-    ids_at = _TOKENS_HEAD.size + 8 * (n_docs + 1) + 4 * n_tokens
-    if ids_at > len(body):
-        raise DataError(f"{path}: header counts {n_docs} documents and {n_tokens} "
-                        "tokens, more than the file holds")
-    offsets = np.frombuffer(body, "<i8", n_docs + 1, _TOKENS_HEAD.size)
-    flat = np.frombuffer(body, "<i4", n_tokens, _TOKENS_HEAD.size + offsets.nbytes)
-    if offsets[0] != 0 or offsets[-1] != n_tokens or (np.diff(offsets) < 0).any():
-        raise DataError(f"{path}: offsets must rise from 0 to {n_tokens}")
-    try:
-        ids = json.loads(bytes(body[ids_at:]))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: bad id list: {exc}") from None
+    arrays, meta = snapshot.read_arrays(path, TOKEN_ROWS)
+    offsets, flat = arrays["offsets"], arrays["flat"]
+    if not (offsets.ndim == flat.ndim == 1 and len(offsets) and offsets[0] == 0
+            and offsets[-1] == len(flat) and (np.diff(offsets) >= 0).all()):
+        raise DataError(f"{path}: offsets must rise from 0 to {flat.size}")
+    ids = meta.get("ids")
     if not (isinstance(ids, list) and set(map(type, ids)) <= {str}
-            and len(set(ids)) == len(ids) == n_docs):
-        raise DataError(f"{path}: bad id list: not {n_docs} distinct strings")
+            and len(set(ids)) == len(ids) == len(offsets) - 1):
+        raise DataError(f"{path}: bad id list: not {len(offsets) - 1} distinct strings")
     return DocTokens(tuple(ids), offsets, flat)

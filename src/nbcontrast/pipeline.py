@@ -34,8 +34,8 @@ logger = logging.getLogger(__name__)
 
 STAGES = ("fixture", "ingest", "graph-train", "mine", "encode-train", "eval")
 
-# Written by encode-train beside the checkpoint, read by eval: the corpus's
-# token rows, keyed by the document file and the checkpoint it was split for.
+# Written by encode-train beside the checkpoint, read by eval while
+# encode-train's sidecar records the current documents, checkpoint and rows.
 DOC_TOKENS = "doc_tokens.bin"
 
 # Every file each stage writes into the work directory, its main artifact first.
@@ -217,11 +217,6 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _tokens_key(docs_path: Path, ckpt_path: Path) -> bytes:
-    """Key of ``doc_tokens.bin``: the documents' SHA-256, then the checkpoint's."""
-    return bytes.fromhex(_sha256_file(docs_path) + _sha256_file(ckpt_path))
-
-
 def _write_provenance(
     cfg: PipelineConfig, stage: str, inputs: list[Path], outputs: list[Path]
 ) -> None:
@@ -234,6 +229,21 @@ def _write_provenance(
         "outputs": {p.name: _sha256_file(p) for p in outputs},
     }
     _write_json(cfg.workdir / f"{stage}.prov.json", payload)
+
+
+def _check_current(sidecar: Path, inputs: list[Path], outputs: list[Path]) -> None:
+    """A :class:`DataError` unless ``sidecar`` records the files' current
+    digests among its stage's inputs and outputs (an ``OSError`` where one
+    of them cannot be read)."""
+    try:
+        recorded = json.loads(sidecar.read_bytes())
+        current = all(recorded[side][p.name] == _sha256_file(p)
+                      for side, paths in (("inputs", inputs), ("outputs", outputs))
+                      for p in paths)
+    except (ValueError, RecursionError, LookupError, TypeError) as exc:
+        raise DataError(f"{sidecar}: not a stage sidecar: {exc!r}") from None
+    if not current:
+        raise DataError(f"{sidecar}: records other files than the current ones")
 
 
 @functools.cache
@@ -449,7 +459,7 @@ def run_encode_train(
         raise DataError(f"{triples_path}: {exc} (documents: {docs_path})") from None
 
     encoder.save_encoder(params, out)
-    encoder.save_doc_tokens(tokens, _tokens_key(docs_path, out), tokens_path)
+    encoder.save_doc_tokens(tokens, tokens_path)
     _write_json(metrics_path, {"loss_trace": trace})
     print(
         f"encode-train: {len(trace)} epochs, loss "
@@ -480,9 +490,10 @@ def run_eval(
 
     params = encoder.load_encoder(ckpt_path)
     tokens_path = cfg.workdir / DOC_TOKENS
-    key = _tokens_key(docs_path, ckpt_path)
     try:
-        tokens = encoder.load_doc_tokens(tokens_path, key)
+        _check_current(cfg.workdir / "encode-train.prov.json",
+                       inputs=[docs_path], outputs=[ckpt_path, tokens_path])
+        tokens = encoder.load_doc_tokens(tokens_path)
         flat = tokens.flat
         if flat.size and (flat.min() < 0 or flat.max() >= len(params.vocab)):
             raise DataError(f"{tokens_path}: token id outside the checkpoint's vocab")

@@ -1,21 +1,24 @@
-"""Binary embedding snapshot format shared by all pipeline stages.
+"""The one binary layout of every array artifact: graph embeddings and
+document vectors (``.nbe``), the encoder checkpoint and the token rows.
 
-Layout (little-endian): magic ``NBE1``, u32 node_count, u32 dim,
-u8 measure code (0 = dot, 1 = cosine), then row-major float32 values.
-In-memory graph tables are float64; writing narrows to float32, reading
-promotes back so score comparisons stay in 64-bit. The encoder checkpoint
-stores its float32 weights with the same helpers and reads them back as
-float32. Both move the values a block of at most ``graph_embed.CELL_CAP``
-cells at a time, so a table is never held twice.
+Layout: magic ``NBA1``, a little-endian u64 header length, an ASCII JSON
+header ``{"arrays": [[name, dtype, shape], ...], "meta": {...}}``, then
+each array's raw values in header order, row-major in its little-endian
+stored dtype. Both ways the values move a block of at most
+``graph_embed.CELL_CAP`` cells at a time, so an array is never held twice.
+
+Embedding snapshots store their float64 tables as float32 and read them
+back promoted to float64, so score comparisons stay in 64-bit; the measure
+is the snapshot's meta.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
-import struct
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -23,9 +26,9 @@ from . import graph_embed
 from .errors import DataError
 from .graph_embed import EmbeddingTable
 
-MAGIC = b"NBE1"
-_MEASURE_CODES = {"dot": 0, "cosine": 1}
-_CODE_MEASURES = {v: k for k, v in _MEASURE_CODES.items()}
+MAGIC = b"NBA1"
+# the magic and the u64 header length
+_LEAD = len(MAGIC) + 8
 
 
 def blocks(values: np.ndarray, dtype: str) -> Iterator[np.ndarray]:
@@ -37,45 +40,85 @@ def blocks(values: np.ndarray, dtype: str) -> Iterator[np.ndarray]:
         yield flat[start:start + cap].astype(dtype, copy=False)
 
 
-def read_f4(fh: BinaryIO, shape: tuple[int, ...], dtype: type) -> np.ndarray:
-    """Row-major ``<f4`` values of ``shape`` from ``fh`` into a ``dtype``
-    table (float32 as stored, float64 promoted), filled a block at a time.
-    Values that run past the end of the file are a :class:`DataError`,
-    raised before the table is allocated."""
-    count = math.prod(shape)
-    if count * 4 > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise DataError(f"{fh.name}: truncated: {count} floats run past the end")
-    out = np.empty(count, dtype=dtype)
-    for block in blocks(out, out.dtype):
-        block[:] = np.frombuffer(fh.read(block.size * 4), dtype="<f4")
-    return out.reshape(shape)
+def write_arrays(
+    path: str | Path, arrays: Mapping[str, tuple[np.ndarray, str]], meta: dict
+) -> None:
+    """Write ``{name: (values, stored dtype)}`` and ``meta`` (any JSON
+    object) in the layout above."""
+    header = json.dumps({
+        "arrays": [[name, dtype, list(values.shape)]
+                   for name, (values, dtype) in arrays.items()],
+        "meta": meta,
+    }, separators=(",", ":")).encode("ascii")
+    with Path(path).open("wb") as fh:
+        fh.write(MAGIC + len(header).to_bytes(8, "little") + header)
+        for values, dtype in arrays.values():
+            fh.writelines(blocks(values, dtype))
+
+
+def read_arrays(
+    path: str | Path, expect: Mapping[str, tuple[str, type]]
+) -> tuple[dict[str, np.ndarray], dict]:
+    """The arrays and meta of a file written by :func:`write_arrays`, which
+    must hold exactly the arrays ``{name: (stored dtype, memory dtype)}``
+    in that order; each is read into an array of its memory dtype.
+
+    A wrong magic, a header that runs past the end of the file or is not
+    such a JSON object, other names or dtypes, a shape that is not a list
+    of non-negative ints, and arrays that do not fill the rest of the file
+    exactly are each a :class:`DataError` naming the file, raised before
+    any array is allocated."""
+    path = Path(path)
+    with path.open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        lead = fh.read(_LEAD)
+        if lead[:len(MAGIC)] != MAGIC[:len(lead)]:
+            raise DataError(f"{path}: not an array file (magic {lead[:len(MAGIC)]!r})")
+        length = int.from_bytes(lead[len(MAGIC):], "little")
+        if len(lead) < _LEAD or length > size - _LEAD:
+            raise DataError(f"{path}: truncated to {size} bytes, short of its header")
+        try:
+            header = json.loads(fh.read(length).decode("ascii"))
+        except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+            raise DataError(f"{path}: bad header: {exc}") from None
+        if not (isinstance(header, dict) and header.keys() == {"arrays", "meta"}
+                and isinstance(header["arrays"], list) and isinstance(header["meta"], dict)
+                and all(isinstance(a, list) and len(a) == 3 for a in header["arrays"])):
+            raise DataError(f"{path}: bad header: not an object of arrays and meta")
+        held = [[name, dtype] for name, dtype, _ in header["arrays"]]
+        want = [[name, dtype] for name, (dtype, _) in expect.items()]
+        if held != want:
+            raise DataError(f"{path}: holds arrays {held}, expected {want}")
+        shapes = [shape for *_, shape in header["arrays"]]
+        if not all(isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)
+                   for shape in shapes):
+            raise DataError(f"{path}: bad header: shapes must be lists of non-negative ints")
+        itemsizes = [np.dtype(dtype).itemsize for dtype, _ in expect.values()]
+        need = sum(math.prod(shape) * itemsize for shape, itemsize in zip(shapes, itemsizes))
+        have = size - _LEAD - length
+        if need > have:
+            raise DataError(f"{path}: arrays of {need} bytes, more than the file holds ({have})")
+        if need < have:
+            raise DataError(f"{path}: {have - need} trailing bytes after the arrays")
+        arrays = {}
+        for (name, (stored, dtype)), shape, itemsize in zip(expect.items(), shapes, itemsizes):
+            out = np.empty(math.prod(shape), dtype=dtype)
+            for block in blocks(out, out.dtype):
+                block[:] = np.frombuffer(fh.read(block.size * itemsize), stored)
+            arrays[name] = out.reshape(shape)
+    return arrays, header["meta"]
 
 
 def write_snapshot(t: EmbeddingTable, path: str | Path) -> None:
-    """Write a table to the NBE1 binary format."""
-    with Path(path).open("wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IIB", t.rows, t.dim, _MEASURE_CODES[t.measure]))
-        fh.writelines(blocks(t.values, "<f4"))
+    """Write a table as float32 values, its measure as the meta."""
+    write_arrays(path, {"values": (t.values, "<f4")}, {"measure": t.measure})
 
 
 def read_snapshot(path: str | Path) -> EmbeddingTable:
-    """Read an NBE1 snapshot, promoting values to float64."""
-    path = Path(path)
-    with path.open("rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise DataError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        header = fh.read(9)
-        if len(header) != 9:
-            raise DataError(f"{path}: truncated header")
-        rows, dim, code = struct.unpack("<IIB", header)
-        if code not in _CODE_MEASURES:
-            raise DataError(f"{path}: unknown measure code {code}")
-        payload = os.fstat(fh.fileno()).st_size - fh.tell()
-        if payload != rows * dim * 4:
-            raise DataError(
-                f"{path}: payload is {payload} bytes, expected {rows * dim * 4}"
-            )
-        values = read_f4(fh, (rows, dim), np.float64)
-    return EmbeddingTable(values=values, measure=_CODE_MEASURES[code])
+    """Read a snapshot written by :func:`write_snapshot`, promoting values
+    to float64."""
+    arrays, meta = read_arrays(path, {"values": ("<f4", np.float64)})
+    try:
+        return EmbeddingTable(values=arrays["values"], measure=meta.get("measure"))
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None

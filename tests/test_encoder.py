@@ -1,8 +1,8 @@
 """Document encoder: tokenization, triplet loss, training, gradients."""
 
-import hashlib
 import json
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from nbcontrast import encoder, graph_embed
 from nbcontrast.corpus import Document
 from nbcontrast.encoder import (
-    CHECKPOINT_MAGIC,
     SEP,
     UNK,
     EncoderParams,
@@ -36,7 +35,7 @@ from nbcontrast.errors import DataError, ValidationError
 from nbcontrast.fixtures import FixtureConfig, two_topic_documents
 from nbcontrast.graph_embed import EmbeddingTable
 from nbcontrast.mining import SamplingConfig, TripleSet, triple_array
-from nbcontrast.snapshot import read_snapshot, write_snapshot
+from nbcontrast.snapshot import MAGIC, read_snapshot, write_snapshot
 
 
 def token_ids(tokens, vocab):
@@ -834,63 +833,82 @@ class TestTopicSeparation:
         assert np.mean(same) < np.mean(diff)
 
 
+def array_file(path, header: bytes, body: bytes) -> None:
+    """Write an array file of a raw header and body."""
+    path.write_bytes(MAGIC + len(header).to_bytes(8, "little") + header + body)
+
+
+def header_of(path) -> tuple[dict, bytes]:
+    """An array file's header as JSON, and the array bytes after it."""
+    raw = path.read_bytes()
+    length = int.from_bytes(raw[4:12], "little")
+    return json.loads(raw[12:12 + length]), raw[12 + length:]
+
+
 class TestDocTokens:
     def saved(self, tmp_path):
         docs = [Document(id=pid, title="Alpha beta", abstract=text)
                 for pid, text in (("a\ud800", "gamma"), ("\u00e9", ""), ("c", "beta x"))]
         _, doc_rows = index_corpus(docs)
         path = tmp_path / "doc_tokens.bin"
-        save_doc_tokens(doc_rows, bytes(range(64)), path)
+        save_doc_tokens(doc_rows, path)
         return doc_rows, path
 
     def test_roundtrip(self, tmp_path):
         doc_rows, path = self.saved(tmp_path)
-        loaded = load_doc_tokens(path, bytes(range(64)))
+        loaded = load_doc_tokens(path)
         assert loaded.ids == doc_rows.ids == ("a\ud800", "\u00e9", "c")
         np.testing.assert_array_equal(loaded.offsets, doc_rows.offsets)
         np.testing.assert_array_equal(loaded.flat, doc_rows.flat)
         assert loaded.flat.dtype == np.int32
 
-    def test_other_key_is_a_data_error(self, tmp_path):
-        _, path = self.saved(tmp_path)
-        with pytest.raises(DataError, match="other documents"):
-            load_doc_tokens(path, bytes(64))
-
-    def test_every_truncation_and_flipped_byte_is_a_data_error(self, tmp_path):
+    def test_every_truncation_is_a_data_error(self, tmp_path):
+        # a flipped byte is the sidecar's to catch (TestTokenCache)
         _, path = self.saved(tmp_path)
         raw = path.read_bytes()
         bad = tmp_path / "bad.bin"
         for size in range(len(raw)):
             bad.write_bytes(raw[:size])
             with pytest.raises(DataError):
-                load_doc_tokens(bad, bytes(range(64)))
-        for i in range(len(raw)):
-            bad.write_bytes(raw[:i] + bytes([raw[i] ^ 1]) + raw[i + 1:])
-            with pytest.raises(DataError):
-                load_doc_tokens(bad, bytes(range(64)))
+                load_doc_tokens(bad)
+
+    def test_older_token_rows_are_not_an_array_file(self, tmp_path):
+        # the layout before one header: NBT1, a checksum, a 64-byte key,
+        # the document and token counts
+        path = tmp_path / "doc_tokens.bin"
+        path.write_bytes(b"NBT1" + bytes(32) + bytes(64) + struct.pack("<QQ", 0, 0)
+                         + bytes(8) + b"[]")
+        with pytest.raises(DataError, match="not an array file"):
+            load_doc_tokens(path)
+
+    def test_checkpoint_is_not_token_rows(self, tmp_path):
+        path = tmp_path / "encoder.bin"
+        save_encoder(TestCheckpoint.hand_built({UNK: 0, SEP: 1}), path)
+        with pytest.raises(DataError, match="holds arrays .*, expected .*'offsets'"):
+            load_doc_tokens(path)
 
     # a well-formed body: three documents of 1, 2 and 0 tokens
     GOOD = dict(counts=(3, 3), offsets=[0, 1, 3, 3], flat=[2, 3, 4], ids=b'["a", "b", "c"]')
 
     @staticmethod
     def crafted(tmp_path, counts, offsets, flat, ids, size=None):
-        """A token rows file of these pieces, its body cut to ``size`` bytes,
-        under a checksum that holds and the right key."""
-        body = (encoder._TOKENS_HEAD.pack(bytes(range(64)), *counts)
-                + np.array(offsets, "<i8").tobytes() + np.array(flat, "<i4").tobytes() + ids)
-        body = body[:size]
+        """A token rows file of these pieces, the header's shapes from
+        ``counts`` and its id list the raw ``ids``, cut to ``size`` bytes."""
+        header = (b'{"arrays":[["offsets","<i8",[%d]],["flat","<i4",[%d]]],"meta":{"ids":%s}}'
+                  % (counts[0] + 1, counts[1], ids))
         path = tmp_path / "doc_tokens.bin"
-        path.write_bytes(encoder.TOKENS_MAGIC + hashlib.sha256(body).digest() + body)
+        array_file(path, header, np.array(offsets, "<i8").tobytes() + np.array(flat, "<i4").tobytes())
+        path.write_bytes(path.read_bytes()[:size])
         return path
 
     def test_crafted_file_loads(self, tmp_path):
-        loaded = load_doc_tokens(self.crafted(tmp_path, **self.GOOD), bytes(range(64)))
+        loaded = load_doc_tokens(self.crafted(tmp_path, **self.GOOD))
         assert loaded.ids == ("a", "b", "c")
         assert loaded.offsets.tolist() == [0, 1, 3, 3] and loaded.flat.tolist() == [2, 3, 4]
 
     @pytest.mark.parametrize("edit, message", [
-        ({"size": 79}, "truncated token rows header"),
-        ({"size": 0}, "truncated token rows header"),
+        ({"size": 79}, "truncated to 79 bytes, short of its header"),
+        ({"size": 0}, "truncated to 0 bytes, short of its header"),
         ({"counts": (40, 3)}, "more than the file holds"),
         ({"counts": (3, 2**40)}, "more than the file holds"),
         ({"counts": (2**64 - 1, 3)}, "more than the file holds"),
@@ -898,8 +916,11 @@ class TestDocTokens:
         ({"offsets": [0, 2, 1, 3]}, "offsets must rise from 0 to 3"),
         ({"offsets": [0, 1, 3, 4]}, "offsets must rise from 0 to 3"),
         ({"offsets": [0, 1, 9, 3]}, "offsets must rise from 0 to 3"),
-        ({"ids": b'["a", "b", "c"'}, "bad id list: Expecting"),
-        ({"ids": b'["\xff", "b", "c"]'}, "bad id list: 'utf-8' codec"),
+        # an id list that is not JSON, or not ASCII, leaves no header to read
+        pytest.param({"ids": b'["a", "b", "c"'}, "bad header: Expecting",
+                     id="edit9-bad id list: not JSON"),
+        pytest.param({"ids": b'["\xff", "b", "c"]'}, "bad header: 'ascii' codec",
+                     id="edit10-bad id list: not ASCII"),
         ({"ids": b'{"a": 1}'}, "bad id list: not 3 distinct strings"),
         ({"ids": b'"abc"'}, "bad id list: not 3 distinct strings"),
         ({"ids": b'["a", "b", "c", "d"]'}, "bad id list: not 3 distinct strings"),
@@ -908,9 +929,32 @@ class TestDocTokens:
         ({"ids": b'["a", "b", "a"]'}, "bad id list: not 3 distinct strings"),
     ])
     def test_checksummed_malformed_file_is_a_data_error(self, tmp_path, edit, message):
+        # each body would be one whose sidecar digest holds: eval's cache
+        # then relies on this reader to reject it
         path = self.crafted(tmp_path, **{**self.GOOD, **edit})
         with pytest.raises(DataError, match=re.escape(message)):
-            load_doc_tokens(path, bytes(range(64)))
+            load_doc_tokens(path)
+
+    @pytest.mark.parametrize("header, message", [
+        (b'{"arrays":[["offsets","<i8",[4]],["flat","<i4",[3]]],"meta":{}}',
+         "bad id list: not 3 distinct strings"),
+        (b'{"arrays":[["offsets","<i8",[2,2]],["flat","<i4",[3]]],"meta":{"ids":["a"]}}',
+         "offsets must rise from 0 to 3"),
+        (b'{"arrays":[["offsets","<i8",[4]],["flat","<i4",[3,1]]],"meta":{"ids":[]}}',
+         "offsets must rise from 0 to 3"),
+        (b'{"arrays":[["offsets","<i8",[0]],["flat","<i4",[11]]],"meta":{"ids":[]}}',
+         "offsets must rise from 0 to 11"),
+        (b'{"arrays":[["flat","<i4",[3]],["offsets","<i8",[4]]],"meta":{"ids":[]}}',
+         "holds arrays [['flat', '<i4'], ['offsets', '<i8']]"),
+        (b'{"arrays":[["offsets","<i4",[8]],["flat","<i4",[3]]],"meta":{"ids":[]}}',
+         "holds arrays [['offsets', '<i4'], ['flat', '<i4']]"),
+    ])
+    def test_rows_of_other_shapes_are_a_data_error(self, tmp_path, header, message):
+        path = tmp_path / "doc_tokens.bin"
+        array_file(path, header, np.array([0, 1, 3, 3], "<i8").tobytes()
+                   + np.array([2, 3, 4], "<i4").tobytes())
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_doc_tokens(path)
 
 
 class TestInit:
@@ -976,24 +1020,42 @@ class TestCheckpoint:
                 load_encoder(cut)
 
     def test_header_sizes_past_the_end_rejected(self, tmp_path):
-        import struct
         path = tmp_path / "enc.bin"
-        path.write_bytes(
-            CHECKPOINT_MAGIC + struct.pack("<IIB", 2**32 - 1, 2**32 - 1, 0)
-        )
-        with pytest.raises(DataError, match="truncated"):
+        huge = 2**32 - 1
+        array_file(path, json.dumps({"arrays": [
+            ["token_table", "<f4", [huge, huge]], ["projection", "<f4", [huge, huge]],
+            ["projection_bias", "<f4", [huge]]], "meta": {"vocab": []}}).encode(), b"")
+        with pytest.raises(DataError, match="more than the file holds"):
             load_encoder(path)
 
     def test_projection_sizes_past_the_end_rejected(self, tmp_path):
-        import struct
         vocab = build_vocab([Document(id="d", title="x y", abstract="")])
         path = tmp_path / "enc.bin"
         save_encoder(init_encoder(vocab, hidden_dim=2, out_dim=2, seed=0), path)
-        raw = path.read_bytes()
-        at = len(CHECKPOINT_MAGIC) + 9 + len(vocab) * 2 * 4  # out_dim
-        assert raw[at:at + 4] == struct.pack("<I", 2)
-        path.write_bytes(raw[:at] + struct.pack("<I", 2**32 - 1) + raw[at + 4:])
-        with pytest.raises(DataError, match="truncated"):
+        header, body = header_of(path)
+        assert header["arrays"][1] == ["projection", "<f4", [2, 2]]
+        header["arrays"][1][2] = [2, 2**32 - 1]
+        array_file(path, json.dumps(header).encode(), body)
+        with pytest.raises(DataError, match="more than the file holds"):
+            load_encoder(path)
+
+    @pytest.mark.parametrize("shapes, message", [
+        ([[4, 2], [2, 2], [1, 2]], "weights must be two tables and a vector"),
+        ([[8], [2, 2], [2]], "weights must be two tables and a vector"),
+        ([[4, 2], [3, 2], [2]], "more than the file holds"),
+        ([[4, 2], [2, 1], [4]], "projection and bias dims disagree"),
+        ([[4, 1], [4, 2], [2]], "token_table and projection dims disagree"),
+        ([[2, 3], [3, 2], [2]], "bad vocab: not 2 distinct strings"),
+    ])
+    def test_weights_of_other_shapes_are_a_data_error(self, tmp_path, shapes, message):
+        vocab = build_vocab([Document(id="d", title="x y", abstract="")])
+        path = tmp_path / "enc.bin"
+        save_encoder(init_encoder(vocab, hidden_dim=2, out_dim=2, seed=0), path)
+        header, body = header_of(path)
+        for entry, shape in zip(header["arrays"], shapes):
+            entry[2] = shape
+        array_file(path, json.dumps(header).encode(), body)
+        with pytest.raises(DataError, match=re.escape(message)):
             load_encoder(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -1025,44 +1087,48 @@ class TestCheckpoint:
         )
 
     def test_vocab_roundtrip_keeps_any_token(self, tmp_path):
-        # the tokenizer only makes [a-z0-9] words, but the vocab section
-        # stores any string: JSON escapes make it ASCII, a lone surrogate too
+        # the tokenizer only makes [a-z0-9] words, but the vocab stores any
+        # string: JSON escapes keep the header ASCII, a lone surrogate too
         tokens = [UNK, SEP, "caf\u00e9", "\u8bba\u6587", "\ud800", "\U0001f600", '"\\']
         params = self.hand_built({token: i for i, token in enumerate(tokens)})
         path = tmp_path / "enc.bin"
         save_encoder(params, path)
-        assert path.read_bytes().endswith(
-            json.dumps(tokens, separators=(",", ":")).encode("ascii"))
+        assert header_of(path)[0]["meta"] == {"vocab": tokens}
         assert load_encoder(path).vocab == params.vocab
 
+    # the first three vocabs leave no JSON header to read the vocab from
     @pytest.mark.parametrize("vocab, message", [
-        (b'["<unk>","<sep>","a"', "bad vocab section"),
+        pytest.param(b'["<unk>","<sep>","a"', "bad header: Expecting",
+                     id='["<unk>","<sep>","a"-bad vocab section'),
+        pytest.param(b'["<unk>","<sep>","\xff"]', "bad header: 'ascii' codec",
+                     id='["<unk>","<sep>","\xff"]-bad vocab section'),
+        pytest.param(b'["<unk>","<sep>","a"] ["b"]', "bad header: Expecting",
+                     id='["<unk>","<sep>","a"] ["b"]-trailing JSON, so a bad header'),
         (b'{"<unk>":0,"<sep>":1,"a":2}', "not a JSON array of strings"),
         (b'"<unk><sep>a"', "not a JSON array of strings"),
         (b'["<unk>","<sep>",3]', "not a JSON array of strings"),
         (b'["<unk>","<sep>"]', "not 3 distinct strings"),
         (b'["<unk>","<sep>","a","b"]', "not 3 distinct strings"),
         (b'["<unk>","<sep>","<sep>"]', "not 3 distinct strings"),
-        (b'["<unk>","<sep>","\xff"]', "bad vocab section"),
-        (b'["<unk>","<sep>","a"] ["b"]', "trailing bytes"),
     ])
     def test_bad_vocab_section_names_file(self, tmp_path, vocab, message):
         params = self.hand_built({UNK: 0, SEP: 1, "a": 2})
         path = tmp_path / "enc.bin"
         save_encoder(params, path)
-        raw = path.read_bytes()
-        stored = b'["<unk>","<sep>","a"]'
-        assert raw.endswith(stored)
-        path.write_bytes(raw[:-len(stored)] + vocab)
+        header, body = header_of(path)
+        assert header["meta"] == {"vocab": [UNK, SEP, "a"]}
+        arrays = json.dumps(header["arrays"]).encode()
+        array_file(path, b'{"arrays":%s,"meta":{"vocab":%s}}' % (arrays, vocab), body)
         with pytest.raises(DataError) as err:
             load_encoder(path)
         assert str(err.value).startswith(f"{path}: ") and message in str(err.value)
 
     def test_older_checkpoint_is_not_a_checkpoint(self, tmp_path):
+        # the layout before one header: NBC2, u32 vocab size, u32 hidden, u8 0
         path = tmp_path / "enc.bin"
-        save_encoder(self.hand_built({UNK: 0, SEP: 1}), path)
-        path.write_bytes(b"NBC1" + path.read_bytes()[4:])
-        with pytest.raises(DataError, match="not an encoder checkpoint"):
+        path.write_bytes(b"NBC2" + struct.pack("<IIB", 2, 1, 0) + bytes(12)
+                         + struct.pack("<I", 1) + bytes(8) + b'["<unk>","<sep>"]')
+        with pytest.raises(DataError, match="not an array file"):
             load_encoder(path)
 
     def test_not_a_checkpoint(self, tmp_path):
@@ -1074,12 +1140,13 @@ class TestCheckpoint:
     def test_embedding_snapshot_is_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "graph_embeddings.nbe"
         write_snapshot(EmbeddingTable(values=np.ones((4, 3))), path)
-        with pytest.raises(DataError, match="not an encoder checkpoint"):
+        with pytest.raises(DataError, match=r"holds arrays \[\['values', '<f4'\]\], expected "
+                                            r"\[\['token_table', '<f4'\]"):
             load_encoder(path)
 
     def test_checkpoint_is_not_an_embedding_snapshot(self, tmp_path):
         vocab = build_vocab([Document(id="d", title="x y", abstract="")])
         path = tmp_path / "encoder.bin"
         save_encoder(init_encoder(vocab, hidden_dim=2, out_dim=2, seed=0), path)
-        with pytest.raises(DataError, match="magic"):
+        with pytest.raises(DataError, match=r"holds arrays \[\['token_table'"):
             read_snapshot(path)

@@ -28,7 +28,7 @@ from nbcontrast.mining import SamplingConfig
 from nbcontrast.pipeline import (
     ARTIFACTS, DOC_TOKENS, STAGES, label_separation, load_config, run,
 )
-from nbcontrast.snapshot import read_snapshot, write_snapshot
+from nbcontrast.snapshot import MAGIC, read_snapshot, write_snapshot
 
 
 def sha256(path):
@@ -407,6 +407,33 @@ class TestExitCodes:
         assert err.startswith(prefix) and err.count("\n") == 1
         assert name in err
         assert not out.exists()
+
+    # JSON nested past the parser's recursion limit: a line of a JSON-lines
+    # file, a graph snapshot, an array file's header
+    @pytest.mark.parametrize("name, stage, named", [
+        ("documents.jsonl", "encode-train", "line 121: invalid JSON"),
+        ("ranking.jsonl", "eval", "invalid JSON"),
+        (ARTIFACTS["ingest"][0], "graph-train", "not a graph snapshot"),
+        (ARTIFACTS["graph-train"][0], "mine", "bad header"),
+        (ARTIFACTS["encode-train"][0], "eval", "bad header"),
+    ])
+    def test_deeply_nested_json_exits_3(self, workdir, capsys, name, stage, named):
+        config = str(workdir / "config.ini")
+        for upstream in STAGES[:STAGES.index(stage)]:
+            assert main([upstream, "--config", config]) == 0
+        path = workdir / name
+        nested = b"[" * 100_000
+        if name.endswith(".jsonl"):
+            path.write_bytes(path.read_bytes() + nested + b"\n")
+        elif name.endswith(".json"):
+            path.write_bytes(nested)
+        else:
+            path.write_bytes(MAGIC + len(nested).to_bytes(8, "little") + nested)
+        capsys.readouterr()
+        assert main([stage, "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: ") and err.count("\n") == 1
+        assert named in err and "recursion" in err and "Traceback" not in err
 
     def test_missing_upstream_exits_4(self, workdir):
         rc = main(["mine", "--config", str(workdir / "config.ini")])
@@ -816,8 +843,9 @@ class TestExitCodes:
 
 
 class TestTokenCache:
-    """eval encodes from encode-train's ``doc_tokens.bin`` when it matches
-    the documents and the checkpoint, and from the documents otherwise."""
+    """eval encodes from encode-train's ``doc_tokens.bin`` while
+    encode-train's sidecar records the current documents, checkpoint and
+    rows, and from the documents otherwise."""
 
     def trained(self, workdir):
         config = str(workdir / "config.ini")
@@ -869,54 +897,121 @@ class TestTokenCache:
         assert self.eval_outputs(workdir, config) == (fallback, False)
 
     def test_damaged_cache_changes_no_report(self, workdir):
+        # no checksum of its own: the digest encode-train's sidecar records
+        # no longer matches
         config = self.trained(workdir)
         expect, used = self.eval_outputs(workdir, config)
         assert used
         path = workdir / DOC_TOKENS
         raw = path.read_bytes()
-        # magic, checksum, then the 64-byte key and the document and token counts
-        n_docs, n_tokens = np.frombuffer(raw, "<u8", 2, 100)
-        offsets = 116
-        tokens = offsets + 8 * (int(n_docs) + 1)
-        id_list = tokens + 4 * int(n_tokens)
-        regions = {"header": (0, offsets), "offsets": (offsets, tokens),
-                   "token ids": (tokens, id_list), "id list": (id_list, len(raw))}
+        _, offsets, _ = cache_parts(path)
+        ids = raw.index(b'"ids":["') + 8  # the first id's first character
+        tokens = len(raw) - 4 * int(offsets[-1])
+        regions = {"header": (0, ids - 8), "id list": (ids, ids + 1),
+                   "offsets": (tokens - 8 * len(offsets), tokens), "token ids": (tokens, len(raw))}
         for region, (start, end) in regions.items():
             at = (start + end) // 2
             path.write_bytes(raw[:at] + bytes([raw[at] ^ 0x20]) + raw[at + 1:])
             assert self.eval_outputs(workdir, config) == (expect, False), region
 
     def test_checksummed_malformed_cache_changes_no_report(self, workdir):
+        # rows the sidecar records as current, which eval still rejects
         config = self.trained(workdir)
         expect, used = self.eval_outputs(workdir, config)
         assert used
         path = workdir / DOC_TOKENS
-        body = path.read_bytes()[36:]
-        # after the 64-byte key: the document and token counts, then the offsets
-        n_docs, n_tokens = np.frombuffer(body, "<u8", 2, 64)
-        tokens = 80 + 8 * (int(n_docs) + 1)
         vocab = len(encoder.load_encoder(workdir / ARTIFACTS["encode-train"][0]).vocab)
-        edits = {
-            "token id past the vocab": (tokens, np.int32(vocab)),
-            "negative token id": (tokens + 4, np.int32(-1)),
-            "offset past the token count": (tokens - 8, n_tokens + np.uint64(1)),
-            "document count past the offsets": (64, n_docs + np.uint64(9)),
-            "id list of more documents": (len(body) - 1, np.frombuffer(b', "x"]', "u1")),
-        }
-        for case, (at, value) in edits.items():
-            edited = body[:at] + value.tobytes() + body[at + value.nbytes:]
-            path.write_bytes(encoder.TOKENS_MAGIC + hashlib.sha256(edited).digest() + edited)
+        parts = cache_parts(path)
+        for case in ("token id past the vocab", "negative token id", "offset past the token count",
+                     "document count past the offsets", "id list of more documents"):
+            header, offsets, flat = json.loads(json.dumps(parts[0])), *map(np.copy, parts[1:])
+            if case == "token id past the vocab":
+                flat[0] = vocab
+            elif case == "negative token id":
+                flat[1] = -1
+            elif case == "offset past the token count":
+                offsets[-1] = len(flat) + 1
+            elif case == "document count past the offsets":
+                header["arrays"][0][2] = [len(offsets) + 9]
+            else:
+                header["meta"]["ids"].append("x")
+            recorded(workdir, header, offsets, flat)
             assert self.eval_outputs(workdir, config) == (expect, False), case
 
+    def test_replaced_checkpoint_is_split_anew(self, workdir):
+        # the same encoder under another id order: the cached rows would
+        # look up the wrong embeddings
+        config = self.trained(workdir)
+        assert self.eval_outputs(workdir, config)[1]
+        ckpt = workdir / ARTIFACTS["encode-train"][0]
+        params = encoder.load_encoder(ckpt)
+        tokens = sorted(params.vocab, key=params.vocab.get)
+        order = [0, 1, 3, 2, *range(4, len(tokens))]
+        encoder.save_encoder(encoder.EncoderParams(
+            vocab={tokens[old]: new for new, old in enumerate(order)},
+            token_table=params.token_table[order],
+            projection=params.projection,
+            projection_bias=params.projection_bias,
+        ), ckpt)
+        split, used = self.eval_outputs(workdir, config)
+        assert not used
+        (workdir / DOC_TOKENS).unlink()
+        assert self.eval_outputs(workdir, config) == (split, False)
 
-# What the mutation loop does to one documents file; the value mutations
-# rewrite one field of one record.
+    @pytest.mark.parametrize("sidecar", [
+        None, b"", b"[" * 100_000, b'{"inputs": {}, "outputs": {}}', b'{"inputs": []}', "directory",
+    ], ids=["missing", "empty", "nested", "no digests", "inputs not an object", "a directory"])
+    def test_missing_or_unreadable_sidecar_changes_no_report(self, workdir, sidecar):
+        config = self.trained(workdir)
+        expect, used = self.eval_outputs(workdir, config)
+        assert used
+        path = workdir / "encode-train.prov.json"
+        path.unlink()
+        if sidecar == "directory":
+            path.mkdir()
+        elif sidecar is not None:
+            path.write_bytes(sidecar)
+        assert self.eval_outputs(workdir, config) == (expect, False)
+
+
+def cache_parts(path):
+    """A token rows file's header as JSON, its offsets and its token ids."""
+    raw = path.read_bytes()
+    length = int.from_bytes(raw[4:12], "little")
+    header = json.loads(raw[12:12 + length])
+    (_, _, [n_offsets]), (_, _, [n_tokens]) = header["arrays"]
+    offsets = np.frombuffer(raw, "<i8", n_offsets, 12 + length)
+    return header, offsets, np.frombuffer(raw, "<i4", n_tokens, 12 + length + offsets.nbytes)
+
+
+def recorded(workdir, header, offsets, flat):
+    """Write a token rows file of these parts, and record its digest in
+    encode-train's sidecar."""
+    path = workdir / DOC_TOKENS
+    header = json.dumps(header).encode("ascii")
+    path.write_bytes(MAGIC + len(header).to_bytes(8, "little") + header
+                     + offsets.astype("<i8").tobytes() + flat.astype("<i4").tobytes())
+    sidecar = workdir / "encode-train.prov.json"
+    prov = json.loads(sidecar.read_text(encoding="utf-8"))
+    prov["outputs"][DOC_TOKENS] = sha256(path)
+    sidecar.write_text(json.dumps(prov), encoding="utf-8")
+
+
+# What the mutation loop does to one JSON-lines file; the value mutations
+# rewrite one field of one record. The byte mutations take any file.
 MUTATIONS = ("truncate", "drop line", "duplicate line", "change byte", "replace value",
              "empty", "append junk", "null", "number", "list")
+BYTE_MUTATIONS = ("truncate", "change byte", "empty", "append junk")
+
+# The fields a value mutation picks from, by file.
+FIELDS = {"documents.jsonl": ("id", "title", "abstract"),
+          "ranking.jsonl": ("query", "candidates", "relevant"),
+          "labels.jsonl": ("id", "label", "split")}
 
 
-def mutate(raw: bytes, kind: str, at: int, junk: bytes) -> bytes:
-    """``raw`` with one ``kind`` mutation, placed by ``at`` and drawing on ``junk``."""
+def mutate(raw: bytes, kind: str, at: int, junk: bytes, fields=FIELDS["documents.jsonl"]) -> bytes:
+    """``raw`` with one ``kind`` mutation, placed by ``at`` and drawing on
+    ``junk``; a value mutation rewrites one of ``fields``."""
     lines = raw.splitlines(keepends=True)
     i = at % len(lines)
     if kind == "truncate":
@@ -932,11 +1027,33 @@ def mutate(raw: bytes, kind: str, at: int, junk: bytes) -> bytes:
     if kind == "append junk":
         return raw + junk
     record = json.loads(lines[i])
-    field = ("id", "title", "abstract")[junk[0] % 3]
+    field = fields[junk[0] % 3]
     # another record's value (a duplicate id, say), or an empty string
     other = json.loads(lines[(i + 1 + junk[0]) % len(lines)])[field] if junk[0] % 2 else ""
     record[field] = {"replace value": other, "null": None, "number": 5, "list": ["x"]}[kind]
     return b"".join(lines[:i] + [json.dumps(record).encode() + b"\n"] + lines[i + 1:])
+
+
+def run_mutated(path: Path, data: bytes, config: str, stages, label) -> list[int]:
+    """The exit codes of ``stages`` run in turn over ``path`` holding
+    ``data``, the file restored after. Each must exit 0, 2, 3 or 4, with no
+    traceback and no numpy or unclosed-file warning."""
+    raw = path.read_bytes()
+    path.write_bytes(data)
+    err = io.StringIO()
+    try:
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            codes = [main([stage, "--config", config]) for stage in stages]
+            gc.collect()  # a file left open by a generator warns when collected
+    finally:
+        path.write_bytes(raw)
+    assert set(codes) <= {0, 2, 3, 4}, (label, codes, err.getvalue())
+    assert "Traceback" not in err.getvalue(), label
+    bad = [w for w in caught if issubclass(w.category, (RuntimeWarning, ResourceWarning))]
+    assert not bad, (label, [str(w.message) for w in bad])
+    return codes
 
 
 @pytest.fixture(scope="module")
@@ -960,22 +1077,38 @@ class TestDocumentMutations:
         path = finished_run / "documents.jsonl"
         raw = path.read_bytes()
         for kind in MUTATIONS:
-            path.write_bytes(mutate(raw, kind, at, junk))
-            err = io.StringIO()
-            try:
-                with warnings.catch_warnings(record=True) as caught, \
-                        contextlib.redirect_stderr(err), \
-                        contextlib.redirect_stdout(io.StringIO()):
-                    warnings.simplefilter("always")
-                    codes = [main([stage, "--config", config])
-                             for stage in ("encode-train", "eval")]
-                    gc.collect()  # a file left open by a generator warns when collected
-            finally:
-                path.write_bytes(raw)
-            assert set(codes) <= {0, 2, 3, 4}, (kind, codes, err.getvalue())
-            assert "Traceback" not in err.getvalue(), kind
-            bad = [w for w in caught if issubclass(w.category, (RuntimeWarning, ResourceWarning))]
-            assert not bad, (kind, [str(w.message) for w in bad])
+            run_mutated(path, mutate(raw, kind, at, junk), config, ("encode-train", "eval"), kind)
+
+
+class TestArtifactMutations:
+    """eval over a mutated ranking or labels file, and the stage that reads
+    each binary artifact over a damaged one, as in
+    :class:`TestDocumentMutations`. A damaged ``doc_tokens.bin`` leaves
+    eval's report as it was."""
+
+    # three tries of 32 stage runs each keep it near 3 s
+    @settings(max_examples=3, deadline=None, derandomize=True, phases=[Phase.generate])
+    @given(st.integers(0, 1 << 20), st.binary(min_size=1, max_size=6))
+    def test_exit_codes(self, finished_run, at, junk):
+        config = str(finished_run / "config.ini")
+        # the artifacts of a clean run, whatever an earlier test left
+        with contextlib.redirect_stdout(io.StringIO()):
+            for stage in ("mine", "encode-train", "eval"):
+                assert main([stage, "--config", config]) == 0
+        report = (finished_run / "report.json").read_bytes()
+        cases = [(name, "eval", kind, FIELDS[name])
+                 for name in ("ranking.jsonl", "labels.jsonl") for kind in MUTATIONS]
+        cases += [(name, stage, kind, None) for kind in BYTE_MUTATIONS
+                  for name, stage in ((ARTIFACTS["graph-train"][0], "mine"),
+                                      (ARTIFACTS["encode-train"][0], "eval"),
+                                      (DOC_TOKENS, "eval"))]
+        for name, stage, kind, fields in cases:
+            path = finished_run / name
+            data = mutate(path.read_bytes(), kind, at, junk, fields)
+            codes = run_mutated(path, data, config, (stage,), (name, kind))
+            if name == DOC_TOKENS:
+                assert codes == [0], kind
+                assert (finished_run / "report.json").read_bytes() == report, kind
 
 
 class TestConfigLoading:
